@@ -1,91 +1,16 @@
 """Closed-form propagators for one, two and three two-level atoms coupled
 to a single truncated cavity mode, with an independent matrix-exponential
 oracle and a structured search for polynomial operator relations.
+
+The package namespace re-exports the public names of each module.
 """
 
-from .fock import (
-    FockSpace,
-    annihilator,
-    cosz,
-    creator,
-    default_guard,
-    number,
-    sincz,
-    spectral_fn,
-)
-from .oracle import (
-    ComparisonReport,
-    RelationFitReport,
-    Sector,
-    compare,
-    expm_hermitian,
-    fit_left_diagonal,
-    min_poly_degree,
-    relation_fit,
-    sector_decompose,
-    trusted_mask,
-)
-from .propagator import (
-    GaussFactors,
-    GaussSingularityError,
-    apply,
-    evolve_full,
-    evolve_one_atom,
-    evolve_spin_one,
-    evolve_two_atoms,
-    gauss_decompose_one_atom,
-    reconstruct_two_atoms,
-    reduction_transform,
-)
-from .spinchain import (
-    CompositeOperator,
-    Hamiltonian,
-    atomic_labels,
-    collective,
-    coupling_operator,
-    embed_sigma,
-    excitation_operator,
-    hamiltonian,
-)
+from . import fock, oracle, propagator, spinchain
+from .fock import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .propagator import *  # noqa: F403
+from .spinchain import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FockSpace",
-    "annihilator",
-    "creator",
-    "number",
-    "spectral_fn",
-    "cosz",
-    "sincz",
-    "default_guard",
-    "CompositeOperator",
-    "Hamiltonian",
-    "embed_sigma",
-    "collective",
-    "coupling_operator",
-    "excitation_operator",
-    "hamiltonian",
-    "atomic_labels",
-    "GaussFactors",
-    "GaussSingularityError",
-    "evolve_one_atom",
-    "evolve_two_atoms",
-    "evolve_full",
-    "evolve_spin_one",
-    "gauss_decompose_one_atom",
-    "reduction_transform",
-    "reconstruct_two_atoms",
-    "apply",
-    "ComparisonReport",
-    "RelationFitReport",
-    "Sector",
-    "expm_hermitian",
-    "compare",
-    "fit_left_diagonal",
-    "relation_fit",
-    "sector_decompose",
-    "min_poly_degree",
-    "trusted_mask",
-    "__version__",
-]
+__all__ = [*fock.__all__, *spinchain.__all__, *propagator.__all__, *oracle.__all__, "__version__"]

@@ -2,12 +2,13 @@
 
 The coupling operator A of one or two atoms satisfies a low-degree
 polynomial relation (A^2 is diagonal for one atom, A^3 = D A for two), so
-exp(-i t g A) collapses to finitely many terms whose coefficients are
-spectral functions of the photon number.  Every block below is assembled as
-spectral_fn(f) times a power of the ladder operators, with f built from the
-entire functions cosz and sincz of the argument (t g)^2 d(m); the branch
-d(m) = 2(2m - 1) goes negative at m = 0, which is why the entire-function
-forms are used throughout.
+exp(-i t g A) collapses to a few terms f(N) a^k on atomic blocks, f built
+from the entire functions cosz and sincz of (t g)^2 d(m).  Each closed form
+is one :class:`SpectralTable` of such terms, evaluated for a vector of
+times at once; it assembles the dense operator or acts on a state directly
+at O(terms x cutoff) work per time point.  The lowest two-atom branch
+d(m) = 2(2m - 1) is negative at m = 0, where cosz is a cosh that overflows
+for large |t g|; that entry is masked (never evaluated, set to its limit).
 
 With the resonant full Hamiltonian the free part commutes with the
 coupling, so the full propagator is the free phase times the interaction
@@ -21,16 +22,21 @@ from math import sqrt
 
 import numpy as np
 
-from .fock import FockSpace, annihilator, cosz, creator, sincz, spectral_fn
-from .spinchain import CompositeOperator, collective
+from .fock import FockSpace, annihilator, cosz, creator, sincz
+from .spinchain import CompositeOperator, atomic_labels
 
 __all__ = [
     "GaussFactors",
     "GaussSingularityError",
+    "SpectralTable",
+    "one_atom_table",
+    "two_atom_table",
+    "spin_one_table",
     "evolve_one_atom",
     "evolve_two_atoms",
     "evolve_full",
     "evolve_spin_one",
+    "evolve_states",
     "gauss_decompose_one_atom",
     "reduction_transform",
     "reconstruct_two_atoms",
@@ -40,8 +46,84 @@ __all__ = [
 _SQRT2 = sqrt(2.0)
 
 
-def evolve_one_atom(space: FockSpace, t: float, g: float) -> CompositeOperator:
-    """Closed-form exp(-i t g A) for one atom.
+def _entries(coef: np.ndarray, k: int) -> np.ndarray:
+    """Entries of f(N) a^k (a negative k means (a+)^-k) on the row levels where it has one.
+
+    Ladder factors are multiplied in one at a time, as in f(N) @ a @ a, so
+    the entries round as that product does.
+    """
+    lo, hi = max(0, -k), coef.shape[-1] - max(0, k)
+    m = np.arange(lo, hi, dtype=float)
+    out = coef[..., lo:hi]
+    for j in range(abs(k)):
+        out = out * np.sqrt(m + j + 1 if k > 0 else m - j)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralTable:
+    """An operator on atomic blocks as a sum of terms f(N) a^k, at one or more times.
+
+    Each term is (atomic row, atomic col, ladder shift k, coefficients):
+    block (row, col) carries f(N) a^k, a negative k meaning (a+)^-k, and
+    the coefficients of shape (times, cutoff) hold f(m) at the row level m.
+    """
+
+    n_blocks: int
+    space: FockSpace
+    terms: tuple[tuple[int, int, int, np.ndarray], ...]
+
+    @classmethod
+    def from_rows(cls, space: FockSpace, rows) -> "SpectralTable":
+        """Build from the block layout: rows of (k, coefficients) pairs, None for a zero block."""
+        terms = tuple(
+            (i, j, *blk) for i, row in enumerate(rows) for j, blk in enumerate(row) if blk is not None
+        )
+        return cls(len(rows), space, terms)
+
+    def to_dense(self, i: int = 0) -> CompositeOperator:
+        """The dense operator at the i-th time of the table."""
+        c = self.space.cutoff
+        mat = np.zeros((self.n_blocks * c, self.n_blocks * c), dtype=complex)
+        for row, col, k, coef in self.terms:
+            m = np.arange(max(0, -k), c - max(0, k))
+            mat[row * c + m, col * c + m + k] = _entries(coef[i], k)
+        return CompositeOperator(self.n_blocks, self.space, mat)
+
+    def apply(self, state: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        """diag(phase) U state at every time of the table, without forming U.
+
+        ``phase`` and the result have shape (times, n_blocks * cutoff).
+        Each term is a shifted-slice product; real and imaginary cross
+        products are summed separately in column order, as OpenBLAS sums a
+        complex matrix-vector product, so the result matches the dense
+        product to the last bit.
+        """
+        c = self.space.cutoff
+        vec = np.asarray(state, dtype=complex)
+        if vec.shape != (self.n_blocks * c,):
+            raise ValueError(f"state has shape {vec.shape}, operator expects ({self.n_blocks * c},)")
+        psi = vec.reshape(self.n_blocks, c)
+        n_times = phase.shape[0]
+        phase = phase.reshape(n_times, self.n_blocks, c)
+        # sum re(U) psi and sum im(U) psi per output entry
+        re_u, im_u = np.zeros((2, n_times, self.n_blocks, c), dtype=complex)
+        for row, col, k, coef in self.terms:
+            lo, hi = max(0, -k), c - max(0, k)
+            entries = phase[:, row, lo:hi] * _entries(coef, k)
+            x = psi[col, lo + k : hi + k]
+            re_u[:, row, lo:hi] += entries.real * x
+            im_u[:, row, lo:hi] += entries.imag * x
+        return (re_u.real - im_u.imag + 1j * (re_u.imag + im_u.real)).reshape(n_times, -1)
+
+
+def _column(t) -> np.ndarray:
+    """The time(s) t as a column."""
+    return np.atleast_1d(np.asarray(t, dtype=float))[:, None]
+
+
+def one_atom_table(space: FockSpace, t, g: float) -> SpectralTable:
+    """Closed-form exp(-i t g A) for one atom at the time(s) t.
 
     Blocks (atomic order e, g):
 
@@ -50,21 +132,96 @@ def evolve_one_atom(space: FockSpace, t: float, g: float) -> CompositeOperator:
 
     written with cosz/sincz so every factor is total.
     """
-    tg = t * g
+    tg = _column(t) * g
     u = tg * tg
-    a = annihilator(space)
-    ad = creator(space)
-    c_up = spectral_fn(space, lambda m: cosz(u * (m + 1)))
-    c_dn = spectral_fn(space, lambda m: cosz(u * m))
-    s_up = spectral_fn(space, lambda m: tg * sincz(u * (m + 1)))
-    s_dn = spectral_fn(space, lambda m: tg * sincz(u * m))
-    return CompositeOperator.from_blocks(
-        space,
-        [
-            [c_up, -1j * (s_up @ a)],
-            [-1j * (s_dn @ ad), c_dn],
-        ],
-    )
+    levels = np.arange(space.cutoff + 1, dtype=float)
+    cos_l = cosz(u * levels)
+    sin_l = -1j * (tg * sincz(u * levels))
+    return SpectralTable.from_rows(space, [
+        [(0, cos_l[:, 1:]), (1, sin_l[:, 1:])],
+        [(-1, sin_l[:, :-1]), (0, cos_l[:, :-1])],
+    ])
+
+
+def _two_atom_spectral(space: FockSpace, t, g: float) -> dict[str, np.ndarray]:
+    """The distinct spectral functions of the two-atom closed form.
+
+    All branches are d_j = 2(2j+1): the top, middle and bottom atomic rows
+    at level m use j = m+1, m and m-1.  The bottom row at m = 0 (j = -1)
+    is the masked entry; its coefficients are pinned to their limits.
+    """
+    tg = _column(t) * g
+    u = tg * tg
+    m = np.arange(space.cutoff, dtype=float)
+    d = 2.0 * (2 * np.arange(space.cutoff + 1, dtype=float) + 1)
+    cos_d = cosz(u * d)
+    sin_d = tg * sincz(u * d)
+    top, mid, bot, mb = cos_d[:, 1:], cos_d[:, :-1], cos_d[:, :-2], m[1:]
+    f = {
+        "top_diag": (m + 2 + (m + 1) * top) / (2 * m + 3),
+        "top_sin": sin_d[:, 1:],
+        "top_two": (top - 1) / (2 * m + 3),
+        "mid_sin": sin_d[:, :-1],
+        "mid_plus": (1 + mid) / 2,
+        "mid_minus": (mid - 1) / 2,
+        "mid_cos": mid,
+        "bot_two": np.zeros_like(mid),
+        "bot_sin": np.zeros_like(mid),
+        "bot_diag": np.ones_like(mid),
+    }
+    f["bot_two"][:, 1:] = (bot - 1) / (2 * mb - 1)
+    f["bot_sin"][:, 1:] = sin_d[:, :-2]
+    f["bot_diag"][:, 1:] = (mb - 1 + mb * bot) / (2 * mb - 1)
+    return f
+
+
+def two_atom_table(space: FockSpace, t, g: float) -> SpectralTable:
+    """Closed-form exp(-i t g A) for two atoms (basis ee, eg, ge, gg) at the time(s) t.
+
+    Follows from exp(-i t g A) = 1 + D^-1 (cos(tg sqrt(D)) - 1) A^2
+    - i D^-1/2 sin(tg sqrt(D)) A with the cubic relation A^3 = D A,
+    D = diag(2(2N+3), 2(2N+1), 2(2N+1), 2(2N-1)).  The (1,3)/(2,3) blocks
+    mirror (0,1)/(1,0): -i sin(tg sqrt(2(2N+1)))/sqrt(2(2N+1)) times a.
+    """
+    f = _two_atom_spectral(space, t, g)
+    top, mid, bot = (-1j * f[k] for k in ("top_sin", "mid_sin", "bot_sin"))
+    plus, minus = (0, f["mid_plus"]), (0, f["mid_minus"])
+    return SpectralTable.from_rows(space, [
+        [(0, f["top_diag"]), (1, top), (1, top), (2, f["top_two"])],
+        [(-1, mid), plus, minus, (1, mid)],
+        [(-1, mid), minus, plus, (1, mid)],
+        [(-2, f["bot_two"]), (-1, bot), (-1, bot), (0, f["bot_diag"])],
+    ])
+
+
+def spin_one_table(space: FockSpace, t, g: float) -> SpectralTable:
+    """Closed-form exp(-i t g B) for the spin-1 block of the reduction, at the time(s) t.
+
+    Same structure as the two-atom form with the sqrt(2) ladder factors
+    absorbed, e.g. the (1,2) block is -i sin(tg sqrt(2(2N+3)))/sqrt(2N+3) a.
+    """
+    f = _two_atom_spectral(space, t, g)
+    top, mid, bot = (-1j * (_SQRT2 * f[k]) for k in ("top_sin", "mid_sin", "bot_sin"))
+    return SpectralTable.from_rows(space, [
+        [(0, f["top_diag"]), (1, top), (2, f["top_two"])],
+        [(-1, mid), (0, f["mid_cos"]), (1, mid)],
+        [(-2, f["bot_two"]), (-1, bot), (0, f["bot_diag"])],
+    ])
+
+
+def evolve_one_atom(space: FockSpace, t: float, g: float) -> CompositeOperator:
+    """Closed-form exp(-i t g A) for one atom; see :func:`one_atom_table`."""
+    return one_atom_table(space, t, g).to_dense()
+
+
+def evolve_two_atoms(space: FockSpace, t: float, g: float) -> CompositeOperator:
+    """Closed-form exp(-i t g A) for two atoms; see :func:`two_atom_table`."""
+    return two_atom_table(space, t, g).to_dense()
+
+
+def evolve_spin_one(space: FockSpace, t: float, g: float) -> CompositeOperator:
+    """Closed-form exp(-i t g B) for the spin-1 block; see :func:`spin_one_table`."""
+    return spin_one_table(space, t, g).to_dense()
 
 
 class GaussSingularityError(ValueError):
@@ -116,103 +273,45 @@ def gauss_decompose_one_atom(
     Refuses with :class:`GaussSingularityError` when |cos(tg sqrt(m))| falls
     below ``tau_sing`` for any level m in 0..cutoff-1.
     """
-    tg = t * g
+    c = space.cutoff
+    tg = _column(t) * g
     u = tg * tg
-    cos_levels = cosz(u * np.arange(space.cutoff, dtype=float))
-    bad = np.nonzero(np.abs(cos_levels) < tau_sing)[0]
+    levels = np.arange(c + 1, dtype=float)
+    cos_l = cosz(u * levels)
+    bad = np.nonzero(np.abs(cos_l[0, :c]) < tau_sing)[0]
     if bad.size:
         level = int(bad[0])
-        raise GaussSingularityError(level, float(abs(cos_levels[level])))
+        raise GaussSingularityError(level, float(abs(cos_l[0, level])))
 
-    a = annihilator(space)
-    ad = creator(space)
+    # -i tan(tg sqrt(m))/sqrt(m) on levels 0..cutoff-1; total because sincz(0) = cosz(0) = 1
+    tan = -1j * (tg * sincz(u * levels[:c]) / cos_l[:, :c])
+    # the same function of N+1, at the row level m (upper) and at the column level m-1 (lower_alt)
+    tan_up = np.pad(tan[:, 1:], ((0, 0), (0, 1)))
+    tan_up_col = np.pad(tan[:, 1:], ((0, 0), (1, 0)))
+    one = (0, np.ones((1, c)))
 
-    def tan_up(m):
-        # tan(tg sqrt(m+1))/sqrt(m+1)
-        return tg * sincz(u * (m + 1)) / cosz(u * (m + 1))
+    def dense(rows) -> CompositeOperator:
+        return SpectralTable.from_rows(space, rows).to_dense()
 
-    def tan_dn(m):
-        # tan(tg sqrt(m))/sqrt(m); total because sincz(0) = 1, cosz(0) = 1
-        return tg * sincz(u * m) / cosz(u * m)
-
-    lower = CompositeOperator.from_blocks(
-        space, [[1, 0], [-1j * (spectral_fn(space, tan_dn) @ ad), 1]]
+    return GaussFactors(
+        lower=dense([[one, None], [(-1, tan), one]]),
+        diagonal=dense([[(0, cos_l[:, 1:]), None], [None, (0, 1.0 / cos_l[:, :c])]]),
+        upper=dense([[one, (1, tan_up)], [None, one]]),
+        lower_alt=dense([[one, None], [(-1, tan_up_col), one]]),
     )
-    lower_alt = CompositeOperator.from_blocks(
-        space, [[1, 0], [-1j * (ad @ spectral_fn(space, tan_up)), 1]]
-    )
-    diagonal = CompositeOperator.from_blocks(
-        space,
-        [
-            [spectral_fn(space, lambda m: cosz(u * (m + 1))), 0],
-            [0, spectral_fn(space, lambda m: 1.0 / cosz(u * m))],
-        ],
-    )
-    upper = CompositeOperator.from_blocks(
-        space, [[1, -1j * (spectral_fn(space, tan_up) @ a)], [0, 1]]
-    )
-    return GaussFactors(lower=lower, diagonal=diagonal, upper=upper, lower_alt=lower_alt)
 
 
-def _two_atom_spectral(space: FockSpace, tg: float):
-    """The distinct spectral functions of the two-atom closed form.
-
-    Branch arguments are d(m) = 2(2m+3), 2(2m+1), 2(2m-1) for the top,
-    middle and bottom atomic rows.  The bottom-row functions are pinned to
-    their exact limits at m = 0 (coefficient 0, or a structurally zero
-    ladder row) so the factors stay finite for any tg.
-    """
-    u = tg * tg
-
-    def d_top(m):
-        return 2.0 * (2 * m + 3)
-
-    def d_mid(m):
-        return 2.0 * (2 * m + 1)
-
-    def d_bot(m):
-        return 2.0 * (2 * m - 1)
-
-    f = {}
-    f["top_diag"] = lambda m: (m + 2 + (m + 1) * cosz(u * d_top(m))) / (2 * m + 3)
-    f["top_sin"] = lambda m: tg * sincz(u * d_top(m))
-    f["top_two"] = lambda m: (cosz(u * d_top(m)) - 1) / (2 * m + 3)
-    f["mid_sin"] = lambda m: tg * sincz(u * d_mid(m))
-    f["mid_plus"] = lambda m: (1 + cosz(u * d_mid(m))) / 2
-    f["mid_minus"] = lambda m: (cosz(u * d_mid(m)) - 1) / 2
-    f["mid_cos"] = lambda m: cosz(u * d_mid(m))
-    f["bot_two"] = lambda m: 0.0 if m == 0 else (cosz(u * d_bot(m)) - 1) / (2 * m - 1)
-    f["bot_sin"] = lambda m: 0.0 if m == 0 else tg * sincz(u * d_bot(m))
-    f["bot_diag"] = lambda m: 1.0 if m == 0 else (m - 1 + m * cosz(u * d_bot(m))) / (2 * m - 1)
-    return {name: spectral_fn(space, fn) for name, fn in f.items()}
+def _table(n: int, space: FockSpace, t, g: float) -> SpectralTable:
+    if n not in (1, 2):
+        raise ValueError(f"closed-form full propagator exists for 1 or 2 atoms, got n={n!r}")
+    return (one_atom_table if n == 1 else two_atom_table)(space, t, g)
 
 
-def evolve_two_atoms(space: FockSpace, t: float, g: float) -> CompositeOperator:
-    """Closed-form exp(-i t g A) for two atoms (basis ee, eg, ge, gg).
-
-    Follows from exp(-i t g A) = 1 + D^-1 (cos(tg sqrt(D)) - 1) A^2
-    - i D^-1/2 sin(tg sqrt(D)) A with the cubic relation A^3 = D A,
-    D = diag(2(2N+3), 2(2N+1), 2(2N+1), 2(2N-1)).  The (1,3)/(2,3) blocks
-    mirror (0,1)/(1,0): -i sin(tg sqrt(2(2N+1)))/sqrt(2(2N+1)) times a.
-    """
-    tg = t * g
-    a = annihilator(space)
-    ad = creator(space)
-    sf = _two_atom_spectral(space, tg)
-
-    top_off = -1j * (sf["top_sin"] @ a)
-    mid_dn = -1j * (sf["mid_sin"] @ ad)
-    mid_up = -1j * (sf["mid_sin"] @ a)
-    bot_off = -1j * (sf["bot_sin"] @ ad)
-    return CompositeOperator.from_blocks(
-        space,
-        [
-            [sf["top_diag"], top_off, top_off, sf["top_two"] @ a @ a],
-            [mid_dn, sf["mid_plus"], sf["mid_minus"], mid_up],
-            [mid_dn, sf["mid_minus"], sf["mid_plus"], mid_up],
-            [sf["bot_two"] @ ad @ ad, bot_off, bot_off, sf["bot_diag"]],
-        ],
-    )
+def _free_phase(n: int, space: FockSpace, t, omega: float) -> np.ndarray:
+    """exp(-i t omega (S_3 + N)) on the composite basis, one row per time."""
+    s_3 = [(lab.count("e") - lab.count("g")) / 2 for lab in atomic_labels(n)]
+    excitation = np.array(s_3)[:, None] + np.arange(space.cutoff, dtype=float)[None, :]
+    return np.exp(-1j * _column(t) * omega * excitation.ravel())
 
 
 def evolve_full(n: int, space: FockSpace, t: float, omega: float, g: float) -> CompositeOperator:
@@ -222,17 +321,21 @@ def evolve_full(n: int, space: FockSpace, t: float, omega: float, g: float) -> C
     Available for n = 1 and n = 2; no closed interaction form exists for
     three atoms.
     """
-    if n == 1:
-        interaction = evolve_one_atom(space, t, g)
-    elif n == 2:
-        interaction = evolve_two_atoms(space, t, g)
-    else:
-        raise ValueError(f"closed-form full propagator exists for 1 or 2 atoms, got n={n!r}")
-    _, _, s_3 = collective(n)
-    s3_diag = np.diag(s_3).real
-    m = np.arange(space.cutoff, dtype=float)
-    phase = np.exp(-1j * t * omega * (s3_diag[:, None] + m[None, :])).ravel()
+    interaction = _table(n, space, t, g).to_dense()
+    phase = _free_phase(n, space, t, omega)[0]
     return CompositeOperator(interaction.n_blocks, space, phase[:, None] * interaction.matrix)
+
+
+def evolve_states(
+    n: int, space: FockSpace, times, omega: float, g: float, state: np.ndarray
+) -> np.ndarray:
+    """U(t) state for every t in ``times``, matrix-free; shape (len(times), 2**n * cutoff).
+
+    Equals apply(evolve_full(n, space, t, omega, g), state) at O(2**n cutoff)
+    work per time point instead of O((2**n cutoff)^2); memory grows with
+    len(times), so pass long trajectories in chunks.
+    """
+    return _table(n, space, times, g).apply(state, _free_phase(n, space, times, omega))
 
 
 def reduction_transform(space: FockSpace) -> tuple[CompositeOperator, CompositeOperator]:
@@ -260,34 +363,6 @@ def reduction_transform(space: FockSpace) -> tuple[CompositeOperator, CompositeO
     j_plus = _SQRT2 * np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
     b_mat = np.kron(j_plus, annihilator(space)) + np.kron(j_plus.conj().T, creator(space))
     return similarity, CompositeOperator(3, space, b_mat)
-
-
-def evolve_spin_one(space: FockSpace, t: float, g: float) -> CompositeOperator:
-    """Closed-form exp(-i t g B) for the spin-1 block of the reduction.
-
-    Same structure as the two-atom form with the sqrt(2) ladder factors
-    absorbed, e.g. the (1,2) block is -i sin(tg sqrt(2(2N+3)))/sqrt(2N+3) a.
-    """
-    tg = t * g
-    a = annihilator(space)
-    ad = creator(space)
-    sf = _two_atom_spectral(space, tg)
-    u = tg * tg
-
-    def bot_sin2(m):
-        return 0.0 if m == 0 else _SQRT2 * tg * sincz(u * 2.0 * (2 * m - 1))
-
-    top_sin2 = _SQRT2 * sf["top_sin"]
-    mid_sin2 = _SQRT2 * sf["mid_sin"]
-    bot2 = spectral_fn(space, bot_sin2)
-    return CompositeOperator.from_blocks(
-        space,
-        [
-            [sf["top_diag"], -1j * (top_sin2 @ a), sf["top_two"] @ a @ a],
-            [-1j * (mid_sin2 @ ad), sf["mid_cos"], -1j * (mid_sin2 @ a)],
-            [sf["bot_two"] @ ad @ ad, -1j * (bot2 @ ad), sf["bot_diag"]],
-        ],
-    )
 
 
 def reconstruct_two_atoms(space: FockSpace, t: float, g: float) -> CompositeOperator:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from tcprop import cli
 from tcprop.cli import InitialStateSpec, build_state, main, parse_initial
 from tcprop import FockSpace
 
@@ -267,3 +268,15 @@ def test_unknown_flag_exits_via_argparse():
 def test_missing_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError])
+def test_internal_errors_are_not_reported_as_configuration(monkeypatch, error):
+    # only ConfigError means bad input; anything else is a fault and must
+    # surface as an exception, not as exit code 2
+    def broken(cfg):
+        raise error("internal failure")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+    with pytest.raises(error):
+        main(["verify", "--atoms", "1", *FAST])

@@ -6,6 +6,7 @@ here verbatim.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from tcprop import (
     evolve_full,
     evolve_one_atom,
     evolve_spin_one,
+    evolve_states,
     evolve_two_atoms,
     expm_hermitian,
     gauss_decompose_one_atom,
@@ -30,7 +32,9 @@ from tcprop import (
     reconstruct_two_atoms,
     reduction_transform,
     spectral_fn,
+    spin_one_table,
     trusted_mask,
+    two_atom_table,
 )
 
 SPACE = FockSpace(60, 8)
@@ -353,3 +357,73 @@ def test_apply_rejects_wrong_shape():
     u = evolve_one_atom(SPACE, 0.1, 1.0)
     with pytest.raises(ValueError):
         apply(u, np.zeros(3))
+
+
+# Matrix-free batched evolution against the dense route.  Both use the same
+# closed-form entries and differ only in how the products are summed, so on
+# unit-norm states they agree to a few ulp at any t g.  BATCH_TOL is that
+# agreement with ample margin; it stays below the 1e-12 (1 + |t g|) the
+# benchmark's output check allows at t g = 0.
+BATCH_TOL = 1e-13
+# with g = 1.6 the last time reaches t g = 1e3, where the masked bottom
+# two-atom entry (cosz at d = -2, i.e. cosh(sqrt(2) t g)) would overflow
+BATCH_TIMES = np.array([0.0, 0.37, 1.9, 12.5, 97.3, 333.0, 625.0])
+
+
+def _spread_state(n_blocks: int, space: FockSpace, seed: int) -> np.ndarray:
+    """Random unit state with weight on every level, guard band included."""
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=n_blocks * space.cutoff) + 1j * rng.normal(size=n_blocks * space.cutoff)
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("g", [1.6, -0.9])
+def test_batched_states_match_dense_route(n, g):
+    omega = 0.8
+    psi0 = _spread_state(2**n, SMALL, seed=n)
+    guard = psi0.reshape(2**n, SMALL.cutoff)[:, SMALL.trusted :]
+    assert np.abs(guard).min() > 0  # the truncated ladder edge is exercised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evolve_states(n, SMALL, BATCH_TIMES, omega, g, psi0)
+        for i, t in enumerate(BATCH_TIMES):
+            want = evolve_full(n, SMALL, t, omega, g).matrix @ psi0
+            assert _max_dev(got[i], want) <= BATCH_TOL, f"t = {t}"
+
+
+@pytest.mark.parametrize("g", [1.6, -1.6])
+def test_batched_two_atom_bottom_branch_at_zero_photons(g):
+    # |gg,0> spans an excitation sector of its own: only the free phase
+    # exp(+i t omega) acts, through the pinned bottom-row entries at m = 0
+    omega = 1.1
+    c = SMALL.cutoff
+    psi0 = np.zeros(4 * c, dtype=complex)
+    psi0[3 * c] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evolve_states(2, SMALL, BATCH_TIMES, omega, g, psi0)
+    want = np.zeros_like(got)
+    want[:, 3 * c] = np.exp(1j * BATCH_TIMES * omega)
+    assert _max_dev(got, want) <= BATCH_TOL
+    assert np.all(np.isfinite(got))
+
+
+def test_spectral_table_apply_matches_its_dense_form():
+    # with a unit phase, apply is the table's own dense operator times the state
+    psi0 = _spread_state(3, SMALL, seed=3)
+    table = spin_one_table(SMALL, BATCH_TIMES, 1.6)
+    got = table.apply(psi0, np.ones((len(BATCH_TIMES), psi0.size)))
+    for i in range(len(BATCH_TIMES)):
+        assert _max_dev(got[i], table.to_dense(i).matrix @ psi0) <= BATCH_TOL
+
+
+def test_batched_coefficients_match_single_time():
+    table = two_atom_table(SPACE, BATCH_TIMES, 1.6)
+    for i, t in enumerate(BATCH_TIMES):
+        assert _max_dev(table.to_dense(i).matrix, evolve_two_atoms(SPACE, t, 1.6).matrix) <= 1e-15
+
+
+def test_batched_states_reject_wrong_shape():
+    with pytest.raises(ValueError):
+        evolve_states(1, SMALL, BATCH_TIMES, 1.0, 1.0, np.zeros(3))
