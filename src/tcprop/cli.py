@@ -16,10 +16,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
@@ -41,34 +42,21 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to exit code 2."""
 
 
-_DEFAULTS = {
-    "atoms": 1,
-    "cutoff": 60,
-    "guard": None,
-    "g": 1.0,
-    "omega": 1.0,
-    "t0": 0.0,
-    "t1": 10.0,
-    "steps": 500,
-    "tol": 1e-9,
-    "initial": None,
-    "out": None,
-    "max_power": 3,
-}
-
-_KEY_TYPES = {
-    "atoms": int,
-    "cutoff": int,
-    "guard": int,
-    "steps": int,
-    "max_power": int,
-    "g": float,
-    "omega": float,
-    "t0": float,
-    "t1": float,
-    "tol": float,
-    "initial": str,
-    "out": str,
+# Every option but --config, in --help order: name -> (type, default, help).  The
+# name is the RunConfig field, the config-file key and, hyphenated, the flag.
+_OPTIONS = {
+    "atoms": (int, 1, "number of atoms (1, 2 or 3; default 1)"),
+    "cutoff": (int, 60, "Fock space cutoff (default 60)"),
+    "guard": (int, None, "guard band width (default max(4, cutoff/8))"),
+    "g": (float, 1.0, "coupling strength (default 1)"),
+    "omega": (float, 1.0, "mode and transition frequency (default 1)"),
+    "t0": (float, 0.0, "start time (default 0); decompose evaluates here"),
+    "t1": (float, 10.0, "end time (default 10)"),
+    "steps": (int, 500, "number of time steps (default 500)"),
+    "tol": (float, 1e-9, "comparison tolerance (default 1e-9)"),
+    "initial": (str, None, "initial state, e.g. e:fock(0) or ee:coherent(1.5)"),
+    "out": (str, None, "CSV output path (default stdout)"),
+    "max_power": (int, 3, "highest relation power, 3 or 5"),
 }
 
 
@@ -82,20 +70,13 @@ class InitialStateSpec:
     alpha: complex | None = None
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    atoms: int
-    cutoff: int
-    guard: int
-    g: float
-    omega: float
-    t0: float
-    t1: float
-    steps: int
-    tol: float
-    initial: str | None
-    out: str | None
-    max_power: int
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(name, kind if default is not None else kind | None)
+     for name, (kind, default, _) in _OPTIONS.items()],
+    frozen=True,
+    namespace={"__module__": __name__, "__doc__": "Validated options, one field per option."},
+)
 
 
 def read_config_file(path: str) -> dict:
@@ -114,10 +95,10 @@ def read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, _, text = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _KEY_TYPES:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _KEY_TYPES[key](text.strip())
+            values[key] = _OPTIONS[key][0](text.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {text.strip()!r}") from exc
     return values
@@ -125,13 +106,11 @@ def read_config_file(path: str) -> dict:
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file and explicit flags, then validate."""
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (_, default, _) in _OPTIONS.items()}
     if args.config is not None:
         merged.update(read_config_file(args.config))
-    for key in _DEFAULTS:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            merged[key] = cli_val
+    flags = {key: getattr(args, key, None) for key in _OPTIONS}
+    merged.update({key: value for key, value in flags.items() if value is not None})
 
     if merged["atoms"] not in (1, 2, 3):
         raise ConfigError(f"atoms must be 1, 2 or 3, got {merged['atoms']}")
@@ -139,8 +118,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         merged["guard"] = FockSpace(merged["cutoff"], merged["guard"]).guard
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for key in ("g", "omega", "t0", "t1", "tol"):
-        if not math.isfinite(merged[key]):
+    for key, (kind, _, _) in _OPTIONS.items():
+        if kind is float and not math.isfinite(merged[key]):
             raise ConfigError(f"{key} must be finite, got {merged[key]}")
     if merged["t1"] < merged["t0"]:
         raise ConfigError(f"t1 must be >= t0, got t0={merged['t0']}, t1={merged['t1']}")
@@ -239,6 +218,18 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _refuse_overflow(cfg: RunConfig, times, free_phase: bool = True) -> None:
+    """Refuse times whose largest spectral argument or free phase is not a finite float."""
+    branch = cfg.cutoff if cfg.atoms == 1 else 4 * cfg.cutoff + 2
+    top = cfg.cutoff - 1 + cfg.atoms / 2
+    for t in times:
+        tg = t * cfg.g
+        if not math.isfinite(tg * tg * branch):
+            raise ConfigError(f"(t*g)^2 * {branch} overflows at t={t:g}, g={cfg.g:g}")
+        if free_phase and not math.isfinite(abs(t * cfg.omega) * top):
+            raise ConfigError(f"|t*omega| * {top:g} overflows at t={t:g}, omega={cfg.omega:g}")
+
+
 def cmd_evolve(cfg: RunConfig) -> int:
     if cfg.atoms == 3:
         raise ConfigError(
@@ -246,6 +237,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
         )
     if cfg.initial is None:
         raise ConfigError("evolve requires --initial (or initial= in the config file)")
+    _refuse_overflow(cfg, (cfg.t0, cfg.t1))
     spec = parse_initial(cfg.initial, cfg.atoms)
     space = FockSpace(cfg.cutoff, cfg.guard)
     psi0 = build_state(spec, space)
@@ -294,13 +286,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_decompose(cfg: RunConfig) -> int:
     if cfg.atoms != 1:
         raise ConfigError("the triangular factorization exists for one atom only (atoms=1)")
+    _refuse_overflow(cfg, (cfg.t0,), free_phase=False)
     space = FockSpace(cfg.cutoff, cfg.guard)
     t, g = cfg.t0, cfg.g
-    try:
-        factors = gauss_decompose_one_atom(space, t, g)
-    except GaussSingularityError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 1
+    factors = gauss_decompose_one_atom(space, t, g)
     closed = evolve_one_atom(space, t, g)
     product_dev = compare(factors.product(), closed).max_abs_deviation
     variant_dev = float(np.abs(factors.lower.matrix - factors.lower_alt.matrix).max())
@@ -340,21 +329,14 @@ def cmd_relation_search(cfg: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process, as parse_args leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key=value config file")
-    common.add_argument("--atoms", type=int, help="number of atoms (1, 2 or 3; default 1)")
-    common.add_argument("--cutoff", type=int, help="Fock space cutoff (default 60)")
-    common.add_argument("--guard", type=int, help="guard band width (default max(4, cutoff/8))")
-    common.add_argument("--g", type=float, help="coupling strength (default 1)")
-    common.add_argument("--omega", type=float, help="mode and transition frequency (default 1)")
-    common.add_argument("--t0", type=float, help="start time (default 0); decompose evaluates here")
-    common.add_argument("--t1", type=float, help="end time (default 10)")
-    common.add_argument("--steps", type=int, help="number of time steps (default 500)")
-    common.add_argument("--tol", type=float, help="comparison tolerance (default 1e-9)")
-    common.add_argument("--initial", help="initial state, e.g. e:fock(0) or ee:coherent(1.5)")
-    common.add_argument("--out", metavar="PATH", help="CSV output path (default stdout)")
-    common.add_argument("--max-power", type=int, dest="max_power", help="highest relation power, 3 or 5")
+    for name, (kind, _, text) in _OPTIONS.items():
+        metavar = "PATH" if name == "out" else None
+        common.add_argument("--" + name.replace("_", "-"), type=kind, metavar=metavar, help=text)
 
     parser = argparse.ArgumentParser(
         prog="tcprop",
@@ -379,8 +361,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = build_config(args)
         return _COMMANDS[args.command](cfg)

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -280,3 +281,80 @@ def test_internal_errors_are_not_reported_as_configuration(monkeypatch, error):
     monkeypatch.setitem(cli._COMMANDS, "verify", broken)
     with pytest.raises(error):
         main(["verify", "--atoms", "1", *FAST])
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(100):
+        assert main(["decompose", "--atoms", "2"]) == 2
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    base = ["evolve", "--atoms", "1", "--initial", "e:fock(0)", "--cutoff", "24"]
+    assert main([*base, "--steps", "3", "--out", str(a)]) == 0
+    assert main([*base, "--out", str(b)]) == 0  # no --steps: the default, not the last value
+    assert len(_read_csv(a)[1]) == 4
+    assert len(_read_csv(b)[1]) == 501
+
+
+# a valid value for every option that differs from what a run without it gets
+OPTION_VALUES = {
+    "atoms": "2", "cutoff": "30", "guard": "5", "g": "0.5", "omega": "2.5", "t0": "1.5",
+    "t1": "3", "steps": "7", "tol": "1e-6", "initial": "eg:fock(1)", "out": "run.csv",
+    "max_power": "5",
+}
+
+
+@pytest.mark.parametrize("name", list(cli._OPTIONS))
+def test_flag_and_config_key_set_the_same_field(tmp_path, monkeypatch, name):
+    # --max-power and max-power = ... are the hyphenated spellings of max_power
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "verify", lambda cfg: seen.append(cfg) or 0)
+    value = OPTION_VALUES[name]
+    assert main(["verify"]) == 0
+    assert main(["verify", "--" + name.replace("_", "-"), value]) == 0
+    for key in sorted({name, name.replace("_", "-")}):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        assert main(["verify", "--config", str(path)]) == 0
+    default, from_flag, *from_file = (getattr(cfg, name) for cfg in seen)
+    assert from_flag != default
+    assert type(from_flag) is cli._OPTIONS[name][0]
+    assert from_file == [from_flag] * (2 if "_" in name else 1)
+
+
+@pytest.mark.parametrize(
+    "argv, product",
+    [
+        (["evolve", "--initial", "e:coherent(0.5)", "--g", "1e200", "--steps", "2"], "(t*g)^2"),
+        (["evolve", "--initial", "e:coherent(0.5)", "--omega", "1e307", "--t1", "100"],
+         "|t*omega|"),
+        (["decompose", "--t0", "1", "--g", "1e200"], "(t*g)^2"),
+        # (t*g)^2 = 9e306 is finite; times the top two-atom branch 42 it is not
+        (["evolve", "--atoms", "2", "--initial", "eg:fock(0)", "--g", "3e152", "--steps", "2"],
+         "(t*g)^2"),
+    ],
+)
+def test_overflowing_products_are_refused(capsys, argv, product):
+    assert main([*argv, "--cutoff", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {product} * " in err and "overflows" in err
+
+
+def test_large_finite_coupling_still_evolves(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["evolve", "--atoms", "2", "--cutoff", "10", "--initial", "eg:fock(0)",
+                   "--g", "1e150", "--steps", "2"])
+    assert rc == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+def test_decompose_ignores_the_free_phase(capsys):
+    # decompose never evaluates exp(-i t omega (S_3 + N)), so a huge omega is no overflow
+    assert main(["decompose", "--cutoff", "10", "--t0", "1", "--omega", "1e308"]) == 0
