@@ -25,7 +25,7 @@ from dataclasses import dataclass, make_dataclass
 import numpy as np
 
 from .fock import FockSpace
-from .oracle import compare, relation_fit
+from .oracle import compare, relation_fits
 from .propagator import GaussSingularityError, evolve_one_atom, evolve_states, gauss_decompose_one_atom
 from .spinchain import atomic_labels
 from .verify import run_checks
@@ -238,6 +238,11 @@ def cmd_evolve(cfg: RunConfig) -> int:
     if cfg.initial is None:
         raise ConfigError("evolve requires --initial (or initial= in the config file)")
     _refuse_overflow(cfg, (cfg.t0, cfg.t1))
+    # every time below is formed through (t1 - t0) * i with i <= steps
+    if not math.isfinite((cfg.t1 - cfg.t0) * cfg.steps):
+        raise ConfigError(
+            f"(t1 - t0) * steps overflows at t0={cfg.t0:g}, t1={cfg.t1:g}, steps={cfg.steps}"
+        )
     spec = parse_initial(cfg.initial, cfg.atoms)
     space = FockSpace(cfg.cutoff, cfg.guard)
     psi0 = build_state(spec, space)
@@ -302,10 +307,9 @@ def cmd_decompose(cfg: RunConfig) -> int:
 def cmd_relation_search(cfg: RunConfig) -> int:
     space = FockSpace(cfg.cutoff, cfg.guard)
     shown = 10
-    for power in (3, 5):
-        if power > cfg.max_power:
-            break
-        report = relation_fit(cfg.atoms, space, power)
+    powers = tuple(power for power in (3, 5) if power <= cfg.max_power)
+    for report in relation_fits(cfg.atoms, space, powers):
+        power = report.target_power
         print(f"relation A^{power} = D A^{power - 2} for atoms={cfg.atoms}")
         print(f"relative residual {report.relative_residual:.6e}")
         for k in range(2**cfg.atoms):

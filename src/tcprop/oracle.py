@@ -26,6 +26,7 @@ __all__ = [
     "compare",
     "fit_left_diagonal",
     "relation_fit",
+    "relation_fits",
     "sector_decompose",
     "min_poly_degree",
 ]
@@ -41,18 +42,54 @@ def trusted_mask(n_blocks: int, space: FockSpace) -> np.ndarray:
     return keep
 
 
+def _components(pattern: np.ndarray) -> np.ndarray:
+    """Connected-component label of each index of a symmetric boolean pattern.
+
+    Each label is the smallest index in its component: labels only ever
+    drop to a neighbour's label or to the label of the index they name,
+    both of which lie in the same component, until no edge joins two
+    different labels.
+    """
+    rows, cols = np.nonzero(pattern)
+    label = np.arange(pattern.shape[0])
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 def expm_hermitian(m: CompositeOperator, scale: float) -> CompositeOperator:
     """exp(-i scale M) via eigendecomposition of the Hermitian matrix M.
 
-    Refuses non-Hermitian input (max deviation above 1e-12).  Exactly
-    unitary up to eigensolver round-off; this is the reference route the
-    closed forms are compared against.
+    Refuses non-Hermitian input (max deviation above 1e-12).  M is split
+    into the connected components of its nonzero pattern; it is exactly a
+    permutation of the block-diagonal matrix of those components, so
+    exponentiating each block (one stacked ``eigh`` per block size) and
+    scattering the blocks back gives the exponential of the whole matrix,
+    guard levels included.  The split reads only the matrix entries.
+    Exactly unitary up to eigensolver round-off; this is the reference
+    route the closed forms are compared against.
     """
-    dev = np.abs(m.matrix - m.matrix.conj().T).max()
+    mat = m.matrix
+    dev = np.abs(mat - mat.conj().T).max()
     if dev > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M+| = {dev:.3e}")
-    evals, vecs = np.linalg.eigh(m.matrix)
-    u = (vecs * np.exp(-1j * scale * evals)) @ vecs.conj().T
+    nonzero = mat != 0
+    label = _components(nonzero | nonzero.T)
+    # indices grouped by component, ascending inside each one, so every
+    # block keeps the lower triangle eigh reads
+    order = np.argsort(label, kind="stable")
+    _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
+    u = np.zeros_like(mat)
+    for size in np.unique(sizes):
+        idx = order[starts[sizes == size][:, None] + np.arange(size)]
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        evals, vecs = np.linalg.eigh(mat[rows, cols])
+        phases = np.exp(-1j * scale * evals)[:, None, :]
+        u[rows, cols] = (vecs * phases) @ vecs.conj().swapaxes(1, 2)
     return CompositeOperator(m.n_blocks, m.space, u)
 
 
@@ -202,6 +239,37 @@ class RelationFitReport:
         return [(int(k), int(m)) for k, m in bad]
 
 
+def relation_fits(
+    n: int, space: FockSpace, powers: tuple[int, ...]
+) -> list[RelationFitReport]:
+    """:func:`relation_fit` for each of ``powers``, in order, from one set of
+    powers of A and one pass over the sectors.
+    """
+    for power in powers:
+        if power not in (3, 5):
+            raise ValueError(f"power must be 3 or 5, got {power!r}")
+    a_op = coupling_operator(n, space)
+    a_pow = {1: a_op}
+    a_pow[2] = a_op @ a_op
+    a_pow[3] = a_pow[2] @ a_op
+    if 5 in powers:
+        a_pow[5] = a_pow[3] @ a_pow[2]
+    degrees = {s.excitation: min_poly_degree(s.matrix) for s in sector_decompose(n, space)}
+    reports = []
+    for power in powers:
+        values, residual = fit_left_diagonal(a_pow[power], a_pow[power - 2])
+        reports.append(
+            RelationFitReport(
+                n_atoms=n,
+                target_power=power,
+                best_fit_values=values,
+                relative_residual=residual,
+                sector_min_poly_degrees=dict(degrees),
+            )
+        )
+    return reports
+
+
 def relation_fit(n: int, space: FockSpace, power: int) -> RelationFitReport:
     """Best diagonal D for A^power = D A^(power-2), with diagnostics.
 
@@ -210,20 +278,4 @@ def relation_fit(n: int, space: FockSpace, power: int) -> RelationFitReport:
     three atoms no such D exists and the residual stays large, which the
     sector minimal-polynomial degrees (up to 6) explain.
     """
-    if power not in (3, 5):
-        raise ValueError(f"power must be 3 or 5, got {power!r}")
-    a_op = coupling_operator(n, space)
-    a_pow = {1: a_op}
-    a_pow[2] = a_op @ a_op
-    a_pow[3] = a_pow[2] @ a_op
-    if power == 5:
-        a_pow[5] = a_pow[3] @ a_pow[2]
-    values, residual = fit_left_diagonal(a_pow[power], a_pow[power - 2])
-    degrees = {s.excitation: min_poly_degree(s.matrix) for s in sector_decompose(n, space)}
-    return RelationFitReport(
-        n_atoms=n,
-        target_power=power,
-        best_fit_values=values,
-        relative_residual=residual,
-        sector_min_poly_degrees=degrees,
-    )
+    return relation_fits(n, space, (power,))[0]

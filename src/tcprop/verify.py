@@ -177,14 +177,17 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
             )
         )
 
-    worst = 0.0
+    oracle_runs = []
     for t_val in ORACLE_T:
         for g_val in ORACLE_G:
             closed = _closed_interaction(n, space, t_val, g_val)
-            worst = max(
-                worst, compare(closed, expm_hermitian(a_op, t_val * g_val)).max_abs_deviation
-            )
-    results.append(_result("closed-vs-oracle", worst, tol))
+            report = compare(closed, expm_hermitian(a_op, t_val * g_val))
+            oracle_runs.append((report, t_val, g_val))
+    worst, t_val, g_val = max(oracle_runs, key=lambda run: run[0].max_abs_deviation)
+    block_row, block_col, photon_row, photon_col = worst.location
+    note = (f"worst at t={t_val:g} g={g_val:g}, blocks ({block_row}, {block_col}), "
+            f"photons ({photon_row}, {photon_col})")
+    results.append(_result("closed-vs-oracle", worst.max_abs_deviation, tol, note=note))
 
     full_closed = evolve_full(n, space, 0.7, 1.0, 1.0)
     full_ref = expm_hermitian(hamiltonian(n, space, 1.0, 1.0, 1.0).total, 0.7)

@@ -2,11 +2,16 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tcprop
 from tcprop import cli
 from tcprop.cli import InitialStateSpec, build_state, main, parse_initial
 from tcprop import FockSpace
@@ -358,3 +363,45 @@ def test_large_finite_coupling_still_evolves(capsys):
 def test_decompose_ignores_the_free_phase(capsys):
     # decompose never evaluates exp(-i t omega (S_3 + N)), so a huge omega is no overflow
     assert main(["decompose", "--cutoff", "10", "--t0", "1", "--omega", "1e308"]) == 0
+
+
+GRID_RUN = ["evolve", "--g", "0", "--omega", "0", "--initial", "e:fock(0)", "--cutoff", "24",
+            "--steps", "2"]
+
+
+@pytest.mark.parametrize(
+    "span",
+    [
+        ["--t0=-1e308", "--t1", "1e308"],  # t1 - t0 overflows
+        ["--t0", "0", "--t1", "1e308"],  # t1 - t0 is finite, (t1 - t0) * 2 is not
+    ],
+)
+def test_overflowing_time_grid_is_refused(tmp_path, capsys, span):
+    out = tmp_path / "grid.csv"
+    assert main([*GRID_RUN, *span, "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert not out.exists()
+    assert "error: (t1 - t0) * steps overflows" in err
+
+
+def test_wide_finite_time_grid_still_evolves(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*GRID_RUN, "--t0", "0", "--t1", "1e300"])
+    assert rc == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+def test_import_loads_no_scipy():
+    # importing scipy.sparse.csgraph alone would add about half a second to
+    # every process start
+    src = str(Path(tcprop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, tcprop, tcprop.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -19,6 +19,7 @@ from tcprop import (
     excitation_operator,
     expm_hermitian,
     fit_left_diagonal,
+    hamiltonian,
     min_poly_degree,
     relation_fit,
     sector_decompose,
@@ -84,6 +85,80 @@ def test_expm_against_taylor_sum(scale):
     got = expm_hermitian(op, scale)
     ref = _expm_taylor(-1j * scale * op.matrix)
     assert np.abs(got.matrix - ref).max() <= 1e-11
+
+
+def _expm_dense(matrix: np.ndarray, scale: float) -> np.ndarray:
+    """exp(-i scale M) from one eigendecomposition of the whole matrix."""
+    evals, vecs = np.linalg.eigh(matrix)
+    return (vecs * np.exp(-1j * scale * evals)) @ vecs.conj().T
+
+
+SCALES = [0.0, 0.7, -0.7, 20.0, 1e3]
+
+
+def _assert_matches_dense(op: CompositeOperator, scale: float) -> None:
+    # every level, guard band included
+    got = expm_hermitian(op, scale).matrix
+    bound = 1e-13 * (1 + abs(scale) * np.linalg.norm(op.matrix, 2))
+    assert np.abs(got - _expm_dense(op.matrix, scale)).max() <= bound
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("cutoff", [12, 24])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("generator", ["coupling", "detuned-hamiltonian"])
+def test_block_split_matches_dense_eigh(generator, n, cutoff, scale):
+    space = FockSpace(cutoff)
+    if generator == "coupling":
+        op = coupling_operator(n, space)
+    else:
+        op = hamiltonian(n, space, 1.3, 0.7, -0.9).total
+    _assert_matches_dense(op, scale)
+
+
+def _random_hermitian(rng: np.random.Generator, size: int) -> np.ndarray:
+    x = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    return (x + x.conj().T) / 2
+
+
+def _permuted_blocks(sizes: list[int], seed: int) -> np.ndarray:
+    """Random Hermitian matrix, block diagonal under a random permutation."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(sum(sizes))
+    mat = np.zeros((perm.size, perm.size), dtype=complex)
+    for idx in np.split(perm, np.cumsum(sizes)[:-1]):
+        mat[np.ix_(idx, idx)] = _random_hermitian(rng, idx.size)
+    return mat
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_block_split_on_permuted_mixed_blocks(scale):
+    # 1 + 2 + 3 + 5 + 10 + 27 = 48 = two atomic blocks of cutoff 24
+    mat = _permuted_blocks([1, 2, 3, 5, 10, 27], seed=11)
+    _assert_matches_dense(CompositeOperator(2, SPACE, mat), scale)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_block_split_on_dense_matrix(scale):
+    mat = _random_hermitian(np.random.default_rng(12), 2 * SPACE.cutoff)
+    _assert_matches_dense(CompositeOperator(2, SPACE, mat), scale)
+
+
+def test_block_split_factors_each_block_alone(monkeypatch):
+    # two blocks of each size, 96 = two atomic blocks of cutoff 48
+    mat = _permuted_blocks([1, 2, 3, 5, 10, 27] * 2, seed=13)
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        seen.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    expm_hermitian(CompositeOperator(2, FockSpace(48), mat), 0.7)
+    # one stacked call per block size
+    assert sorted(seen) == [(2, 1, 1), (2, 2, 2), (2, 3, 3), (2, 5, 5), (2, 10, 10), (2, 27, 27)]
+    assert sum(k * s for k, s, _ in seen) == mat.shape[0]
 
 
 def test_compare_locates_worst_entry():
