@@ -20,6 +20,7 @@ import functools
 import math
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, make_dataclass
 
 import numpy as np
@@ -297,7 +298,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
     factors = gauss_decompose_one_atom(space, t, g)
     closed = evolve_one_atom(space, t, g)
     product_dev = compare(factors.product(), closed).max_abs_deviation
-    variant_dev = float(np.abs(factors.lower.matrix - factors.lower_alt.matrix).max())
+    variant_dev = float(np.abs(factors.lower.matrix - factors.upper.matrix.T).max())
     print(f"factorization at t={_fmt(t)}, g={_fmt(g)}, cutoff={cfg.cutoff}, guard={cfg.guard}")
     print(f"product vs closed form deviation {product_dev:.3e} (tol {cfg.tol:.3e})")
     print(f"lower-factor variant agreement  {variant_dev:.3e}")
@@ -319,10 +320,7 @@ def cmd_relation_search(cfg: RunConfig) -> int:
             )
             more = " ..." if vals.size > shown else ""
             print(f"  block {k}: [{head}{more}]")
-        degrees = report.sector_min_poly_degrees
-        histo: dict[int, int] = {}
-        for deg in degrees.values():
-            histo[deg] = histo.get(deg, 0) + 1
+        histo = Counter(report.sector_min_poly_degrees.values())
         histo_text = ", ".join(f"degree {d}: {c} sectors" for d, c in sorted(histo.items()))
         print(f"  sector minimal-polynomial degrees: {histo_text}")
         if report.relative_residual > 1e-6:

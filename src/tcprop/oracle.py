@@ -36,22 +36,20 @@ HERMITICITY_TOL = 1e-12
 
 def trusted_mask(n_blocks: int, space: FockSpace) -> np.ndarray:
     """Boolean mask over composite indices with photon level in the trusted band."""
-    keep = np.zeros(n_blocks * space.cutoff, dtype=bool)
-    for k in range(n_blocks):
-        keep[k * space.cutoff : k * space.cutoff + space.trusted] = True
-    return keep
+    return np.tile(np.arange(space.cutoff) < space.trusted, n_blocks)
 
 
-def _components(pattern: np.ndarray) -> np.ndarray:
-    """Connected-component label of each index of a symmetric boolean pattern.
+def _components(mat: np.ndarray) -> np.ndarray:
+    """Connected-component label of each index of the symmetrised nonzero pattern.
 
     Each label is the smallest index in its component: labels only ever
     drop to a neighbour's label or to the label of the index they name,
     both of which lie in the same component, until no edge joins two
     different labels.
     """
-    rows, cols = np.nonzero(pattern)
-    label = np.arange(pattern.shape[0])
+    nonzero = mat != 0
+    rows, cols = np.nonzero(nonzero | nonzero.T)
+    label = np.arange(mat.shape[0])
     while True:
         new = label.copy()
         np.minimum.at(new, rows, label[cols])
@@ -61,12 +59,21 @@ def _components(pattern: np.ndarray) -> np.ndarray:
         label = new
 
 
+def _blocks(label: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
+    """``indices`` grouped by component ``label``: one (k, s) array per block size s.
+
+    Rows are ascending, so a block keeps the lower triangle a whole eigh reads.
+    """
+    order = indices[np.argsort(label[indices], kind="stable")]
+    _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
+    return [order[starts[sizes == size][:, None] + np.arange(size)] for size in np.unique(sizes)]
+
+
 def expm_hermitian(m: CompositeOperator, scale: float) -> CompositeOperator:
     """exp(-i scale M) via eigendecomposition of the Hermitian matrix M.
 
-    Refuses non-Hermitian input (max deviation above 1e-12).  M is split
-    into the connected components of its nonzero pattern; it is exactly a
-    permutation of the block-diagonal matrix of those components, so
+    Refuses non-finite or non-Hermitian input (max deviation above 1e-12).
+    M is split into the connected components of its nonzero pattern;
     exponentiating each block (one stacked ``eigh`` per block size) and
     scattering the blocks back gives the exponential of the whole matrix,
     guard levels included.  The split reads only the matrix entries.
@@ -74,18 +81,13 @@ def expm_hermitian(m: CompositeOperator, scale: float) -> CompositeOperator:
     route the closed forms are compared against.
     """
     mat = m.matrix
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has non-finite entries")
     dev = np.abs(mat - mat.conj().T).max()
     if dev > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M+| = {dev:.3e}")
-    nonzero = mat != 0
-    label = _components(nonzero | nonzero.T)
-    # indices grouped by component, ascending inside each one, so every
-    # block keeps the lower triangle eigh reads
-    order = np.argsort(label, kind="stable")
-    _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
     u = np.zeros_like(mat)
-    for size in np.unique(sizes):
-        idx = order[starts[sizes == size][:, None] + np.arange(size)]
+    for idx in _blocks(_components(mat), np.arange(mat.shape[0])):
         rows, cols = idx[:, :, None], idx[:, None, :]
         evals, vecs = np.linalg.eigh(mat[rows, cols])
         phases = np.exp(-1j * scale * evals)[:, None, :]
@@ -126,6 +128,18 @@ def compare(closed: CompositeOperator, reference: CompositeOperator) -> Comparis
     )
 
 
+def _fit_rows(target: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
+    """Real d per row with target ~ d basis (NaN on zero basis rows), relative residual."""
+    xx = np.sum(np.abs(basis) ** 2, axis=1)
+    fit = xx != 0.0
+    d = np.full(xx.shape, np.nan)
+    d[fit] = np.sum(basis[fit].conj() * target[fit], axis=1).real / xx[fit]
+    y = target[fit]
+    num = float(np.sum(np.abs(y - d[fit, None] * basis[fit]) ** 2))
+    den = float(np.sum(np.abs(y) ** 2))
+    return d, float(np.sqrt(num / den)) if den > 0.0 else 0.0
+
+
 def fit_left_diagonal(
     target: CompositeOperator, basis: CompositeOperator
 ) -> tuple[np.ndarray, float]:
@@ -139,26 +153,10 @@ def fit_left_diagonal(
     """
     if target.n_blocks != basis.n_blocks or target.space != basis.space:
         raise ValueError("operands live on different composite spaces")
-    space = target.space
-    cutoff, tr = space.cutoff, space.trusted
-    keep = trusted_mask(target.n_blocks, space)
-    values = np.full((target.n_blocks, tr), np.nan)
-    num = 0.0
-    den = 0.0
-    for k in range(target.n_blocks):
-        for m in range(tr):
-            row = k * cutoff + m
-            x = basis.matrix[row, keep]
-            y = target.matrix[row, keep]
-            xx = np.vdot(x, x).real
-            if xx == 0.0:
-                continue
-            d = np.vdot(x, y).real / xx
-            values[k, m] = d
-            num += float(np.sum(np.abs(y - d * x) ** 2))
-            den += float(np.sum(np.abs(y) ** 2))
-    residual = np.sqrt(num / den) if den > 0.0 else 0.0
-    return values, float(residual)
+    keep = trusted_mask(target.n_blocks, target.space)
+    trusted = np.ix_(keep, keep)
+    values, residual = _fit_rows(target.matrix[trusted], basis.matrix[trusted])
+    return values.reshape(target.n_blocks, target.space.trusted), residual
 
 
 class Sector(NamedTuple):
@@ -174,26 +172,26 @@ class Sector(NamedTuple):
     matrix: np.ndarray
 
 
+def _sectors(n: int, space: FockSpace, a: np.ndarray, label: np.ndarray) -> list[Sector]:
+    """Blocks of coupling matrix ``a`` (component ``label``) on the trusted indices."""
+    _, _, s_3 = collective(n)
+    excitation = (np.diag(s_3).real[:, None] + np.arange(space.cutoff)).ravel()
+    sectors: list[Sector] = []
+    for idx in _blocks(label, np.flatnonzero(trusted_mask(2**n, space))):
+        mats = a[idx[:, :, None], idx[:, None, :]]
+        sectors += map(Sector, excitation[idx[:, 0]].tolist(), idx, mats)
+    return sorted(sectors, key=lambda sector: sector.excitation)
+
+
 def sector_decompose(n: int, space: FockSpace) -> list[Sector]:
     """Split the trusted subspace into excitation sectors.
 
-    The coupling operator commutes with the excitation operator, so it is
-    block diagonal over these sectors; each restricted block is a small
-    dense Hermitian matrix (dimension <= 2**n + n - 1).
+    The coupling operator commutes with the excitation operator, and a cutoff
+    >= 2 keeps each sector connected, so its blocks are the excitation sectors;
+    each restricted block is a small Hermitian matrix (dimension <= 2**n).
     """
-    a_op = coupling_operator(n, space)
-    _, _, s_3 = collective(n)
-    s3_diag = np.diag(s_3).real
-    groups: dict[float, list[int]] = {}
-    for k in range(2**n):
-        for m in range(space.trusted):
-            exc = float(s3_diag[k] + m)
-            groups.setdefault(exc, []).append(k * space.cutoff + m)
-    sectors = []
-    for exc in sorted(groups):
-        idx = np.array(groups[exc], dtype=int)
-        sectors.append(Sector(exc, idx, a_op.matrix[np.ix_(idx, idx)].copy()))
-    return sectors
+    a = coupling_operator(n, space).matrix
+    return _sectors(n, space, a, _components(a))
 
 
 def min_poly_degree(matrix: np.ndarray, tol: float | None = None) -> int:
@@ -242,27 +240,34 @@ class RelationFitReport:
 def relation_fits(
     n: int, space: FockSpace, powers: tuple[int, ...]
 ) -> list[RelationFitReport]:
-    """:func:`relation_fit` for each of ``powers``, in order, from one set of
-    powers of A and one pass over the sectors.
+    """:func:`relation_fit` for each of ``powers``, in order, from one A.
+
+    Each block of A is raised to the powers, guard levels included, before
+    rows and columns are restricted to the trusted band.
     """
     for power in powers:
         if power not in (3, 5):
             raise ValueError(f"power must be 3 or 5, got {power!r}")
-    a_op = coupling_operator(n, space)
-    a_pow = {1: a_op}
-    a_pow[2] = a_op @ a_op
-    a_pow[3] = a_pow[2] @ a_op
-    if 5 in powers:
-        a_pow[5] = a_pow[3] @ a_pow[2]
-    degrees = {s.excitation: min_poly_degree(s.matrix) for s in sector_decompose(n, space)}
+    a = coupling_operator(n, space).matrix
+    label = _components(a)
+    keep = trusted_mask(2**n, space)
+    # row i of A, A^2, A^3 and A^5 = A^3 A^2 over the trusted columns of its block
+    rows = np.zeros((4, a.shape[0], 2**n), dtype=complex)
+    for idx in _blocks(label, np.arange(a.shape[0])):
+        p1 = a[idx[:, :, None], idx[:, None, :]]
+        p2 = p1 @ p1
+        p3 = p2 @ p1
+        rows[:, idx, : idx.shape[1]] = np.stack([p1, p2, p3, p3 @ p2]) * keep[idx][:, None, :]
+    a_pow = dict(zip((1, 2, 3, 5), rows[:, keep]))
+    degrees = {s.excitation: min_poly_degree(s.matrix) for s in _sectors(n, space, a, label)}
     reports = []
     for power in powers:
-        values, residual = fit_left_diagonal(a_pow[power], a_pow[power - 2])
+        values, residual = _fit_rows(a_pow[power], a_pow[power - 2])
         reports.append(
             RelationFitReport(
                 n_atoms=n,
                 target_power=power,
-                best_fit_values=values,
+                best_fit_values=values.reshape(2**n, space.trusted),
                 relative_residual=residual,
                 sector_min_poly_degrees=dict(degrees),
             )

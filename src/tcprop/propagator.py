@@ -244,16 +244,14 @@ class GaussSingularityError(ValueError):
 class GaussFactors:
     """Lower-unitriangular, diagonal and upper-unitriangular factors.
 
-    ``lower`` puts the spectral function left of the creator; ``lower_alt``
-    is the same factor with the creator written first, i.e. the pair related
-    by the shifting identity f(N) a+ = a+ f(N+1).  The two are equal
-    entrywise; both are kept so the agreement can be checked directly.
+    exp(-i t g A) is complex symmetric, and so is its factorization:
+    ``lower`` is the transpose of ``upper``, which is the shifting identity
+    f(N) a+ = a+ f(N+1) in matrix form.
     """
 
     lower: CompositeOperator
     diagonal: CompositeOperator
     upper: CompositeOperator
-    lower_alt: CompositeOperator
 
     def product(self) -> CompositeOperator:
         return self.lower @ self.diagonal @ self.upper
@@ -285,9 +283,8 @@ def gauss_decompose_one_atom(
 
     # -i tan(tg sqrt(m))/sqrt(m) on levels 0..cutoff-1; total because sincz(0) = cosz(0) = 1
     tan = -1j * (tg * sincz(u * levels[:c]) / cos_l[:, :c])
-    # the same function of N+1, at the row level m (upper) and at the column level m-1 (lower_alt)
+    # the same function of N+1, at the row level m
     tan_up = np.pad(tan[:, 1:], ((0, 0), (0, 1)))
-    tan_up_col = np.pad(tan[:, 1:], ((0, 0), (1, 0)))
     one = (0, np.ones((1, c)))
 
     def dense(rows) -> CompositeOperator:
@@ -297,7 +294,6 @@ def gauss_decompose_one_atom(
         lower=dense([[one, None], [(-1, tan), one]]),
         diagonal=dense([[(0, cos_l[:, 1:]), None], [None, (0, 1.0 / cos_l[:, :c])]]),
         upper=dense([[one, (1, tan_up)], [None, one]]),
-        lower_alt=dense([[one, None], [(-1, tan_up_col), one]]),
     )
 
 

@@ -205,7 +205,7 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
         results.append(
             _result(
                 "gauss-variants",
-                np.abs(factors.lower.matrix - factors.lower_alt.matrix).max(),
+                np.abs(factors.lower.matrix - factors.upper.matrix.T).max(),
                 1e-12,
             )
         )

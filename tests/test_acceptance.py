@@ -106,7 +106,7 @@ def test_criterion_3_operator_relations():
 def test_criterion_4_triangular_factorization():
     factors = gauss_decompose_one_atom(SPACE, 0.3, 1.0)
     product_dev = compare(factors.product(), evolve_one_atom(SPACE, 0.3, 1.0)).max_abs_deviation
-    variant_dev = float(np.abs(factors.lower.matrix - factors.lower_alt.matrix).max())
+    variant_dev = float(np.abs(factors.lower.matrix - factors.upper.matrix.T).max())
     try:
         gauss_decompose_one_atom(SPACE, math.pi / 2, 1.0)
         refused, named = False, False

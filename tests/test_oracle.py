@@ -6,22 +6,27 @@ independent methods validate each other.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import tcprop.oracle
 from tcprop import (
     CompositeOperator,
     FockSpace,
     annihilator,
+    collective,
     compare,
     coupling_operator,
+    default_guard,
     excitation_operator,
     expm_hermitian,
     fit_left_diagonal,
     hamiltonian,
     min_poly_degree,
     relation_fit,
+    relation_fits,
     sector_decompose,
     trusted_mask,
 )
@@ -69,6 +74,18 @@ def test_expm_refuses_non_hermitian():
     op = CompositeOperator(1, SPACE, annihilator(SPACE))
     with pytest.raises(ValueError, match="Hermitian"):
         expm_hermitian(op, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_expm_refuses_non_finite(bad):
+    space = FockSpace(8)
+    mat = coupling_operator(1, space).matrix.copy()
+    mat[3, 3] = bad
+    # refused before any arithmetic on the bad entry can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            expm_hermitian(CompositeOperator(2, space, mat), 1.0)
 
 
 def test_expm_is_unitary():
@@ -306,3 +323,117 @@ def test_min_poly_degree_basics():
     assert min_poly_degree(np.diag([1.0, 1.0 + 1e-4])) == 2
     assert min_poly_degree(np.zeros((0, 0))) == 0
     assert min_poly_degree(np.diag([0.0, 1.0]), tol=2.0) == 1
+
+
+def _sectors_by_excitation(n: int, space: FockSpace) -> list[tuple[float, list[int]]]:
+    """Trusted indices grouped by S_3 + m, one (atomic state, level) at a time."""
+    s3_diag = np.diag(collective(n)[2]).real
+    groups: dict[float, list[int]] = {}
+    for k in range(2**n):
+        for m in range(space.trusted):
+            groups.setdefault(float(s3_diag[k] + m), []).append(k * space.cutoff + m)
+    return sorted(groups.items())
+
+
+def _guards(cutoff: int) -> list[int]:
+    return sorted({g for g in (0, 1, default_guard(cutoff), cutoff - 2) if g <= cutoff - 2})
+
+
+@pytest.mark.parametrize(
+    "cutoff,guard", [(c, g) for c in (2, 3, 5, 12, 40) for g in _guards(c)]
+)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sector_decompose_matches_excitation_grouping(n, cutoff, guard):
+    space = FockSpace(cutoff, guard)
+    a = coupling_operator(n, space).matrix
+    sectors = sector_decompose(n, space)
+    expected = _sectors_by_excitation(n, space)
+    assert [(s.excitation, s.indices.tolist()) for s in sectors] == expected
+    for sector in sectors:
+        assert type(sector.excitation) is float
+        np.testing.assert_array_equal(sector.matrix, a[np.ix_(sector.indices, sector.indices)])
+
+
+@pytest.mark.parametrize("cutoff", [24, 60])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_relation_fits_match_dense_fit(n, cutoff):
+    space = FockSpace(cutoff)
+    a = coupling_operator(n, space)
+    a_pow = {1: a, 2: a @ a}
+    a_pow[3] = a_pow[2] @ a
+    a_pow[5] = a_pow[3] @ a_pow[2]
+    degrees = {s.excitation: min_poly_degree(s.matrix) for s in sector_decompose(n, space)}
+    reports = relation_fits(n, space, (3, 5))
+    assert [r.target_power for r in reports] == [3, 5]
+    for report in reports:
+        power = report.target_power
+        values, residual = fit_left_diagonal(a_pow[power], a_pow[power - 2])
+        got = report.best_fit_values
+        assert got.shape == values.shape
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(values))
+        fitted = ~np.isnan(values)
+        bound = 1e-12 * np.maximum(1.0, np.abs(values[fitted]))
+        assert np.all(np.abs(got[fitted] - values[fitted]) <= bound)
+        if n == 3:
+            assert abs(report.relative_residual - residual) <= 1e-12 * residual
+        else:
+            assert report.relative_residual <= 1e-15
+            assert residual <= 1e-15
+        assert report.sector_min_poly_degrees == degrees
+
+
+def _fit_row_by_row(target: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
+    """Per-row least-squares diagonal fit, one row at a time."""
+    values = np.full(target.shape[0], np.nan)
+    num = den = 0.0
+    for row, (x, y) in enumerate(zip(basis, target)):
+        xx = np.vdot(x, x).real
+        if xx == 0.0:
+            continue
+        values[row] = np.vdot(x, y).real / xx
+        num += float(np.sum(np.abs(y - values[row] * x) ** 2))
+        den += float(np.sum(np.abs(y) ** 2))
+    return values, float(np.sqrt(num / den)) if den > 0.0 else 0.0
+
+
+def test_fit_left_diagonal_matches_row_by_row_fit():
+    space = FockSpace(12, 3)
+    rng = np.random.default_rng(21)
+    dim = 4 * space.cutoff
+    basis = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    basis[rng.random(dim) < 0.2] = 0.0  # unconstrained rows
+    target = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    values, residual = fit_left_diagonal(
+        CompositeOperator(4, space, target), CompositeOperator(4, space, basis)
+    )
+    keep = trusted_mask(4, space)
+    trusted = np.ix_(keep, keep)
+    ref_values, ref_residual = _fit_row_by_row(target[trusted], basis[trusted])
+    ref_values = ref_values.reshape(4, space.trusted)
+    np.testing.assert_array_equal(np.isnan(values), np.isnan(ref_values))
+    assert np.isnan(values).any()
+    fitted = ~np.isnan(ref_values)
+    bound = 1e-13 * np.maximum(1.0, np.abs(ref_values[fitted]))
+    assert np.all(np.abs(values[fitted] - ref_values[fitted]) <= bound)
+    assert abs(residual - ref_residual) <= 1e-13 * ref_residual
+
+
+def test_relation_fits_build_the_coupling_once_and_no_dense_product(monkeypatch):
+    built = []
+    products = []
+    build = tcprop.oracle.coupling_operator
+    matmul = CompositeOperator.__matmul__
+
+    def recording_build(*args):
+        built.append(args)
+        return build(*args)
+
+    def recording_matmul(self, other):
+        products.append(self.matrix.shape)
+        return matmul(self, other)
+
+    monkeypatch.setattr(tcprop.oracle, "coupling_operator", recording_build)
+    monkeypatch.setattr(CompositeOperator, "__matmul__", recording_matmul)
+    relation_fits(3, FockSpace(40), (3, 5))
+    assert len(built) == 1
+    assert products == []

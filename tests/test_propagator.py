@@ -243,15 +243,16 @@ def test_gauss_factor_shapes():
 
 
 def test_gauss_lower_variants_agree():
+    # f(N) a+ = a+ f(N+1): the lower factor is the transpose of the upper one
     factors = gauss_decompose_one_atom(SPACE, 0.3, 1.0)
-    dev = _max_dev(factors.lower.matrix, factors.lower_alt.matrix)
+    dev = _max_dev(factors.lower.matrix, factors.upper.matrix.T)
     assert dev <= 1e-12
 
 
 def test_gauss_identity_at_zero():
     factors = gauss_decompose_one_atom(SPACE, 0.0, 1.0)
     eye = np.eye(2 * SPACE.cutoff)
-    for f in (factors.lower, factors.diagonal, factors.upper, factors.lower_alt):
+    for f in (factors.lower, factors.diagonal, factors.upper):
         np.testing.assert_array_equal(f.matrix, eye)
 
 
