@@ -26,10 +26,10 @@ from dataclasses import dataclass, make_dataclass
 import numpy as np
 
 from .fock import FockSpace
-from .oracle import compare, relation_fits
-from .propagator import GaussSingularityError, evolve_one_atom, evolve_states, gauss_decompose_one_atom
+from .oracle import relation_fits
+from .propagator import GaussSingularityError, evolve_states
 from .spinchain import atomic_labels
-from .verify import run_checks
+from .verify import gauss_deviations, run_checks
 
 __all__ = ["ConfigError", "RunConfig", "InitialStateSpec", "main", "entry"]
 
@@ -169,10 +169,6 @@ def parse_initial(text: str, atoms: int) -> InitialStateSpec:
     return InitialStateSpec(atomic=atomic, kind="coherent", alpha=alpha)
 
 
-def _atomic_index(label: str) -> int:
-    return int("".join("1" if ch == "g" else "0" for ch in label), 2)
-
-
 def build_state(spec: InitialStateSpec, space: FockSpace) -> np.ndarray:
     """Composite state vector for a parsed initial-state spec.
 
@@ -210,7 +206,7 @@ def build_state(spec: InitialStateSpec, space: FockSpace) -> np.ndarray:
             )
         field /= math.sqrt(kept)
     state = np.zeros(2 ** len(spec.atomic) * space.cutoff, dtype=complex)
-    k = _atomic_index(spec.atomic)
+    k = atomic_labels(len(spec.atomic)).index(spec.atomic)
     state[k * space.cutoff : (k + 1) * space.cutoff] = field
     return state
 
@@ -295,10 +291,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
     _refuse_overflow(cfg, (cfg.t0,), free_phase=False)
     space = FockSpace(cfg.cutoff, cfg.guard)
     t, g = cfg.t0, cfg.g
-    factors = gauss_decompose_one_atom(space, t, g)
-    closed = evolve_one_atom(space, t, g)
-    product_dev = compare(factors.product(), closed).max_abs_deviation
-    variant_dev = float(np.abs(factors.lower.matrix - factors.upper.matrix.T).max())
+    product_dev, variant_dev = gauss_deviations(space, t, g)
     print(f"factorization at t={_fmt(t)}, g={_fmt(g)}, cutoff={cfg.cutoff}, guard={cfg.guard}")
     print(f"product vs closed form deviation {product_dev:.3e} (tol {cfg.tol:.3e})")
     print(f"lower-factor variant agreement  {variant_dev:.3e}")

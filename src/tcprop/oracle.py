@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import FockSpace
-from .spinchain import CompositeOperator, collective, coupling_operator
+from .spinchain import CompositeOperator, coupling_operator, excitation
 
 __all__ = [
     "ComparisonReport",
@@ -174,12 +174,11 @@ class Sector(NamedTuple):
 
 def _sectors(n: int, space: FockSpace, a: np.ndarray, label: np.ndarray) -> list[Sector]:
     """Blocks of coupling matrix ``a`` (component ``label``) on the trusted indices."""
-    _, _, s_3 = collective(n)
-    excitation = (np.diag(s_3).real[:, None] + np.arange(space.cutoff)).ravel()
+    excitations = excitation(n, space)
     sectors: list[Sector] = []
     for idx in _blocks(label, np.flatnonzero(trusted_mask(2**n, space))):
         mats = a[idx[:, :, None], idx[:, None, :]]
-        sectors += map(Sector, excitation[idx[:, 0]].tolist(), idx, mats)
+        sectors += map(Sector, excitations[idx[:, 0]].tolist(), idx, mats)
     return sorted(sectors, key=lambda sector: sector.excitation)
 
 

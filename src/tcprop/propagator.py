@@ -23,12 +23,13 @@ from math import sqrt
 import numpy as np
 
 from .fock import FockSpace, annihilator, cosz, creator, sincz
-from .spinchain import CompositeOperator, atomic_labels
+from .spinchain import CompositeOperator, excitation
 
 __all__ = [
     "GaussFactors",
     "GaussSingularityError",
     "SpectralTable",
+    "closed_form_table",
     "one_atom_table",
     "two_atom_table",
     "spin_one_table",
@@ -297,17 +298,19 @@ def gauss_decompose_one_atom(
     )
 
 
-def _table(n: int, space: FockSpace, t, g: float) -> SpectralTable:
+def closed_form_table(n: int, space: FockSpace, t, g: float) -> SpectralTable:
+    """Closed-form exp(-i t g A) for n = 1 or 2 atoms at the time(s) t.
+
+    The coefficients depend on t and g only through t*g.
+    """
     if n not in (1, 2):
-        raise ValueError(f"closed-form full propagator exists for 1 or 2 atoms, got n={n!r}")
+        raise ValueError(f"closed-form propagator exists for 1 or 2 atoms, got n={n!r}")
     return (one_atom_table if n == 1 else two_atom_table)(space, t, g)
 
 
 def _free_phase(n: int, space: FockSpace, t, omega: float) -> np.ndarray:
     """exp(-i t omega (S_3 + N)) on the composite basis, one row per time."""
-    s_3 = [(lab.count("e") - lab.count("g")) / 2 for lab in atomic_labels(n)]
-    excitation = np.array(s_3)[:, None] + np.arange(space.cutoff, dtype=float)[None, :]
-    return np.exp(-1j * _column(t) * omega * excitation.ravel())
+    return np.exp(-1j * _column(t) * omega * excitation(n, space))
 
 
 def evolve_full(n: int, space: FockSpace, t: float, omega: float, g: float) -> CompositeOperator:
@@ -317,7 +320,7 @@ def evolve_full(n: int, space: FockSpace, t: float, omega: float, g: float) -> C
     Available for n = 1 and n = 2; no closed interaction form exists for
     three atoms.
     """
-    interaction = _table(n, space, t, g).to_dense()
+    interaction = closed_form_table(n, space, t, g).to_dense()
     phase = _free_phase(n, space, t, omega)[0]
     return CompositeOperator(interaction.n_blocks, space, phase[:, None] * interaction.matrix)
 
@@ -331,7 +334,7 @@ def evolve_states(
     work per time point instead of O((2**n cutoff)^2); memory grows with
     len(times), so pass long trajectories in chunks.
     """
-    return _table(n, space, times, g).apply(state, _free_phase(n, space, times, omega))
+    return closed_form_table(n, space, times, g).apply(state, _free_phase(n, space, times, omega))
 
 
 def reduction_transform(space: FockSpace) -> tuple[CompositeOperator, CompositeOperator]:

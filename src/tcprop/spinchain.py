@@ -26,6 +26,7 @@ __all__ = [
     "embed_sigma",
     "collective",
     "coupling_operator",
+    "excitation",
     "excitation_operator",
     "hamiltonian",
     "atomic_labels",
@@ -81,6 +82,15 @@ def atomic_labels(n: int) -> tuple[str, ...]:
         "".join("g" if (k >> (n - 1 - bit)) & 1 else "e" for bit in range(n))
         for k in range(2**n)
     )
+
+
+def excitation(n: int, space: FockSpace) -> np.ndarray:
+    """Excitation S_3 + N of each composite basis index, in index order.
+
+    S_3 is half the count of excited minus ground letters of the atomic label.
+    """
+    s_3 = [(lab.count("e") - lab.count("g")) / 2 for lab in atomic_labels(n)]
+    return (np.array(s_3)[:, None] + np.arange(space.cutoff, dtype=float)[None, :]).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,13 +197,8 @@ def coupling_operator(n: int, space: FockSpace) -> CompositeOperator:
 
 
 def excitation_operator(n: int, space: FockSpace) -> CompositeOperator:
-    """Conserved excitation S_3 kron 1 + 1 kron N (diagonal)."""
-    _check_atoms(n)
-    _, _, s_3 = collective(n)
-    eye_f = np.eye(space.cutoff, dtype=complex)
-    eye_a = np.eye(2**n, dtype=complex)
-    mat = np.kron(s_3, eye_f) + np.kron(eye_a, number(space))
-    return CompositeOperator(2**n, space, mat)
+    """Conserved excitation S_3 kron 1 + 1 kron N: diag(:func:`excitation`)."""
+    return CompositeOperator(2**n, space, np.diag(excitation(n, space)))
 
 
 class Hamiltonian(NamedTuple):

@@ -1,7 +1,8 @@
 """Invariant check suite behind the ``verify`` subcommand.
 
-Grids are fixed so output depends only on atoms, cutoff, guard and tol;
-identities the construction makes exact carry tolerance 0.
+Grids are fixed so output depends only on atoms, cutoff, guard and tol.
+Identities the construction makes exact carry tolerance 0; those checked
+through a dense product carry four ulps of the largest reference entry.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 from .fock import FockSpace, annihilator, creator, number
 from .oracle import compare, expm_hermitian, trusted_mask
 from .propagator import (
+    closed_form_table,
     evolve_full,
     evolve_one_atom,
     evolve_two_atoms,
@@ -24,11 +26,12 @@ from .spinchain import (
     CompositeOperator,
     collective,
     coupling_operator,
+    excitation,
     excitation_operator,
     hamiltonian,
 )
 
-__all__ = ["CheckResult", "run_checks"]
+__all__ = ["CheckResult", "gauss_deviations", "run_checks"]
 
 ORACLE_T = (0.1, 0.7, 2.5, 10.0)
 ORACLE_G = (0.5, 1.0, 2.0)
@@ -79,24 +82,35 @@ def _pattern_ref(n: int, space: FockSpace) -> np.ndarray:
     )
 
 
-def _closed_interaction(n: int, space: FockSpace, t: float, g: float) -> CompositeOperator:
-    return evolve_one_atom(space, t, g) if n == 1 else evolve_two_atoms(space, t, g)
+def _key_relation_tol(ref: CompositeOperator) -> float:
+    """Four ulps of the largest trusted entry of a key relation's reference side."""
+    return 4 * np.finfo(float).eps * _tmax(ref.matrix, ref.n_blocks, ref.space)
 
 
-def _schrodinger_ratio(n: int, space: FockSpace) -> float:
-    g, omega, t = 1.0, 1.0, 0.7
-    h = 1e-4 * max(1.0, 1.0 / g)
-    h_mat = hamiltonian(n, space, omega, omega, g).total.matrix
-    keep = trusted_mask(2**n, space)
+def _schrodinger_ratio(n: int, space: FockSpace, h_mat: np.ndarray, mid: np.ndarray) -> float:
+    """Central-difference residual of i dU/dt = H U at U(0.7), step 1e-4 over step 5e-5.
+
+    ``h_mat`` is H(omega = delta = g = 1) and ``mid`` the closed-form U(0.7).
+    """
+    t, h = 0.7, 1e-4
 
     def residual(step: float) -> float:
-        up = evolve_full(n, space, t + step, omega, g).matrix
-        dn = evolve_full(n, space, t - step, omega, g).matrix
-        mid = evolve_full(n, space, t, omega, g).matrix
-        r = 1j * (up - dn) / (2 * step) - h_mat @ mid
-        return float(np.abs(r[np.ix_(keep, keep)]).max())
+        up = evolve_full(n, space, t + step, 1.0, 1.0).matrix
+        dn = evolve_full(n, space, t - step, 1.0, 1.0).matrix
+        return _tmax(1j * (up - dn) / (2 * step) - h_mat @ mid, 2**n, space)
 
     return residual(h) / residual(h / 2)
+
+
+def gauss_deviations(space: FockSpace, t: float, g: float) -> tuple[float, float]:
+    """One-atom triangular factorization at (t, g): (product deviation, max|lower - upper^T|).
+
+    The first is the trusted deviation of lower @ diagonal @ upper from the
+    closed form; the second checks the shift identity f(N) a+ = a+ f(N+1).
+    """
+    factors = gauss_decompose_one_atom(space, t, g)
+    product = compare(factors.product(), evolve_one_atom(space, t, g)).max_abs_deviation
+    return product, float(np.abs(factors.lower.matrix - factors.upper.matrix.T).max())
 
 
 def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult], list[str]]:
@@ -138,14 +152,7 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
     eye_f = np.eye(space.cutoff, dtype=complex)
 
     if n == 1:
-        d_ref = CompositeOperator.from_blocks(space, [[n_mat + eye_f, 0], [0, n_mat]])
-        results.append(
-            _result(
-                "key-relation-squared",
-                compare(a_op @ a_op, d_ref).max_abs_deviation,
-                1e-12,
-            )
-        )
+        sq_ref = CompositeOperator.from_blocks(space, [[n_mat + eye_f, 0], [0, n_mat]])
     else:
         sq_ref = CompositeOperator.from_blocks(
             space,
@@ -156,59 +163,48 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
                 [2 * (ad @ ad), 0, 0, 2 * n_mat],
             ],
         )
-        results.append(
-            _result(
-                "key-relation-squared",
-                compare(a_op @ a_op, sq_ref).max_abs_deviation,
-                1e-12,
-            )
+    a_sq = a_op @ a_op
+    results.append(
+        _result(
+            "key-relation-squared",
+            compare(a_sq, sq_ref).max_abs_deviation,
+            _key_relation_tol(sq_ref),
         )
-        m = np.arange(space.cutoff, dtype=float)
-        d_blocks = [2 * (2 * m + 3), 2 * (2 * m + 1), 2 * (2 * m + 1), 2 * (2 * m - 1)]
-        d_op = CompositeOperator.from_blocks(
-            space,
-            [[np.diag(d_blocks[k]) if k == j else 0 for j in range(4)] for k in range(4)],
-        )
+    )
+    if n == 2:
+        # A^3 = D A with D = 2(2E + 1) = diag(2(2N+3), 2(2N+1), 2(2N+1), 2(2N-1))
+        d_op = CompositeOperator(4, space, np.diag(2 * (2 * excitation(n, space) + 1)))
+        cube_ref = d_op @ a_op
         results.append(
             _result(
                 "key-relation-cubed",
-                compare(a_op @ a_op @ a_op, d_op @ a_op).max_abs_deviation,
-                1e-12,
+                compare(a_sq @ a_op, cube_ref).max_abs_deviation,
+                _key_relation_tol(cube_ref),
             )
         )
 
+    # the closed forms depend on t and g only through t*g: one table per grid, g = 1
+    oracle_grid = [(t_val, g_val) for t_val in ORACLE_T for g_val in ORACLE_G]
+    oracle_table = closed_form_table(n, space, [t * g for t, g in oracle_grid], 1.0)
     oracle_runs = []
-    for t_val in ORACLE_T:
-        for g_val in ORACLE_G:
-            closed = _closed_interaction(n, space, t_val, g_val)
-            report = compare(closed, expm_hermitian(a_op, t_val * g_val))
-            oracle_runs.append((report, t_val, g_val))
+    for i, (t_val, g_val) in enumerate(oracle_grid):
+        report = compare(oracle_table.to_dense(i), expm_hermitian(a_op, t_val * g_val))
+        oracle_runs.append((report, t_val, g_val))
     worst, t_val, g_val = max(oracle_runs, key=lambda run: run[0].max_abs_deviation)
     block_row, block_col, photon_row, photon_col = worst.location
     note = (f"worst at t={t_val:g} g={g_val:g}, blocks ({block_row}, {block_col}), "
             f"photons ({photon_row}, {photon_col})")
     results.append(_result("closed-vs-oracle", worst.max_abs_deviation, tol, note=note))
 
+    h_total = hamiltonian(n, space, 1.0, 1.0, 1.0).total
     full_closed = evolve_full(n, space, 0.7, 1.0, 1.0)
-    full_ref = expm_hermitian(hamiltonian(n, space, 1.0, 1.0, 1.0).total, 0.7)
-    results.append(_result("full-vs-oracle", compare(full_closed, full_ref).max_abs_deviation, tol))
+    full_dev = compare(full_closed, expm_hermitian(h_total, 0.7)).max_abs_deviation
+    results.append(_result("full-vs-oracle", full_dev, tol))
 
     if n == 1:
-        factors = gauss_decompose_one_atom(space, 0.3, 1.0)
-        results.append(
-            _result(
-                "gauss-product",
-                compare(factors.product(), evolve_one_atom(space, 0.3, 1.0)).max_abs_deviation,
-                tol,
-            )
-        )
-        results.append(
-            _result(
-                "gauss-variants",
-                np.abs(factors.lower.matrix - factors.upper.matrix.T).max(),
-                1e-12,
-            )
-        )
+        product_dev, variant_dev = gauss_deviations(space, 0.3, 1.0)
+        results.append(_result("gauss-product", product_dev, tol))
+        results.append(_result("gauss-variants", variant_dev, 1e-12))
 
     if n == 2:
         similarity, b_op = reduction_transform(space)
@@ -243,22 +239,24 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
         )
         results.append(_result("two-atom-block-identities", ident, 1e-12))
 
-    ratio = _schrodinger_ratio(n, space)
+    ratio = _schrodinger_ratio(n, space, h_total.matrix, full_closed.matrix)
     results.append(
         _result("schrodinger-residual-ratio", abs(ratio - 4.0), 0.5, note=f"ratio {ratio:.4f}")
     )
 
     worst = 0.0
     eye_c = np.eye(2**n * space.cutoff, dtype=complex)
-    for t_val in UNITARITY_T:
-        for g_val in ORACLE_G:
-            u = _closed_interaction(n, space, t_val, g_val)
-            worst = max(worst, _tmax(u.matrix.conj().T @ u.matrix - eye_c, 2**n, space))
+    unitarity_tg = [t_val * g_val for t_val in UNITARITY_T for g_val in ORACLE_G]
+    unitarity_table = closed_form_table(n, space, unitarity_tg, 1.0)
+    for i in range(len(unitarity_tg)):
+        u = unitarity_table.to_dense(i)
+        worst = max(worst, _tmax(u.matrix.conj().T @ u.matrix - eye_c, 2**n, space))
     results.append(_result("unitarity", worst, 1e-10))
 
     t1, t2, g_val = 0.4, 0.9, 1.3
-    prod = _closed_interaction(n, space, t1, g_val) @ _closed_interaction(n, space, t2, g_val)
-    whole = _closed_interaction(n, space, t1 + t2, g_val)
+    law_table = closed_form_table(n, space, [t1, t2, t1 + t2], g_val)
+    prod = law_table.to_dense(0) @ law_table.to_dense(1)
+    whole = law_table.to_dense(2)
     results.append(_result("group-law", compare(prod, whole).max_abs_deviation, 1e-9))
 
     return results, notes

@@ -14,7 +14,8 @@ import pytest
 import tcprop
 from tcprop import cli
 from tcprop.cli import InitialStateSpec, build_state, main, parse_initial
-from tcprop import FockSpace
+from tcprop import FockSpace, atomic_labels
+from tcprop.verify import gauss_deviations
 
 FAST = ["--cutoff", "24", "--guard", "4"]
 
@@ -168,6 +169,21 @@ def test_build_state_places_atomic_block():
     assert np.count_nonzero(state) == 1
 
 
+def _binary_atomic_index(label: str) -> int:
+    """Index of an atomic label read as a binary number with e = 0 and g = 1."""
+    return int("".join("1" if ch == "g" else "0" for ch in label), 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_build_state_block_is_binary_label_index(n):
+    space = FockSpace(6, 2)
+    labels = atomic_labels(n)
+    for label in labels:
+        assert labels.index(label) == _binary_atomic_index(label)
+        state = build_state(InitialStateSpec(atomic=label, kind="fock", fock_level=1), space)
+        assert np.flatnonzero(state).tolist() == [_binary_atomic_index(label) * 6 + 1]
+
+
 def test_config_file_with_cli_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -231,6 +247,9 @@ def test_decompose_reports_product(capsys):
     out = capsys.readouterr().out
     assert "product" in out
     assert "variant" in out
+    product, variant = gauss_deviations(FockSpace(24, 4), 0.3, 1.0)
+    assert f"product vs closed form deviation {product:.3e} " in out
+    assert f"lower-factor variant agreement  {variant:.3e}\n" in out
 
 
 def test_decompose_refuses_singular_point(capsys):

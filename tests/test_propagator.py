@@ -17,6 +17,7 @@ from tcprop import (
     GaussSingularityError,
     annihilator,
     apply,
+    closed_form_table,
     compare,
     cosz,
     coupling_operator,
@@ -195,6 +196,16 @@ def test_full_propagator_against_hamiltonian_oracle(n):
 def test_full_propagator_rejects_three_atoms():
     with pytest.raises(ValueError):
         evolve_full(3, SPACE, 0.1, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_closed_form_table_rows_are_the_single_time_forms(n):
+    # verify reads a (t, g) grid from one table of t*g products at g = 1
+    single = evolve_one_atom if n == 1 else evolve_two_atoms
+    grid = [(0.1, 0.5), (0.7, 2.0), (10.0, 1.0)]
+    table = closed_form_table(n, SMALL, [t * g for t, g in grid], 1.0)
+    for i, (t, g) in enumerate(grid):
+        np.testing.assert_array_equal(table.to_dense(i).matrix, single(SMALL, t, g).matrix)
 
 
 @pytest.mark.parametrize("kind", ["one", "two", "spin1"])

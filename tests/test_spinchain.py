@@ -12,6 +12,7 @@ from tcprop import (
     coupling_operator,
     creator,
     embed_sigma,
+    excitation,
     excitation_operator,
     hamiltonian,
     number,
@@ -94,6 +95,16 @@ def test_excitation_commutes_with_coupling(n):
     a = coupling_operator(n, space).matrix
     comm = e @ a - a @ e
     assert np.max(np.abs(comm)) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("cutoff", [2, 5, 24])
+def test_excitation_is_collective_s3_plus_n(n, cutoff):
+    space = FockSpace(cutoff)
+    _, _, s_3 = collective(n)
+    ref = np.kron(s_3, np.eye(cutoff)) + np.kron(np.eye(2**n), number(space))
+    np.testing.assert_array_equal(excitation(n, space), np.diag(ref).real)
+    np.testing.assert_array_equal(excitation_operator(n, space).matrix, ref)
 
 
 def test_excitation_diagonal():
