@@ -43,21 +43,32 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to exit code 2."""
 
 
-# Every option but --config, in --help order: name -> (type, default, help).  The
-# name is the RunConfig field, the config-file key and, hyphenated, the flag.
+# subcommand -> its --help summary
+_SUMMARIES = {
+    "verify": "run the invariant check suite",
+    "evolve": "write a state trajectory as CSV",
+    "decompose": "triangular factorization report (atoms=1)",
+    "relation-search": "fit diagonal relations A^p = D A^(p-2)",
+}
+_ALL = tuple(_SUMMARIES)
+
+# Every option but --config, in --help order: name -> (type, default, commands, help).
+# The name is the RunConfig field, the config-file key and, hyphenated, the flag;
+# only the listed commands take the flag, but every command accepts the config key.
 _OPTIONS = {
-    "atoms": (int, 1, "number of atoms (1, 2 or 3; default 1)"),
-    "cutoff": (int, 60, "Fock space cutoff (default 60)"),
-    "guard": (int, None, "guard band width (default max(4, cutoff/8))"),
-    "g": (float, 1.0, "coupling strength (default 1)"),
-    "omega": (float, 1.0, "mode and transition frequency (default 1)"),
-    "t0": (float, 0.0, "start time (default 0); decompose evaluates here"),
-    "t1": (float, 10.0, "end time (default 10)"),
-    "steps": (int, 500, "number of time steps (default 500)"),
-    "tol": (float, 1e-9, "comparison tolerance (default 1e-9)"),
-    "initial": (str, None, "initial state, e.g. e:fock(0) or ee:coherent(1.5)"),
-    "out": (str, None, "CSV output path (default stdout)"),
-    "max_power": (int, 3, "highest relation power, 3 or 5"),
+    "atoms": (int, 1, _ALL, "number of atoms (1, 2 or 3; default 1)"),
+    "cutoff": (int, 60, _ALL, "Fock space cutoff (default 60)"),
+    "guard": (int, None, _ALL, "guard band width (default max(4, cutoff/8))"),
+    "g": (float, 1.0, ("evolve", "decompose"), "coupling strength (default 1)"),
+    "omega": (float, 1.0, ("evolve",), "mode and transition frequency (default 1)"),
+    "t0": (float, 0.0, ("evolve", "decompose"),
+           "start time (default 0); decompose evaluates here"),
+    "t1": (float, 10.0, ("evolve",), "end time (default 10)"),
+    "steps": (int, 500, ("evolve",), "number of time steps (default 500)"),
+    "tol": (float, 1e-9, ("verify", "decompose"), "comparison tolerance (default 1e-9)"),
+    "initial": (str, None, ("evolve",), "initial state, e.g. e:fock(0) or ee:coherent(1.5)"),
+    "out": (str, None, ("evolve",), "CSV output path (default stdout)"),
+    "max_power": (int, 3, ("relation-search",), "highest relation power, 3 or 5"),
 }
 
 
@@ -74,7 +85,7 @@ class InitialStateSpec:
 RunConfig = make_dataclass(
     "RunConfig",
     [(name, kind if default is not None else kind | None)
-     for name, (kind, default, _) in _OPTIONS.items()],
+     for name, (kind, default, _, _) in _OPTIONS.items()],
     frozen=True,
     namespace={"__module__": __name__, "__doc__": "Validated options, one field per option."},
 )
@@ -107,7 +118,7 @@ def read_config_file(path: str) -> dict:
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file and explicit flags, then validate."""
-    merged = {key: default for key, (_, default, _) in _OPTIONS.items()}
+    merged = {key: default for key, (_, default, _, _) in _OPTIONS.items()}
     if args.config is not None:
         merged.update(read_config_file(args.config))
     flags = {key: getattr(args, key, None) for key in _OPTIONS}
@@ -119,13 +130,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         merged["guard"] = FockSpace(merged["cutoff"], merged["guard"]).guard
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for key, (kind, _, _) in _OPTIONS.items():
+    for key, (kind, *_) in _OPTIONS.items():
         if kind is float and not math.isfinite(merged[key]):
             raise ConfigError(f"{key} must be finite, got {merged[key]}")
-    if merged["t1"] < merged["t0"]:
-        raise ConfigError(f"t1 must be >= t0, got t0={merged['t0']}, t1={merged['t1']}")
-    if merged["steps"] < 1:
-        raise ConfigError(f"steps must be >= 1, got {merged['steps']}")
     if merged["tol"] <= 0:
         raise ConfigError(f"tol must be positive, got {merged['tol']}")
     if merged["max_power"] not in (3, 5):
@@ -228,6 +235,10 @@ def _refuse_overflow(cfg: RunConfig, times, free_phase: bool = True) -> None:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
+    if cfg.t1 < cfg.t0:
+        raise ConfigError(f"t1 must be >= t0, got t0={cfg.t0}, t1={cfg.t1}")
+    if cfg.steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {cfg.steps}")
     if cfg.atoms == 3:
         raise ConfigError(
             "no closed-form propagator exists for three atoms; evolve supports atoms=1 or 2"
@@ -327,23 +338,20 @@ def cmd_relation_search(cfg: RunConfig) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser; built once per process, as parse_args leaves it unchanged."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="key=value config file")
-    for name, (kind, _, text) in _OPTIONS.items():
-        metavar = "PATH" if name == "out" else None
-        common.add_argument("--" + name.replace("_", "-"), type=kind, metavar=metavar, help=text)
-
     parser = argparse.ArgumentParser(
         prog="tcprop",
         description="Closed-form atom-cavity propagators on a truncated Fock space",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("verify", parents=[common], help="run the invariant check suite")
-    sub.add_parser("evolve", parents=[common], help="write a state trajectory as CSV")
-    sub.add_parser("decompose", parents=[common], help="triangular factorization report (atoms=1)")
-    sub.add_parser(
-        "relation-search", parents=[common], help="fit diagonal relations A^p = D A^(p-2)"
-    )
+    for command, summary in _SUMMARIES.items():
+        # no prefix matching: verify --g would otherwise set --guard
+        cmd_parser = sub.add_parser(command, help=summary, allow_abbrev=False)
+        cmd_parser.add_argument("--config", metavar="PATH", help="key=value config file")
+        for name, (kind, _, commands, text) in _OPTIONS.items():
+            if command in commands:
+                flag = "--" + name.replace("_", "-")
+                metavar = "PATH" if name == "out" else None
+                cmd_parser.add_argument(flag, type=kind, metavar=metavar, help=text)
     return parser
 
 

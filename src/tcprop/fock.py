@@ -1,9 +1,10 @@
 """Truncated single-mode Fock space and its operator calculus.
 
-Everything is a dense complex matrix: desk-scale cutoffs (tens to a few
-hundred levels) make dense algebra cheap and keep indexing transparent.
-Row and column indices are photon numbers, so the annihilator has entries
-``a[m-1, m] = sqrt(m)``.
+The ladder and number operators here are dense complex matrices, the
+factors of the kron-built coupling and Hamiltonian; closed forms and check
+references are instead coefficient vectors over the levels, f(N) a^k terms
+of a :class:`tcprop.propagator.SpectralTable`.  Row and column indices are
+photon numbers, so the annihilator has entries ``a[m-1, m] = sqrt(m)``.
 
 Truncation corrupts operator products near the top of the ladder (the
 canonical commutator picks up a rank-one artifact at the last level), so a

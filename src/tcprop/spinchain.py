@@ -27,7 +27,6 @@ __all__ = [
     "collective",
     "coupling_operator",
     "excitation",
-    "excitation_operator",
     "hamiltonian",
     "atomic_labels",
 ]
@@ -194,11 +193,6 @@ def coupling_operator(n: int, space: FockSpace) -> CompositeOperator:
     s_plus, s_minus, _ = collective(n)
     mat = np.kron(s_plus, annihilator(space)) + np.kron(s_minus, creator(space))
     return CompositeOperator(2**n, space, mat)
-
-
-def excitation_operator(n: int, space: FockSpace) -> CompositeOperator:
-    """Conserved excitation S_3 kron 1 + 1 kron N: diag(:func:`excitation`)."""
-    return CompositeOperator(2**n, space, np.diag(excitation(n, space)))
 
 
 class Hamiltonian(NamedTuple):

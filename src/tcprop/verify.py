@@ -3,6 +3,8 @@
 Grids are fixed so output depends only on atoms, cutoff, guard and tol.
 Identities the construction makes exact carry tolerance 0; those checked
 through a dense product carry four ulps of the largest reference entry.
+Structured references are built from their displayed block rows as a
+:class:`SpectralTable`, never from the kron sums they are checked against.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, annihilator, creator, number
+from .fock import FockSpace
 from .oracle import compare, expm_hermitian, trusted_mask
 from .propagator import (
+    SpectralTable,
     closed_form_table,
     evolve_full,
     evolve_one_atom,
@@ -22,14 +25,7 @@ from .propagator import (
     reconstruct_two_atoms,
     reduction_transform,
 )
-from .spinchain import (
-    CompositeOperator,
-    collective,
-    coupling_operator,
-    excitation,
-    excitation_operator,
-    hamiltonian,
-)
+from .spinchain import CompositeOperator, collective, coupling_operator, excitation, hamiltonian
 
 __all__ = ["CheckResult", "gauss_deviations", "run_checks"]
 
@@ -58,33 +54,42 @@ def _tmax(matrix: np.ndarray, n_blocks: int, space: FockSpace) -> float:
     return float(np.abs(matrix[np.ix_(keep, keep)]).max())
 
 
-def _pattern_ref(n: int, space: FockSpace) -> np.ndarray:
-    """Coupling operator as displayed: nested block form, built without kron sums."""
-    a = annihilator(space)
-    ad = creator(space)
-    z = np.zeros_like(a)
+def _pattern_rows(n: int, space: FockSpace) -> list:
+    """Coupling operator as displayed: A_k = [[A_(k-1), a 1], [a+ 1, A_(k-1)]] from A_0 = 0."""
+    ones = np.ones((1, space.cutoff))
+    rows = [[None]]
+    for _ in range(n):
+        eye = range(len(rows))
+        up = [[(1, ones) if i == j else None for j in eye] for i in eye]
+        down = [[(-1, ones) if i == j else None for j in eye] for i in eye]
+        rows = [row + u for row, u in zip(rows, up)] + [d + row for d, row in zip(down, rows)]
+    return rows
+
+
+def _square_rows(n: int, space: FockSpace) -> list:
+    """A^2 as displayed: f(N) on the diagonal blocks, plus 2 a^2 and 2 a+^2 for two atoms."""
+    m = np.arange(space.cutoff, dtype=float)[None, :]
     if n == 1:
-        return np.block([[z, a], [ad, z]])
-    if n == 2:
-        return np.block(
-            [
-                [z, a, a, z],
-                [ad, z, z, a],
-                [ad, z, z, a],
-                [z, ad, ad, z],
-            ]
-        )
-    # three atoms: [[A_two, a 1], [a+ 1, A_two]] with 4x4 identity blocks
-    inner = _pattern_ref(2, space)
-    eye4 = np.eye(4)
-    return np.block(
-        [[inner, np.kron(eye4, a)], [np.kron(eye4, ad), inner]]
-    )
+        return [[(0, m + 1), None], [None, (0, m)]]
+    two = np.full_like(m, 2.0)
+    mid = (0, 2 * m + 1)
+    return [
+        [(0, 2 * (m + 1)), None, None, (2, two)],
+        [None, mid, mid, None],
+        [None, mid, mid, None],
+        [(-2, two), None, None, (0, 2 * m)],
+    ]
 
 
-def _key_relation_tol(ref: CompositeOperator) -> float:
-    """Four ulps of the largest trusted entry of a key relation's reference side."""
-    return 4 * np.finfo(float).eps * _tmax(ref.matrix, ref.n_blocks, ref.space)
+def _spin1_rows(space: FockSpace) -> list:
+    """Spin-1 block B as displayed: sqrt(2) a above the diagonal, sqrt(2) a+ below."""
+    r2 = np.full((1, space.cutoff), np.sqrt(2.0))
+    return [[None, (1, r2), None], [(-1, r2), None, (1, r2)], [None, (-1, r2), None]]
+
+
+def _four_ulps(largest: float) -> float:
+    """Bound of an exact identity checked through dense products: four ulps of its largest entry."""
+    return 4 * np.finfo(float).eps * largest
 
 
 def _schrodinger_ratio(n: int, space: FockSpace, h_mat: np.ndarray, mid: np.ndarray) -> float:
@@ -127,59 +132,37 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
     results.append(_result("su2-relations", dev, 0.0))
 
     a_op = coupling_operator(n, space)
-    results.append(
-        _result("coupling-pattern", np.abs(a_op.matrix - _pattern_ref(n, space)).max(), 0.0)
-    )
+    pattern = SpectralTable.from_rows(space, _pattern_rows(n, space)).to_dense()
+    results.append(_result("coupling-pattern", np.abs(a_op.matrix - pattern.matrix).max(), 0.0))
     results.append(
         _result("coupling-hermitian", np.abs(a_op.matrix - a_op.matrix.conj().T).max(), 0.0)
     )
-    e_op = excitation_operator(n, space)
-    results.append(
-        _result(
-            "excitation-commutes",
-            np.abs(a_op.matrix @ e_op.matrix - e_op.matrix @ a_op.matrix).max(),
-            0.0,
-        )
-    )
+    # a diagonal operator multiplies as a vector: A E scales columns, E A rows
+    e = excitation(n, space)
+    commutator = a_op.matrix * e[None, :] - e[:, None] * a_op.matrix
+    results.append(_result("excitation-commutes", np.abs(commutator).max(), 0.0))
 
     if n == 3:
         notes.append("no closed-form propagator exists for three atoms; propagator checks skipped")
         return results, notes
 
-    a = annihilator(space)
-    ad = creator(space)
-    n_mat = number(space)
-    eye_f = np.eye(space.cutoff, dtype=complex)
-
-    if n == 1:
-        sq_ref = CompositeOperator.from_blocks(space, [[n_mat + eye_f, 0], [0, n_mat]])
-    else:
-        sq_ref = CompositeOperator.from_blocks(
-            space,
-            [
-                [2 * (n_mat + eye_f), 0, 0, 2 * (a @ a)],
-                [0, 2 * n_mat + eye_f, 2 * n_mat + eye_f, 0],
-                [0, 2 * n_mat + eye_f, 2 * n_mat + eye_f, 0],
-                [2 * (ad @ ad), 0, 0, 2 * n_mat],
-            ],
-        )
+    sq_ref = SpectralTable.from_rows(space, _square_rows(n, space)).to_dense()
     a_sq = a_op @ a_op
     results.append(
         _result(
             "key-relation-squared",
             compare(a_sq, sq_ref).max_abs_deviation,
-            _key_relation_tol(sq_ref),
+            _four_ulps(_tmax(sq_ref.matrix, 2**n, space)),
         )
     )
     if n == 2:
         # A^3 = D A with D = 2(2E + 1) = diag(2(2N+3), 2(2N+1), 2(2N+1), 2(2N-1))
-        d_op = CompositeOperator(4, space, np.diag(2 * (2 * excitation(n, space) + 1)))
-        cube_ref = d_op @ a_op
+        cube_ref = CompositeOperator(4, space, (2 * (2 * e + 1))[:, None] * a_op.matrix)
         results.append(
             _result(
                 "key-relation-cubed",
                 compare(a_sq @ a_op, cube_ref).max_abs_deviation,
-                _key_relation_tol(cube_ref),
+                _four_ulps(_tmax(cube_ref.matrix, 4, space)),
             )
         )
 
@@ -214,11 +197,12 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
         reduced = similarity @ a_op @ similarity.dagger()
         ref = np.zeros_like(reduced.matrix)
         ref[space.cutoff :, space.cutoff :] = b_op.matrix
-        results.append(_result("reduction-blockdiag", np.abs(reduced.matrix - ref).max(), 1e-14))
-        z = np.zeros_like(a)
-        r2 = np.sqrt(2.0)
-        b_ref = np.block([[z, r2 * a, z], [r2 * ad, z, r2 * a], [z, r2 * ad, z]])
-        results.append(_result("spin1-pattern", np.abs(b_op.matrix - b_ref).max(), 0.0))
+        blockdiag_dev = np.abs(reduced.matrix - ref).max()
+        results.append(
+            _result("reduction-blockdiag", blockdiag_dev, _four_ulps(np.abs(ref).max()))
+        )
+        b_ref = SpectralTable.from_rows(space, _spin1_rows(space)).to_dense()
+        results.append(_result("spin1-pattern", np.abs(b_op.matrix - b_ref.matrix).max(), 0.0))
         recon = reconstruct_two_atoms(space, 0.9, 0.8)
         results.append(
             _result(
@@ -235,7 +219,7 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
             np.abs(u_two.block(1, 0) - u_two.block(2, 0)).max(),
             np.abs(u_two.block(1, 3) - u_two.block(2, 3)).max(),
             np.abs(u_two.block(3, 1) - u_two.block(3, 2)).max(),
-            np.abs(u_two.block(1, 1) - u_two.block(1, 2) - eye_f).max(),
+            np.abs(u_two.block(1, 1) - u_two.block(1, 2) - np.eye(space.cutoff)).max(),
         )
         results.append(_result("two-atom-block-identities", ident, 1e-12))
 

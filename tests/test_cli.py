@@ -241,6 +241,23 @@ def test_invalid_time_window_rejected():
     assert main(["evolve", "--initial", "e:fock(0)", "--t0", "2", "--t1", "1", *FAST]) == 2
 
 
+def test_evolve_needs_a_step(capsys):
+    assert main(["evolve", "--initial", "e:fock(0)", "--steps", "0", *FAST]) == 2
+    assert "error: steps must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_decompose_evaluates_past_the_default_end_time(capsys):
+    # t1 (default 10) bounds the evolve time grid only; decompose never reads it
+    assert main(["decompose", "--cutoff", "24", "--t0", "12"]) == 0
+    assert "factorization at t=12," in capsys.readouterr().out
+
+
+def test_time_window_keys_in_a_shared_config_file_do_not_stop_verify(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("t0 = 12\nsteps = 0\n")
+    assert main(["verify", "--atoms", "3", *FAST, "--config", str(path)]) == 0
+
+
 def test_decompose_reports_product(capsys):
     rc = main(["decompose", "--atoms", "1", "--t0", "0.3", "--g", "1", *FAST])
     assert rc == 0
@@ -283,6 +300,47 @@ def test_relation_search_three_atoms_flags_no_fit(capsys):
 
 def test_relation_search_rejects_even_power():
     assert main(["relation-search", "--atoms", "1", "--max-power", "4", *FAST]) == 2
+
+
+# every (command, flag) pair where the command does not read the option
+UNREAD_FLAGS = [
+    (command, name)
+    for name, (_, _, commands, _) in cli._OPTIONS.items()
+    for command in cli._COMMANDS
+    if command not in commands
+]
+
+
+def test_unread_flags_cover_the_documented_table():
+    read = {command: {name for name, opt in cli._OPTIONS.items() if command in opt[2]}
+            for command in cli._COMMANDS}
+    assert read == {
+        "verify": {"atoms", "cutoff", "guard", "tol"},
+        "evolve": set(cli._OPTIONS) - {"tol", "max_power"},
+        "decompose": {"atoms", "cutoff", "guard", "g", "t0", "tol"},
+        "relation-search": {"atoms", "cutoff", "guard", "max_power"},
+    }
+
+
+@pytest.mark.parametrize("command, name", UNREAD_FLAGS)
+def test_unread_flag_is_refused(tmp_path, capsys, command, name):
+    out = tmp_path / "run.csv"
+    value = str(out) if name == "out" else OPTION_VALUES[name]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--" + name.replace("_", "-"), value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" + name.replace("_", "-") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["verify", "--g", "2"], ["relation-search", "--g", "2"],
+                                  ["decompose", "--cut", "24"]])
+def test_flags_are_not_abbreviated(capsys, argv):
+    # a prefix of a flag the command reads must not stand in for one it does not
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_via_argparse():
@@ -333,16 +391,18 @@ OPTION_VALUES = {
 
 @pytest.mark.parametrize("name", list(cli._OPTIONS))
 def test_flag_and_config_key_set_the_same_field(tmp_path, monkeypatch, name):
-    # --max-power and max-power = ... are the hyphenated spellings of max_power
+    # --max-power and max-power = ... are the hyphenated spellings of max_power;
+    # the flag goes to the first command that reads the option
+    command = cli._OPTIONS[name][2][0]
     seen = []
-    monkeypatch.setitem(cli._COMMANDS, "verify", lambda cfg: seen.append(cfg) or 0)
+    monkeypatch.setitem(cli._COMMANDS, command, lambda cfg: seen.append(cfg) or 0)
     value = OPTION_VALUES[name]
-    assert main(["verify"]) == 0
-    assert main(["verify", "--" + name.replace("_", "-"), value]) == 0
+    assert main([command]) == 0
+    assert main([command, "--" + name.replace("_", "-"), value]) == 0
     for key in sorted({name, name.replace("_", "-")}):
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = {value}\n")
-        assert main(["verify", "--config", str(path)]) == 0
+        assert main([command, "--config", str(path)]) == 0
     default, from_flag, *from_file = (getattr(cfg, name) for cfg in seen)
     assert from_flag != default
     assert type(from_flag) is cli._OPTIONS[name][0]
@@ -379,9 +439,11 @@ def test_large_finite_coupling_still_evolves(capsys):
     assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
-def test_decompose_ignores_the_free_phase(capsys):
+def test_decompose_ignores_the_free_phase(tmp_path, capsys):
     # decompose never evaluates exp(-i t omega (S_3 + N)), so a huge omega is no overflow
-    assert main(["decompose", "--cutoff", "10", "--t0", "1", "--omega", "1e308"]) == 0
+    path = tmp_path / "run.cfg"
+    path.write_text("omega = 1e308\n")
+    assert main(["decompose", "--cutoff", "10", "--t0", "1", "--config", str(path)]) == 0
 
 
 GRID_RUN = ["evolve", "--g", "0", "--omega", "0", "--initial", "e:fock(0)", "--cutoff", "24",

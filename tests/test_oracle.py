@@ -20,7 +20,7 @@ from tcprop import (
     compare,
     coupling_operator,
     default_guard,
-    excitation_operator,
+    excitation,
     expm_hermitian,
     fit_left_diagonal,
     hamiltonian,
@@ -57,7 +57,7 @@ def test_expm_identity_at_zero_scale():
 
 
 def test_expm_diagonal_input():
-    e = excitation_operator(1, SPACE)
+    e = CompositeOperator(2, SPACE, np.diag(excitation(1, SPACE)))
     u = expm_hermitian(e, 0.37)
     expected = np.diag(np.exp(-1j * 0.37 * np.diag(e.matrix)))
     assert np.abs(u.matrix - expected).max() <= 1e-13

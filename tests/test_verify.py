@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from tcprop import FockSpace, SpectralTable, closed_form_table, excitation, verify
+from tcprop import (
+    CompositeOperator,
+    FockSpace,
+    SpectralTable,
+    annihilator,
+    closed_form_table,
+    creator,
+    excitation,
+    number,
+    verify,
+)
 from tcprop.cli import main
 from tcprop.verify import gauss_deviations, run_checks
 
@@ -105,3 +115,117 @@ def test_gauss_checks_report_gauss_deviations():
     product, variant = gauss_deviations(SPACE, 0.3, 1.0)
     assert results["gauss-product"].deviation == product
     assert results["gauss-variants"].deviation == variant
+
+
+def _old_pattern_ref(n, space):
+    """The coupling operator as hand-written np.block layouts, one per atom count."""
+    a = annihilator(space)
+    ad = creator(space)
+    z = np.zeros_like(a)
+    if n == 1:
+        return np.block([[z, a], [ad, z]])
+    if n == 2:
+        return np.block([[z, a, a, z], [ad, z, z, a], [ad, z, z, a], [z, ad, ad, z]])
+    inner = _old_pattern_ref(2, space)
+    eye4 = np.eye(4)
+    return np.block([[inner, np.kron(eye4, a)], [np.kron(eye4, ad), inner]])
+
+
+def _old_square_ref(n, space):
+    """A^2 assembled with from_blocks from number, a @ a and a+ @ a+."""
+    a = annihilator(space)
+    ad = creator(space)
+    n_mat = number(space)
+    eye_f = np.eye(space.cutoff, dtype=complex)
+    if n == 1:
+        return CompositeOperator.from_blocks(space, [[n_mat + eye_f, 0], [0, n_mat]])
+    mid = 2 * n_mat + eye_f
+    return CompositeOperator.from_blocks(
+        space,
+        [
+            [2 * (n_mat + eye_f), 0, 0, 2 * (a @ a)],
+            [0, mid, mid, 0],
+            [0, mid, mid, 0],
+            [2 * (ad @ ad), 0, 0, 2 * n_mat],
+        ],
+    )
+
+
+def _old_spin1_ref(space):
+    a = annihilator(space)
+    ad = creator(space)
+    z = np.zeros_like(a)
+    r2 = np.sqrt(2.0)
+    return np.block([[z, r2 * a, z], [r2 * ad, z, r2 * a], [z, r2 * ad, z]])
+
+
+def _table_ref(space, rows):
+    return SpectralTable.from_rows(space, rows).to_dense().matrix
+
+
+@pytest.mark.parametrize("cutoff", [2, 5, 24])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_table_references_equal_the_block_layouts_bitwise(n, cutoff):
+    space = FockSpace(cutoff)
+    new = _table_ref(space, verify._pattern_rows(n, space))
+    np.testing.assert_array_equal(new, _old_pattern_ref(n, space))
+    if n < 3:
+        new = _table_ref(space, verify._square_rows(n, space))
+        np.testing.assert_array_equal(new, _old_square_ref(n, space).matrix)
+    if n == 2:
+        np.testing.assert_array_equal(_table_ref(space, verify._spin1_rows(space)),
+                                      _old_spin1_ref(space))
+
+
+def _patch_rows(monkeypatch, name, edit):
+    """Replace verify.<name> by the same rows with ``edit`` applied to them."""
+    original = getattr(verify, name)
+
+    def patched(*args):
+        rows = original(*args)
+        edit(rows)
+        return rows
+
+    monkeypatch.setattr(verify, name, patched)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_wrong_square_diagonal_fails_only_key_relation_squared(monkeypatch, n):
+    def edit(rows):
+        # 2m + 1 -> 2m on the (eg, eg) block; N + 1 -> N on the one-atom (e, e) block
+        k, coef = rows[n - 1][n - 1]
+        rows[n - 1][n - 1] = (k, coef - 1)
+
+    _patch_rows(monkeypatch, "_square_rows", edit)
+    failed = [name for name, res in _by_name(n).items() if not res.passed]
+    assert failed == ["key-relation-squared"]
+
+
+def test_dropping_the_outer_ladder_blocks_fails_coupling_pattern(monkeypatch):
+    def edit(rows):
+        for i in range(4):
+            rows[i][4 + i] = rows[4 + i][i] = None
+
+    _patch_rows(monkeypatch, "_pattern_rows", edit)
+    failed = [name for name, res in _by_name(3).items() if not res.passed]
+    assert failed == ["coupling-pattern"]
+
+
+def test_wrong_spin1_factor_fails_spin1_pattern(monkeypatch):
+    def edit(rows):
+        k, coef = rows[0][1]
+        rows[0][1] = (k, coef * (1 + 1e-15))
+
+    _patch_rows(monkeypatch, "_spin1_rows", edit)
+    failed = [name for name, res in _by_name(2).items() if not res.passed]
+    assert failed == ["spin1-pattern"]
+
+
+@pytest.mark.parametrize("cutoff", [24, 80])
+def test_blockdiag_bound_is_four_ulps_of_the_spin1_block(cutoff):
+    results = _by_name(2, FockSpace(cutoff))
+    # the largest entry of blockdiag(0, B) is sqrt(2) sqrt(cutoff - 1), in the guard band
+    assert results["reduction-blockdiag"].tol == pytest.approx(
+        4 * EPS * np.sqrt(2.0) * np.sqrt(cutoff - 1)
+    )
+    assert results["reduction-blockdiag"].passed
