@@ -54,7 +54,8 @@ _ALL = tuple(_SUMMARIES)
 
 # Every option but --config, in --help order: name -> (type, default, commands, help).
 # The name is the RunConfig field, the config-file key and, hyphenated, the flag;
-# only the listed commands take the flag, but every command accepts the config key.
+# only the listed commands take the flag and validate the value, but every
+# command accepts the config key.
 _OPTIONS = {
     "atoms": (int, 1, _ALL, "number of atoms (1, 2 or 3; default 1)"),
     "cutoff": (int, 60, _ALL, "Fock space cutoff (default 60)"),
@@ -117,12 +118,13 @@ def read_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file and explicit flags, then validate."""
+    """Merge defaults, config file and explicit flags, then validate what the command reads."""
     merged = {key: default for key, (_, default, _, _) in _OPTIONS.items()}
     if args.config is not None:
         merged.update(read_config_file(args.config))
     flags = {key: getattr(args, key, None) for key in _OPTIONS}
     merged.update({key: value for key, value in flags.items() if value is not None})
+    reads = [key for key, (_, _, commands, _) in _OPTIONS.items() if args.command in commands]
 
     if merged["atoms"] not in (1, 2, 3):
         raise ConfigError(f"atoms must be 1, 2 or 3, got {merged['atoms']}")
@@ -130,12 +132,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         merged["guard"] = FockSpace(merged["cutoff"], merged["guard"]).guard
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for key, (kind, *_) in _OPTIONS.items():
-        if kind is float and not math.isfinite(merged[key]):
+    for key in reads:
+        if _OPTIONS[key][0] is float and not math.isfinite(merged[key]):
             raise ConfigError(f"{key} must be finite, got {merged[key]}")
-    if merged["tol"] <= 0:
+    if "tol" in reads and merged["tol"] <= 0:
         raise ConfigError(f"tol must be positive, got {merged['tol']}")
-    if merged["max_power"] not in (3, 5):
+    if "max_power" in reads and merged["max_power"] not in (3, 5):
         raise ConfigError(f"max-power must be 3 or 5, got {merged['max_power']}")
     return RunConfig(**merged)
 
@@ -335,6 +337,16 @@ def cmd_relation_search(cfg: RunConfig) -> int:
     return 0
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: refuses an unknown argument under its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser; built once per process, as parse_args leaves it unchanged."""
@@ -342,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="tcprop",
         description="Closed-form atom-cavity propagators on a truncated Fock space",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command, summary in _SUMMARIES.items():
         # no prefix matching: verify --g would otherwise set --guard
         cmd_parser = sub.add_parser(command, help=summary, allow_abbrev=False)

@@ -1,7 +1,8 @@
 """Truncated single-mode Fock space and its operator calculus.
 
-The ladder and number operators here are dense complex matrices, the
-factors of the kron-built coupling and Hamiltonian; closed forms and check
+The ladder and number operators here are dense complex matrices, and the
+annihilator's entries also come as a list, the field factor of the
+entry-built coupling and Hamiltonian; closed forms and check
 references are instead coefficient vectors over the levels, f(N) a^k terms
 of a :class:`tcprop.propagator.SpectralTable`.  Row and column indices are
 photon numbers, so the annihilator has entries ``a[m-1, m] = sqrt(m)``.
@@ -23,6 +24,7 @@ __all__ = [
     "FockSpace",
     "default_guard",
     "annihilator",
+    "annihilator_entries",
     "creator",
     "number",
     "spectral_fn",
@@ -67,11 +69,17 @@ class FockSpace:
         return self.cutoff - self.guard
 
 
+def annihilator_entries(space: FockSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries of the annihilator as (rows, cols, values): sqrt(m) at (m-1, m)."""
+    m = np.arange(1, space.cutoff)
+    return m - 1, m, np.sqrt(m).astype(complex)
+
+
 def annihilator(space: FockSpace) -> np.ndarray:
     """Truncated annihilation operator, a|m> = sqrt(m)|m-1>."""
     a = np.zeros((space.cutoff, space.cutoff), dtype=complex)
-    m = np.arange(1, space.cutoff)
-    a[m - 1, m] = np.sqrt(m)
+    rows, cols, values = annihilator_entries(space)
+    a[rows, cols] = values
     return a
 
 

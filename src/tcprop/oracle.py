@@ -5,6 +5,15 @@ eigendecomposition of the Hermitian generator, comparisons are restricted
 to the trusted photon levels, and the relation search does a per-row least
 squares fit of a diagonal left factor.  Keeping the two routes separate is
 the point; do not "simplify" one through the other.
+
+The oracle reads nothing but the generator's nonzero entries.  Their
+pattern splits the indices into connected blocks (:func:`block_split`), one
+``eigh`` per block size factors the generator (:func:`block_eigh`), and the
+phases for a whole grid of scales go through one batched product.  The
+coupling and the Hamiltonian conserve excitation even under truncation, so
+the blocks are the excitation sectors, at most 2**n levels each; the split
+finds them from the entries, never from the excitation operator or a
+closed form.
 """
 
 from __future__ import annotations
@@ -15,15 +24,28 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import FockSpace
-from .spinchain import CompositeOperator, coupling_operator, excitation
+from .spinchain import (
+    Blocked,
+    BlockSplit,
+    CompositeOperator,
+    Entries,
+    coupling_entries,
+    entry_deviation,
+    excitation,
+)
 
 __all__ = [
+    "BlockEigen",
     "ComparisonReport",
     "RelationFitReport",
     "Sector",
     "trusted_mask",
+    "block_split",
+    "block_eigh",
     "expm_hermitian",
     "compare",
+    "compare_blocks",
+    "worst_entries",
     "fit_left_diagonal",
     "relation_fit",
     "relation_fits",
@@ -39,17 +61,16 @@ def trusted_mask(n_blocks: int, space: FockSpace) -> np.ndarray:
     return np.tile(np.arange(space.cutoff) < space.trusted, n_blocks)
 
 
-def _components(mat: np.ndarray) -> np.ndarray:
-    """Connected-component label of each index of the symmetrised nonzero pattern.
+def _components(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
+    """Connected-component label of each of ``dim`` indices, edges (rows[i], cols[i]).
 
     Each label is the smallest index in its component: labels only ever
     drop to a neighbour's label or to the label of the index they name,
     both of which lie in the same component, until no edge joins two
     different labels.
     """
-    nonzero = mat != 0
-    rows, cols = np.nonzero(nonzero | nonzero.T)
-    label = np.arange(mat.shape[0])
+    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    label = np.arange(dim)
     while True:
         new = label.copy()
         np.minimum.at(new, rows, label[cols])
@@ -59,14 +80,67 @@ def _components(mat: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _blocks(label: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
+def _blocks(label: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, ...]:
     """``indices`` grouped by component ``label``: one (k, s) array per block size s.
 
     Rows are ascending, so a block keeps the lower triangle a whole eigh reads.
     """
     order = indices[np.argsort(label[indices], kind="stable")]
     _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
-    return [order[starts[sizes == size][:, None] + np.arange(size)] for size in np.unique(sizes)]
+    return tuple(
+        order[starts[sizes == size][:, None] + np.arange(size)] for size in np.unique(sizes)
+    )
+
+
+def _labels(entries: Entries, dim: int) -> np.ndarray:
+    """Component labels of the nonzero entries; refuses if an entry joins two labels."""
+    nonzero = entries.values != 0
+    rows, cols = entries.rows[nonzero], entries.cols[nonzero]
+    label = _components(rows, cols, dim)
+    if not np.array_equal(label[rows], label[cols]):
+        raise ValueError("block split left an entry between two blocks")
+    return label
+
+
+def block_split(n_blocks: int, space: FockSpace, entries: Entries) -> BlockSplit:
+    """The connected blocks of an operator's nonzero entries, over every composite index."""
+    dim = n_blocks * space.cutoff
+    return BlockSplit(n_blocks, space, _blocks(_labels(entries, dim), np.arange(dim)))
+
+
+@dataclass(frozen=True, eq=False)
+class BlockEigen:
+    """A Hermitian generator factored block by block: one stacked ``eigh`` per block size."""
+
+    split: BlockSplit
+    evals: tuple[np.ndarray, ...]
+    vecs: tuple[np.ndarray, ...]
+
+    def expm(self, scales) -> Blocked:
+        """exp(-i scale M) for every scale, stacked along a leading axis."""
+        scales = np.atleast_1d(np.asarray(scales, dtype=float))[:, None, None]
+        blocks = tuple(
+            (vecs * np.exp(-1j * scales * evals)[:, :, None, :]) @ vecs.conj().swapaxes(1, 2)
+            for evals, vecs in zip(self.evals, self.vecs)
+        )
+        return Blocked(self.split, self.split, blocks, Entries.none(scales.shape[:1]))
+
+
+def block_eigh(n_blocks: int, space: FockSpace, entries: Entries) -> BlockEigen:
+    """Factor the Hermitian operator with these (unbatched) entries, guard levels included.
+
+    Refuses non-finite or non-Hermitian input (max deviation above 1e-12).
+    The blocks come from the entries alone; the operator is exactly their
+    direct sum, so exponentiating each block is the exact exponential.
+    """
+    if not np.isfinite(entries.values).all():
+        raise ValueError("matrix has non-finite entries")
+    dev = entry_deviation(entries, -entries.dagger())
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |M - M+| = {dev:.3e}")
+    split = block_split(n_blocks, space, entries)
+    pairs = [np.linalg.eigh(block) for block in split.gather(entries).blocks]
+    return BlockEigen(split, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
 
 def expm_hermitian(m: CompositeOperator, scale: float) -> CompositeOperator:
@@ -81,18 +155,9 @@ def expm_hermitian(m: CompositeOperator, scale: float) -> CompositeOperator:
     route the closed forms are compared against.
     """
     mat = m.matrix
-    if not np.isfinite(mat).all():
-        raise ValueError("matrix has non-finite entries")
-    dev = np.abs(mat - mat.conj().T).max()
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |M - M+| = {dev:.3e}")
-    u = np.zeros_like(mat)
-    for idx in _blocks(_components(mat), np.arange(mat.shape[0])):
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        evals, vecs = np.linalg.eigh(mat[rows, cols])
-        phases = np.exp(-1j * scale * evals)[:, None, :]
-        u[rows, cols] = (vecs * phases) @ vecs.conj().swapaxes(1, 2)
-    return CompositeOperator(m.n_blocks, m.space, u)
+    rows, cols = np.nonzero(mat)
+    u = block_eigh(m.n_blocks, m.space, Entries(rows, cols, mat[rows, cols])).expm(scale)
+    return CompositeOperator.from_entries(m.n_blocks, m.space, u[0].entries())
 
 
 @dataclass(frozen=True)
@@ -126,6 +191,42 @@ def compare(closed: CompositeOperator, reference: CompositeOperator) -> Comparis
         location=loc,
         trusted_dim=closed.n_blocks * tr,
     )
+
+
+def worst_entries(op: Blocked, trusted: bool = True) -> list[ComparisonReport]:
+    """The largest |entry| of a blocked operator and where it sits, per leading batch index.
+
+    With ``trusted`` the block entries are restricted to trusted rows and
+    columns; entries outside the blocks always count.  Ties go to the first
+    entry in row-major order, as in :func:`compare`.
+    """
+    space = op.rows.space
+    c, tr = space.cutoff, space.trusted
+    rows, cols, values = op.entries()
+    keep = np.ones(rows.size, dtype=bool)
+    if trusted:
+        inside = rows.size - op.outside.rows.size  # entries() lists the outside ones last
+        keep[:inside] = (rows[:inside] % c < tr) & (cols[:inside] % c < tr)
+    dim = op.cols.n_blocks * c
+    key = rows[keep].astype(np.int64) * dim + cols[keep]
+    values = np.abs(values[..., keep]).reshape(-1, key.size)
+    best = values.max(axis=1)
+    hit = (values == best[:, None]) | np.isnan(values)
+    first = np.where(hit, key, np.iinfo(np.int64).max).min(axis=1)
+    reports = []
+    for value, flat in zip(best, first):
+        row, col = divmod(int(flat), dim)
+        reports.append(ComparisonReport(
+            max_abs_deviation=float(value),
+            location=(row // c, col // c, row % c, col % c),
+            trusted_dim=op.rows.n_blocks * tr,
+        ))
+    return reports
+
+
+def compare_blocks(closed: Blocked, reference: Blocked) -> list[ComparisonReport]:
+    """:func:`compare` for operands on one block split, one report per batch index."""
+    return worst_entries(closed - reference)
 
 
 def _fit_rows(target: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
@@ -172,12 +273,12 @@ class Sector(NamedTuple):
     matrix: np.ndarray
 
 
-def _sectors(n: int, space: FockSpace, a: np.ndarray, label: np.ndarray) -> list[Sector]:
-    """Blocks of coupling matrix ``a`` (component ``label``) on the trusted indices."""
+def _sectors(n: int, space: FockSpace, entries: Entries, label: np.ndarray) -> list[Sector]:
+    """Blocks of the coupling ``entries`` (component ``label``) on the trusted indices."""
     excitations = excitation(n, space)
+    split = BlockSplit(2**n, space, _blocks(label, np.flatnonzero(trusted_mask(2**n, space))))
     sectors: list[Sector] = []
-    for idx in _blocks(label, np.flatnonzero(trusted_mask(2**n, space))):
-        mats = a[idx[:, :, None], idx[:, None, :]]
+    for idx, mats in zip(split.groups, split.gather(entries).blocks):
         sectors += map(Sector, excitations[idx[:, 0]].tolist(), idx, mats)
     return sorted(sectors, key=lambda sector: sector.excitation)
 
@@ -189,8 +290,8 @@ def sector_decompose(n: int, space: FockSpace) -> list[Sector]:
     >= 2 keeps each sector connected, so its blocks are the excitation sectors;
     each restricted block is a small Hermitian matrix (dimension <= 2**n).
     """
-    a = coupling_operator(n, space).matrix
-    return _sectors(n, space, a, _components(a))
+    entries = coupling_entries(n, space)
+    return _sectors(n, space, entries, _labels(entries, 2**n * space.cutoff))
 
 
 def min_poly_degree(matrix: np.ndarray, tol: float | None = None) -> int:
@@ -247,18 +348,19 @@ def relation_fits(
     for power in powers:
         if power not in (3, 5):
             raise ValueError(f"power must be 3 or 5, got {power!r}")
-    a = coupling_operator(n, space).matrix
-    label = _components(a)
+    entries = coupling_entries(n, space)
+    dim = 2**n * space.cutoff
+    label = _labels(entries, dim)
+    split = BlockSplit(2**n, space, _blocks(label, np.arange(dim)))
     keep = trusted_mask(2**n, space)
     # row i of A, A^2, A^3 and A^5 = A^3 A^2 over the trusted columns of its block
-    rows = np.zeros((4, a.shape[0], 2**n), dtype=complex)
-    for idx in _blocks(label, np.arange(a.shape[0])):
-        p1 = a[idx[:, :, None], idx[:, None, :]]
+    rows = np.zeros((4, dim, 2**n), dtype=complex)
+    for idx, p1 in zip(split.groups, split.gather(entries).blocks):
         p2 = p1 @ p1
         p3 = p2 @ p1
         rows[:, idx, : idx.shape[1]] = np.stack([p1, p2, p3, p3 @ p2]) * keep[idx][:, None, :]
     a_pow = dict(zip((1, 2, 3, 5), rows[:, keep]))
-    degrees = {s.excitation: min_poly_degree(s.matrix) for s in _sectors(n, space, a, label)}
+    degrees = {s.excitation: min_poly_degree(s.matrix) for s in _sectors(n, space, entries, label)}
     reports = []
     for power in powers:
         values, residual = _fit_rows(a_pow[power], a_pow[power - 2])

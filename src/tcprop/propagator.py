@@ -5,8 +5,8 @@ polynomial relation (A^2 is diagonal for one atom, A^3 = D A for two), so
 exp(-i t g A) collapses to a few terms f(N) a^k on atomic blocks, f built
 from the entire functions cosz and sincz of (t g)^2 d(m).  Each closed form
 is one :class:`SpectralTable` of such terms, evaluated for a vector of
-times at once; it assembles the dense operator or acts on a state directly
-at O(terms x cutoff) work per time point.  The lowest two-atom branch
+times at once; it lists its entries, assembles the dense operator or acts
+on a state directly, at O(terms x cutoff) work per time point.  The lowest two-atom branch
 d(m) = 2(2m - 1) is negative at m = 0, where cosz is a cosh that overflows
 for large |t g|; that entry is masked (never evaluated, set to its limit).
 
@@ -22,8 +22,8 @@ from math import sqrt
 
 import numpy as np
 
-from .fock import FockSpace, annihilator, cosz, creator, sincz
-from .spinchain import CompositeOperator, excitation
+from .fock import FockSpace, annihilator_entries, cosz, sincz
+from .spinchain import CompositeOperator, Entries, excitation, join_entries, kron_entries
 
 __all__ = [
     "GaussFactors",
@@ -33,6 +33,10 @@ __all__ = [
     "one_atom_table",
     "two_atom_table",
     "spin_one_table",
+    "reduced_table",
+    "gauss_tables",
+    "free_phase",
+    "reduction_entries",
     "evolve_one_atom",
     "evolve_two_atoms",
     "evolve_full",
@@ -47,7 +51,7 @@ __all__ = [
 _SQRT2 = sqrt(2.0)
 
 
-def _entries(coef: np.ndarray, k: int) -> np.ndarray:
+def _term_values(coef: np.ndarray, k: int) -> np.ndarray:
     """Entries of f(N) a^k (a negative k means (a+)^-k) on the row levels where it has one.
 
     Ladder factors are multiplied in one at a time, as in f(N) @ a @ a, so
@@ -82,14 +86,24 @@ class SpectralTable:
         )
         return cls(len(rows), space, terms)
 
-    def to_dense(self, i: int = 0) -> CompositeOperator:
-        """The dense operator at the i-th time of the table."""
+    def entries(self) -> Entries:
+        """Every term's entries, values of shape (times, count): O(terms x cutoff) work."""
         c = self.space.cutoff
-        mat = np.zeros((self.n_blocks * c, self.n_blocks * c), dtype=complex)
+        times = max(coef.shape[0] for *_, coef in self.terms)
+        rows, cols, values = [], [], []
         for row, col, k, coef in self.terms:
             m = np.arange(max(0, -k), c - max(0, k))
-            mat[row * c + m, col * c + m + k] = _entries(coef[i], k)
-        return CompositeOperator(self.n_blocks, self.space, mat)
+            rows.append(row * c + m)
+            cols.append(col * c + m + k)
+            term = _term_values(coef, k)
+            if term.shape[0] != times:
+                term = np.broadcast_to(term, (times, m.size))
+            values.append(term)
+        return Entries(np.concatenate(rows), np.concatenate(cols), np.concatenate(values, axis=-1))
+
+    def to_dense(self, i: int = 0) -> CompositeOperator:
+        """The dense operator at the i-th time of the table."""
+        return CompositeOperator.from_entries(self.n_blocks, self.space, self.entries().at(i))
 
     def apply(self, state: np.ndarray, phase: np.ndarray) -> np.ndarray:
         """diag(phase) U state at every time of the table, without forming U.
@@ -111,7 +125,7 @@ class SpectralTable:
         re_u, im_u = np.zeros((2, n_times, self.n_blocks, c), dtype=complex)
         for row, col, k, coef in self.terms:
             lo, hi = max(0, -k), c - max(0, k)
-            entries = phase[:, row, lo:hi] * _entries(coef, k)
+            entries = phase[:, row, lo:hi] * _term_values(coef, k)
             x = psi[col, lo + k : hi + k]
             re_u[:, row, lo:hi] += entries.real * x
             im_u[:, row, lo:hi] += entries.imag * x
@@ -258,19 +272,12 @@ class GaussFactors:
         return self.lower @ self.diagonal @ self.upper
 
 
-def gauss_decompose_one_atom(
+def gauss_tables(
     space: FockSpace, t: float, g: float, tau_sing: float = 1e-8
-) -> GaussFactors:
-    """Triangular factorization of the one-atom propagator.
+) -> tuple[SpectralTable, SpectralTable, SpectralTable]:
+    """The (lower, diagonal, upper) factors of :func:`gauss_decompose_one_atom` as tables.
 
-        exp(-i t g A) = lower @ diagonal @ upper
-
-    with lower = [[1, 0], [-i tan(tg sqrt(N))/sqrt(N) a+, 1]],
-    diagonal = [[cos(tg sqrt(N+1)), 0], [0, 1/cos(tg sqrt(N))]] and
-    upper = [[1, -i tan(tg sqrt(N+1))/sqrt(N+1) a], [0, 1]].
-
-    Refuses with :class:`GaussSingularityError` when |cos(tg sqrt(m))| falls
-    below ``tau_sing`` for any level m in 0..cutoff-1.
+    Refuses with :class:`GaussSingularityError` as that function does.
     """
     c = space.cutoff
     tg = _column(t) * g
@@ -287,15 +294,30 @@ def gauss_decompose_one_atom(
     # the same function of N+1, at the row level m
     tan_up = np.pad(tan[:, 1:], ((0, 0), (0, 1)))
     one = (0, np.ones((1, c)))
-
-    def dense(rows) -> CompositeOperator:
-        return SpectralTable.from_rows(space, rows).to_dense()
-
-    return GaussFactors(
-        lower=dense([[one, None], [(-1, tan), one]]),
-        diagonal=dense([[(0, cos_l[:, 1:]), None], [None, (0, 1.0 / cos_l[:, :c])]]),
-        upper=dense([[one, (1, tan_up)], [None, one]]),
+    return (
+        SpectralTable.from_rows(space, [[one, None], [(-1, tan), one]]),
+        SpectralTable.from_rows(
+            space, [[(0, cos_l[:, 1:]), None], [None, (0, 1.0 / cos_l[:, :c])]]
+        ),
+        SpectralTable.from_rows(space, [[one, (1, tan_up)], [None, one]]),
     )
+
+
+def gauss_decompose_one_atom(
+    space: FockSpace, t: float, g: float, tau_sing: float = 1e-8
+) -> GaussFactors:
+    """Triangular factorization of the one-atom propagator.
+
+        exp(-i t g A) = lower @ diagonal @ upper
+
+    with lower = [[1, 0], [-i tan(tg sqrt(N))/sqrt(N) a+, 1]],
+    diagonal = [[cos(tg sqrt(N+1)), 0], [0, 1/cos(tg sqrt(N))]] and
+    upper = [[1, -i tan(tg sqrt(N+1))/sqrt(N+1) a], [0, 1]].
+
+    Refuses with :class:`GaussSingularityError` when |cos(tg sqrt(m))| falls
+    below ``tau_sing`` for any level m in 0..cutoff-1.
+    """
+    return GaussFactors(*(table.to_dense() for table in gauss_tables(space, t, g, tau_sing)))
 
 
 def closed_form_table(n: int, space: FockSpace, t, g: float) -> SpectralTable:
@@ -308,7 +330,7 @@ def closed_form_table(n: int, space: FockSpace, t, g: float) -> SpectralTable:
     return (one_atom_table if n == 1 else two_atom_table)(space, t, g)
 
 
-def _free_phase(n: int, space: FockSpace, t, omega: float) -> np.ndarray:
+def free_phase(n: int, space: FockSpace, t, omega: float) -> np.ndarray:
     """exp(-i t omega (S_3 + N)) on the composite basis, one row per time."""
     return np.exp(-1j * _column(t) * omega * excitation(n, space))
 
@@ -321,7 +343,7 @@ def evolve_full(n: int, space: FockSpace, t: float, omega: float, g: float) -> C
     three atoms.
     """
     interaction = closed_form_table(n, space, t, g).to_dense()
-    phase = _free_phase(n, space, t, omega)[0]
+    phase = free_phase(n, space, t, omega)[0]
     return CompositeOperator(interaction.n_blocks, space, phase[:, None] * interaction.matrix)
 
 
@@ -334,7 +356,29 @@ def evolve_states(
     work per time point instead of O((2**n cutoff)^2); memory grows with
     len(times), so pass long trajectories in chunks.
     """
-    return closed_form_table(n, space, times, g).apply(state, _free_phase(n, space, times, omega))
+    return closed_form_table(n, space, times, g).apply(state, free_phase(n, space, times, omega))
+
+
+def reduction_entries(space: FockSpace) -> tuple[Entries, Entries, np.ndarray]:
+    """The entries of :func:`reduction_transform`'s (ST kron 1, B), and S as an index map.
+
+    ST acts on the atomic index alone; S is a permutation, which the
+    returned order gives: S moves atomic state j to position order[j].
+    """
+    r = 1.0 / _SQRT2
+    t_mat = np.array(
+        [[1, 0, 0, 0], [0, r, -r, 0], [0, r, r, 0], [0, 0, 0, 1]], dtype=complex
+    )
+    s_mat = np.array(
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex
+    )
+    c = space.cutoff
+    levels = np.arange(c)
+    similarity = kron_entries(s_mat @ t_mat, Entries(levels, levels, np.ones(c, dtype=complex)), c)
+    j_plus = _SQRT2 * np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
+    a = Entries(*annihilator_entries(space))
+    b = join_entries(kron_entries(j_plus, a, c), kron_entries(j_plus.conj().T, a.dagger(), c))
+    return similarity, b, np.argmax(s_mat.real, axis=0)
 
 
 def reduction_transform(space: FockSpace) -> tuple[CompositeOperator, CompositeOperator]:
@@ -349,19 +393,17 @@ def reduction_transform(space: FockSpace) -> tuple[CompositeOperator, CompositeO
 
     The singlet decouples; B is the spin-1 coupling operator on 3 blocks.
     """
-    r = 1.0 / _SQRT2
-    t_mat = np.array(
-        [[1, 0, 0, 0], [0, r, -r, 0], [0, r, r, 0], [0, 0, 0, 1]], dtype=complex
-    )
-    s_mat = np.array(
-        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex
-    )
-    similarity = CompositeOperator(
-        4, space, np.kron(s_mat @ t_mat, np.eye(space.cutoff, dtype=complex))
-    )
-    j_plus = _SQRT2 * np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
-    b_mat = np.kron(j_plus, annihilator(space)) + np.kron(j_plus.conj().T, creator(space))
-    return similarity, CompositeOperator(3, space, b_mat)
+    similarity, b, _ = reduction_entries(space)
+    return (CompositeOperator.from_entries(4, space, similarity),
+            CompositeOperator.from_entries(3, space, b))
+
+
+def reduced_table(space: FockSpace, t, g: float) -> SpectralTable:
+    """blockdiag(1, exp(-i t g B)) on the reduced basis (singlet first) at the time(s) t."""
+    spin1 = spin_one_table(space, t, g)
+    one = np.ones((np.size(t), space.cutoff))
+    shifted = tuple((row + 1, col + 1, k, coef) for row, col, k, coef in spin1.terms)
+    return SpectralTable(4, space, ((0, 0, 0, one), *shifted))
 
 
 def reconstruct_two_atoms(space: FockSpace, t: float, g: float) -> CompositeOperator:
@@ -371,11 +413,7 @@ def reconstruct_two_atoms(space: FockSpace, t: float, g: float) -> CompositeOper
     :func:`evolve_two_atoms` on the trusted subspace.
     """
     similarity, _ = reduction_transform(space)
-    spin1 = evolve_spin_one(space, t, g)
-    c = space.cutoff
-    block = np.eye(4 * c, dtype=complex)
-    block[c:, c:] = spin1.matrix
-    inner = CompositeOperator(4, space, block)
+    inner = reduced_table(space, t, g).to_dense()
     return similarity.dagger() @ inner @ similarity
 
 

@@ -6,28 +6,43 @@ index 0 and |g..g> is index L-1, L = 2**n, atom 1 being the leftmost
 kron(atomic, field): atomic index slow, photon index fast.  With this
 ordering the coupling operator of one atom is [[0, a], [a+, 0]] and larger
 atom counts nest recursively.
+
+An operator comes in one of three forms: a dense
+:class:`CompositeOperator`; its nonzero :class:`Entries`, which the coupling
+and the Hamiltonian are built as, from S+- and the ladder entries; or
+:class:`Blocked`, its (k, s, s) blocks on a :class:`BlockSplit`, a grouping
+of the composite indices into blocks the operator does not couple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fock import FockSpace, annihilator, creator, number
+from .fock import FockSpace, annihilator_entries
 
 __all__ = [
     "SIGMA_PLUS",
     "SIGMA_MINUS",
     "SIGMA_3",
     "CompositeOperator",
+    "Entries",
+    "BlockSplit",
+    "Blocked",
     "Hamiltonian",
     "embed_sigma",
     "collective",
+    "kron_entries",
+    "join_entries",
+    "entry_deviation",
+    "coupling_entries",
     "coupling_operator",
     "excitation",
     "hamiltonian",
+    "hamiltonian_entries",
     "atomic_labels",
 ]
 
@@ -120,6 +135,16 @@ class CompositeOperator:
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
+    def from_entries(
+        cls, n_blocks: int, space: FockSpace, entries: "Entries"
+    ) -> "CompositeOperator":
+        """Assemble from an entry list with unbatched values; entries listed twice add."""
+        dim = n_blocks * space.cutoff
+        mat = np.zeros((dim, dim), dtype=complex)
+        np.add.at(mat, (entries.rows, entries.cols), entries.values)
+        return cls(n_blocks, space, mat)
+
+    @classmethod
     def identity(cls, n_blocks: int, space: FockSpace) -> "CompositeOperator":
         return cls(n_blocks, space, np.eye(n_blocks * space.cutoff, dtype=complex))
 
@@ -183,16 +208,221 @@ class CompositeOperator:
     __rmul__ = __mul__
 
 
+class Entries(NamedTuple):
+    """Entries of a composite operator: ``values[..., i]`` sits at (rows[i], cols[i]).
+
+    Leading axes of ``values`` index a batch, such as the times of a table;
+    an entry listed twice adds.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    def __neg__(self) -> "Entries":
+        return Entries(self.rows, self.cols, -self.values)
+
+    def transpose(self) -> "Entries":
+        return Entries(self.cols, self.rows, self.values)
+
+    def dagger(self) -> "Entries":
+        return Entries(self.cols, self.rows, np.conj(self.values))
+
+    def at(self, i: int) -> "Entries":
+        """The entries at batch index i."""
+        return Entries(self.rows, self.cols, self.values[i])
+
+    @classmethod
+    def none(cls, batch: tuple[int, ...] = ()) -> "Entries":
+        """An empty list with values of batch shape ``batch``."""
+        return cls(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(batch + (0,)))
+
+
+def join_entries(*parts: Entries) -> Entries:
+    """One entry list holding every part, values broadcast to a common batch shape."""
+    batch = np.broadcast_shapes(*(part.values.shape[:-1] for part in parts))
+    return Entries(
+        np.concatenate([part.rows for part in parts]),
+        np.concatenate([part.cols for part in parts]),
+        np.concatenate(
+            [part.values if part.values.shape[:-1] == batch
+             else np.broadcast_to(part.values, batch + part.values.shape[-1:]) for part in parts],
+            axis=-1,
+        ),
+    )
+
+
+def entry_deviation(*terms: Entries) -> float:
+    """max |sum of the terms| over the union of their positions; unbatched values.
+
+    Subtract by passing a negated list: a position both lists hold sums to
+    0 + x + (-y), which is x - y exactly, as a dense difference gives it.
+    """
+    both = join_entries(*terms)
+    if both.rows.size == 0:
+        return 0.0
+    key = both.rows.astype(np.int64) * (int(both.cols.max()) + 1) + both.cols
+    _, inverse = np.unique(key, return_inverse=True)
+    values = np.asarray(both.values, dtype=complex)
+    total = np.bincount(inverse, values.real) + 1j * np.bincount(inverse, values.imag)
+    return float(np.abs(total).max())
+
+
+def kron_entries(atomic: np.ndarray, field: Entries, cutoff: int) -> Entries:
+    """Entries of kron(atomic, F) from a small atomic matrix and the entries of F."""
+    i, j = np.nonzero(atomic)
+    return Entries(
+        (i[:, None] * cutoff + field.rows).ravel(),
+        (j[:, None] * cutoff + field.cols).ravel(),
+        (atomic[i, j][:, None] * field.values).ravel(),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class BlockSplit:
+    """Composite indices grouped into blocks: one (k, s) index array per block size s.
+
+    Row b of a group lists the s indices of one block.  An operator with no
+    entry between two blocks is the direct sum of its (k, s, s) blocks, so
+    any product or comparison of such operators is a stack of small ones.
+    """
+
+    n_blocks: int
+    space: FockSpace
+    groups: tuple[np.ndarray, ...]
+
+    @cached_property
+    def where(self) -> np.ndarray:
+        """(group, block, position) of each composite index, shape (3, dim); -1 outside all."""
+        where = np.full((3, self.n_blocks * self.space.cutoff), -1)
+        for group, idx in enumerate(self.groups):
+            where[0, idx] = group
+            where[1, idx] = np.arange(idx.shape[0])[:, None]
+            where[2, idx] = np.arange(idx.shape[1])
+        return where
+
+    def relabel(self, order: np.ndarray) -> "BlockSplit":
+        """The split with atomic index j renamed order[j] in every block, photon levels kept."""
+        c = self.space.cutoff
+        return BlockSplit(
+            self.n_blocks, self.space,
+            tuple(np.asarray(order)[idx // c] * c + idx % c for idx in self.groups),
+        )
+
+    def gather(self, entries: Entries, cols: "BlockSplit | None" = None) -> "Blocked":
+        """The entries as blocks, rows placed by this split and columns by ``cols``.
+
+        ``cols`` (default: this split) must have the same block shapes.  An
+        entry whose row and column fall in different blocks, or outside every
+        block, is kept in ``outside``, never dropped.
+        """
+        cols = self if cols is None else cols
+        grp, blk, pos = self.where[:, entries.rows]
+        col_grp, col_blk, col_pos = cols.where[:, entries.cols]
+        inside = (grp >= 0) & (grp == col_grp) & (blk == col_blk)
+        batch = entries.values.shape[:-1]
+        blocks = []
+        for group, idx in enumerate(self.groups):
+            k, s = idx.shape
+            out = np.zeros(batch + (k, s, s), dtype=complex)
+            sel = inside & (grp == group)
+            np.add.at(out, (Ellipsis, blk[sel], pos[sel], col_pos[sel]), entries.values[..., sel])
+            blocks.append(out)
+        out = ~inside
+        outside = Entries(entries.rows[out], entries.cols[out], entries.values[..., out])
+        return Blocked(self, cols, tuple(blocks), outside)
+
+
+@dataclass(frozen=True, eq=False)
+class Blocked:
+    """An operator as (..., k, s, s) blocks: rows grouped by ``rows``, columns by ``cols``.
+
+    Leading axes index a batch (e.g. times).  ``outside`` holds the entries
+    that fell between blocks; products, sums and comparisons carry them
+    along, so such an entry always counts at its full size.
+    """
+
+    rows: BlockSplit
+    cols: BlockSplit
+    blocks: tuple[np.ndarray, ...]
+    outside: Entries
+
+    @classmethod
+    def identity(cls, split: BlockSplit) -> "Blocked":
+        eye = tuple(np.broadcast_to(np.eye(idx.shape[1]), idx.shape + idx.shape[1:])
+                    for idx in split.groups)
+        return cls(split, split, eye, Entries.none())
+
+    def _map(self, fn) -> "Blocked":
+        """Apply an elementwise ``fn`` to every block and outside value."""
+        out = self.outside
+        return Blocked(self.rows, self.cols, tuple(map(fn, self.blocks)),
+                       Entries(out.rows, out.cols, fn(out.values)))
+
+    def __getitem__(self, i) -> "Blocked":
+        """Batch index i."""
+        return self._map(lambda x: x[i])
+
+    def __rmul__(self, scalar) -> "Blocked":
+        return self._map(lambda x: scalar * x)
+
+    def __truediv__(self, scalar) -> "Blocked":
+        return self._map(lambda x: x / scalar)
+
+    def __matmul__(self, other: "Blocked") -> "Blocked":
+        if self.cols is not other.rows:
+            raise ValueError("operands live on different block splits")
+        blocks = tuple(x @ y for x, y in zip(self.blocks, other.blocks))
+        return Blocked(self.rows, other.cols, blocks, join_entries(self.outside, other.outside))
+
+    def __sub__(self, other: "Blocked") -> "Blocked":
+        if other.rows is not self.rows or other.cols is not self.cols:
+            raise ValueError("operands live on different block splits")
+        blocks = tuple(x - y for x, y in zip(self.blocks, other.blocks))
+        return Blocked(self.rows, self.cols, blocks, join_entries(self.outside, -other.outside))
+
+    def dagger(self) -> "Blocked":
+        return Blocked(self.cols, self.rows, tuple(x.conj().swapaxes(-1, -2) for x in self.blocks),
+                       self.outside.dagger())
+
+    def scale_rows(self, vec: np.ndarray) -> "Blocked":
+        """diag(vec) times the operator; ``vec`` is (..., dim) over composite indices."""
+        out = self.outside
+        blocks = tuple(
+            vec[..., idx][..., None] * x for idx, x in zip(self.rows.groups, self.blocks)
+        )
+        return Blocked(self.rows, self.cols, blocks,
+                       Entries(out.rows, out.cols, vec[..., out.rows] * out.values))
+
+    def entries(self) -> Entries:
+        """Every stored entry, block entries first; values keep the batch axes."""
+        parts = []
+        for ridx, cidx, x in zip(self.rows.groups, self.cols.groups, self.blocks):
+            shape = ridx.shape + ridx.shape[1:]
+            parts.append(Entries(
+                np.broadcast_to(ridx[:, :, None], shape).ravel(),
+                np.broadcast_to(cidx[:, None, :], shape).ravel(),
+                x.reshape(x.shape[:-3] + (-1,)),
+            ))
+        return join_entries(*parts, self.outside)
+
+
+def coupling_entries(n: int, space: FockSpace) -> Entries:
+    """Entries of the atom-field coupling S_plus kron a + S_minus kron a+, built from S+- and a."""
+    _check_atoms(n)
+    s_plus, s_minus, _ = collective(n)
+    a = Entries(*annihilator_entries(space))
+    c = space.cutoff
+    return join_entries(kron_entries(s_plus, a, c), kron_entries(s_minus, a.dagger(), c))
+
+
 def coupling_operator(n: int, space: FockSpace) -> CompositeOperator:
     """Atom-field coupling S_plus kron a + S_minus kron a+.
 
     Hermitian, and commutes with the excitation operator exactly even under
     truncation (every nonzero entry connects states of equal excitation).
     """
-    _check_atoms(n)
-    s_plus, s_minus, _ = collective(n)
-    mat = np.kron(s_plus, annihilator(space)) + np.kron(s_minus, creator(space))
-    return CompositeOperator(2**n, space, mat)
+    return CompositeOperator.from_entries(2**n, space, coupling_entries(n, space))
 
 
 class Hamiltonian(NamedTuple):
@@ -209,11 +439,22 @@ def hamiltonian(n: int, space: FockSpace, omega: float, delta: float, g: float) 
     operator and commutes with the interaction.
     """
     _check_atoms(n)
-    s_plus, s_minus, s_3 = collective(n)
-    eye_f = np.eye(space.cutoff, dtype=complex)
-    eye_a = np.eye(2**n, dtype=complex)
-    free = CompositeOperator(
-        2**n, space, omega * np.kron(eye_a, number(space)) + delta * np.kron(s_3, eye_f)
-    )
+    free = CompositeOperator.from_entries(2**n, space, _free_entries(n, space, omega, delta))
     interaction = g * coupling_operator(n, space)
     return Hamiltonian(free + interaction, free, interaction)
+
+
+def _free_entries(n: int, space: FockSpace, omega: float, delta: float) -> Entries:
+    """Entries of the free part omega 1 kron N + delta S_3 kron 1, all on the diagonal."""
+    s_3 = np.diag(collective(n)[2]).real
+    diagonal = (omega * np.arange(space.cutoff)[None, :] + delta * s_3[:, None]).ravel()
+    levels = np.arange(diagonal.size)
+    return Entries(levels, levels, diagonal + 0j)
+
+
+def hamiltonian_entries(n: int, space: FockSpace, omega: float, delta: float, g: float) -> Entries:
+    """Entries of :func:`hamiltonian`'s total: omega N + delta S_3 on the diagonal, g A off it."""
+    _check_atoms(n)
+    a = coupling_entries(n, space)
+    return join_entries(_free_entries(n, space, omega, delta),
+                        Entries(a.rows, a.cols, a.values * complex(g)))

@@ -2,9 +2,17 @@
 
 Grids are fixed so output depends only on atoms, cutoff, guard and tol.
 Identities the construction makes exact carry tolerance 0; those checked
-through a dense product carry four ulps of the largest reference entry.
+through a product carry four ulps of the largest reference entry.
 Structured references are built from their displayed block rows as a
 :class:`SpectralTable`, never from the kron sums they are checked against.
+
+No check forms a dense (2**n cutoff)^2 matrix.  The tolerance-0 checks
+compare entry lists.  Every other check runs on the blocks the oracle
+finds in the generator's entries: closed forms, factors and references are
+gathered into those blocks, at most 2**n levels each, and every product is
+a stack of small ones.  A closed-form entry that falls between blocks
+counts in full.  The oracle factors each generator once and exponentiates
+a whole grid of scales in one batched product.
 """
 
 from __future__ import annotations
@@ -14,18 +22,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace
-from .oracle import compare, expm_hermitian, trusted_mask
+from .oracle import block_eigh, block_split, compare_blocks, worst_entries
 from .propagator import (
     SpectralTable,
     closed_form_table,
-    evolve_full,
-    evolve_one_atom,
-    evolve_two_atoms,
-    gauss_decompose_one_atom,
-    reconstruct_two_atoms,
-    reduction_transform,
+    free_phase,
+    gauss_tables,
+    one_atom_table,
+    reduced_table,
+    reduction_entries,
+    two_atom_table,
 )
-from .spinchain import CompositeOperator, collective, coupling_operator, excitation, hamiltonian
+from .spinchain import (
+    Blocked,
+    BlockSplit,
+    Entries,
+    collective,
+    coupling_entries,
+    entry_deviation,
+    excitation,
+    hamiltonian_entries,
+)
 
 __all__ = ["CheckResult", "gauss_deviations", "run_checks"]
 
@@ -47,11 +64,6 @@ def _result(name: str, dev, tol, note: str = "") -> CheckResult:
     dev = float(dev)
     tol = float(tol)
     return CheckResult(name, dev, tol, dev <= tol, note)
-
-
-def _tmax(matrix: np.ndarray, n_blocks: int, space: FockSpace) -> float:
-    keep = trusted_mask(n_blocks, space)
-    return float(np.abs(matrix[np.ix_(keep, keep)]).max())
 
 
 def _pattern_rows(n: int, space: FockSpace) -> list:
@@ -88,34 +100,68 @@ def _spin1_rows(space: FockSpace) -> list:
 
 
 def _four_ulps(largest: float) -> float:
-    """Bound of an exact identity checked through dense products: four ulps of its largest entry."""
+    """Bound of an exact identity checked through products: four ulps of its largest entry."""
     return 4 * np.finfo(float).eps * largest
 
 
-def _schrodinger_ratio(n: int, space: FockSpace, h_mat: np.ndarray, mid: np.ndarray) -> float:
-    """Central-difference residual of i dU/dt = H U at U(0.7), step 1e-4 over step 5e-5.
-
-    ``h_mat`` is H(omega = delta = g = 1) and ``mid`` the closed-form U(0.7).
-    """
-    t, h = 0.7, 1e-4
-
-    def residual(step: float) -> float:
-        up = evolve_full(n, space, t + step, 1.0, 1.0).matrix
-        dn = evolve_full(n, space, t - step, 1.0, 1.0).matrix
-        return _tmax(1j * (up - dn) / (2 * step) - h_mat @ mid, 2**n, space)
-
-    return residual(h) / residual(h / 2)
+def _tmax(op: Blocked, trusted: bool = True) -> float:
+    """Largest |entry| of ``op`` over every batch index; see :func:`worst_entries`."""
+    return max(report.max_abs_deviation for report in worst_entries(op, trusted))
 
 
 def gauss_deviations(space: FockSpace, t: float, g: float) -> tuple[float, float]:
     """One-atom triangular factorization at (t, g): (product deviation, max|lower - upper^T|).
 
     The first is the trusted deviation of lower @ diagonal @ upper from the
-    closed form; the second checks the shift identity f(N) a+ = a+ f(N+1).
+    closed form, on the blocks of the one-atom coupling; the second checks
+    the shift identity f(N) a+ = a+ f(N+1) on the factors' entry lists.
     """
-    factors = gauss_decompose_one_atom(space, t, g)
-    product = compare(factors.product(), evolve_one_atom(space, t, g)).max_abs_deviation
-    return product, float(np.abs(factors.lower.matrix - factors.upper.matrix.T).max())
+    lower, diagonal, upper = (table.entries() for table in gauss_tables(space, t, g))
+    split = block_split(2, space, coupling_entries(1, space))
+    product = split.gather(lower) @ split.gather(diagonal) @ split.gather(upper)
+    closed = split.gather(one_atom_table(space, t, g).entries())
+    variant = entry_deviation(lower.at(0), -upper.at(0).transpose())
+    return compare_blocks(product, closed)[0].max_abs_deviation, variant
+
+
+def _reduction_checks(space: FockSpace, split: BlockSplit, a_op: Blocked) -> list[CheckResult]:
+    """The spin-1 reduction, on ``split`` and on its image under the swap S."""
+    similarity, b_entries, order = reduction_entries(space)
+    reduced_split = split.relabel(order)
+    sim = reduced_split.gather(similarity, split)
+    results = [_result("reduction-orthogonal",
+                       _tmax(sim @ sim.dagger() - Blocked.identity(reduced_split), False), 1e-15)]
+    # blockdiag(0, B): B on the three atomic blocks after the singlet
+    c = space.cutoff
+    ref = reduced_split.gather(Entries(b_entries.rows + c, b_entries.cols + c, b_entries.values))
+    reduced = sim @ a_op @ sim.dagger()
+    results.append(_result("reduction-blockdiag", _tmax(reduced - ref, False),
+                           _four_ulps(_tmax(ref, False))))
+    b_ref = SpectralTable.from_rows(space, _spin1_rows(space)).entries().at(0)
+    results.append(_result("spin1-pattern", entry_deviation(b_entries, -b_ref), 0.0))
+    recon = sim.dagger() @ reduced_split.gather(reduced_table(space, 0.9, 0.8).entries()) @ sim
+    recon_dev = compare_blocks(recon, split.gather(two_atom_table(space, 0.9, 0.8).entries()))[0]
+    results.append(_result("reduction-reconstruction", recon_dev.max_abs_deviation, 1e-10))
+    u_two = two_atom_table(space, 0.7, 1.3).entries().at(0)
+
+    def block(i: int, j: int) -> Entries:
+        """The (i, j) field block of the two-atom propagator, indexed by photon levels."""
+        keep = (u_two.rows // c == i) & (u_two.cols // c == j)
+        return Entries(u_two.rows[keep] % c, u_two.cols[keep] % c, u_two.values[keep])
+
+    levels = np.arange(c)
+    eye = Entries(levels, levels, np.ones(c))
+    ident = max(
+        entry_deviation(block(1, 1), -block(2, 2)),
+        entry_deviation(block(1, 2), -block(2, 1)),
+        entry_deviation(block(0, 1), -block(0, 2)),
+        entry_deviation(block(1, 0), -block(2, 0)),
+        entry_deviation(block(1, 3), -block(2, 3)),
+        entry_deviation(block(3, 1), -block(3, 2)),
+        entry_deviation(block(1, 1), -block(1, 2), -eye),
+    )
+    results.append(_result("two-atom-block-identities", ident, 1e-12))
+    return results
 
 
 def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult], list[str]]:
@@ -131,57 +177,53 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
     )
     results.append(_result("su2-relations", dev, 0.0))
 
-    a_op = coupling_operator(n, space)
-    pattern = SpectralTable.from_rows(space, _pattern_rows(n, space)).to_dense()
-    results.append(_result("coupling-pattern", np.abs(a_op.matrix - pattern.matrix).max(), 0.0))
-    results.append(
-        _result("coupling-hermitian", np.abs(a_op.matrix - a_op.matrix.conj().T).max(), 0.0)
-    )
+    a = coupling_entries(n, space)
+    pattern = SpectralTable.from_rows(space, _pattern_rows(n, space)).entries().at(0)
+    results.append(_result("coupling-pattern", entry_deviation(a, -pattern), 0.0))
+    results.append(_result("coupling-hermitian", entry_deviation(a, -a.dagger()), 0.0))
     # a diagonal operator multiplies as a vector: A E scales columns, E A rows
     e = excitation(n, space)
-    commutator = a_op.matrix * e[None, :] - e[:, None] * a_op.matrix
+    commutator = a.values * e[a.cols] - e[a.rows] * a.values
     results.append(_result("excitation-commutes", np.abs(commutator).max(), 0.0))
 
     if n == 3:
         notes.append("no closed-form propagator exists for three atoms; propagator checks skipped")
         return results, notes
 
-    sq_ref = SpectralTable.from_rows(space, _square_rows(n, space)).to_dense()
+    oracle = block_eigh(2**n, space, a)
+    split = oracle.split
+    a_op = split.gather(a)
+    sq_ref = split.gather(SpectralTable.from_rows(space, _square_rows(n, space)).entries())
     a_sq = a_op @ a_op
     results.append(
-        _result(
-            "key-relation-squared",
-            compare(a_sq, sq_ref).max_abs_deviation,
-            _four_ulps(_tmax(sq_ref.matrix, 2**n, space)),
-        )
+        _result("key-relation-squared", _tmax(a_sq - sq_ref), _four_ulps(_tmax(sq_ref)))
     )
     if n == 2:
         # A^3 = D A with D = 2(2E + 1) = diag(2(2N+3), 2(2N+1), 2(2N+1), 2(2N-1))
-        cube_ref = CompositeOperator(4, space, (2 * (2 * e + 1))[:, None] * a_op.matrix)
-        results.append(
-            _result(
-                "key-relation-cubed",
-                compare(a_sq @ a_op, cube_ref).max_abs_deviation,
-                _four_ulps(_tmax(cube_ref.matrix, 4, space)),
-            )
-        )
+        cube_ref = a_op.scale_rows(2 * (2 * e + 1))
+        cube_dev = _tmax(a_sq @ a_op - cube_ref)
+        results.append(_result("key-relation-cubed", cube_dev, _four_ulps(_tmax(cube_ref))))
 
     # the closed forms depend on t and g only through t*g: one table per grid, g = 1
     oracle_grid = [(t_val, g_val) for t_val in ORACLE_T for g_val in ORACLE_G]
-    oracle_table = closed_form_table(n, space, [t * g for t, g in oracle_grid], 1.0)
-    oracle_runs = []
-    for i, (t_val, g_val) in enumerate(oracle_grid):
-        report = compare(oracle_table.to_dense(i), expm_hermitian(a_op, t_val * g_val))
-        oracle_runs.append((report, t_val, g_val))
-    worst, t_val, g_val = max(oracle_runs, key=lambda run: run[0].max_abs_deviation)
+    scales = [t_val * g_val for t_val, g_val in oracle_grid]
+    closed = split.gather(closed_form_table(n, space, scales, 1.0).entries())
+    reports = compare_blocks(closed, oracle.expm(scales))
+    i = max(range(len(reports)), key=lambda i: reports[i].max_abs_deviation)
+    (t_val, g_val), worst = oracle_grid[i], reports[i]
     block_row, block_col, photon_row, photon_col = worst.location
     note = (f"worst at t={t_val:g} g={g_val:g}, blocks ({block_row}, {block_col}), "
             f"photons ({photon_row}, {photon_col})")
     results.append(_result("closed-vs-oracle", worst.max_abs_deviation, tol, note=note))
 
-    h_total = hamiltonian(n, space, 1.0, 1.0, 1.0).total
-    full_closed = evolve_full(n, space, 0.7, 1.0, 1.0)
-    full_dev = compare(full_closed, expm_hermitian(h_total, 0.7)).max_abs_deviation
+    # U(t) with the free phase at t = 0.7 and the four points of the central differences
+    h = hamiltonian_entries(n, space, 1.0, 1.0, 1.0)
+    h_oracle = block_eigh(2**n, space, h)
+    t, step = 0.7, 1e-4
+    times = [t, t + step, t - step, t + step / 2, t - step / 2]
+    full = h_oracle.split.gather(closed_form_table(n, space, times, 1.0).entries())
+    full = full.scale_rows(free_phase(n, space, times, 1.0))
+    full_dev = compare_blocks(full[0], h_oracle.expm(t)[0])[0].max_abs_deviation
     results.append(_result("full-vs-oracle", full_dev, tol))
 
     if n == 1:
@@ -190,57 +232,25 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
         results.append(_result("gauss-variants", variant_dev, 1e-12))
 
     if n == 2:
-        similarity, b_op = reduction_transform(space)
-        ortho = similarity @ similarity.dagger()
-        eye_c = np.eye(4 * space.cutoff, dtype=complex)
-        results.append(_result("reduction-orthogonal", np.abs(ortho.matrix - eye_c).max(), 1e-15))
-        reduced = similarity @ a_op @ similarity.dagger()
-        ref = np.zeros_like(reduced.matrix)
-        ref[space.cutoff :, space.cutoff :] = b_op.matrix
-        blockdiag_dev = np.abs(reduced.matrix - ref).max()
-        results.append(
-            _result("reduction-blockdiag", blockdiag_dev, _four_ulps(np.abs(ref).max()))
-        )
-        b_ref = SpectralTable.from_rows(space, _spin1_rows(space)).to_dense()
-        results.append(_result("spin1-pattern", np.abs(b_op.matrix - b_ref.matrix).max(), 0.0))
-        recon = reconstruct_two_atoms(space, 0.9, 0.8)
-        results.append(
-            _result(
-                "reduction-reconstruction",
-                compare(recon, evolve_two_atoms(space, 0.9, 0.8)).max_abs_deviation,
-                1e-10,
-            )
-        )
-        u_two = evolve_two_atoms(space, 0.7, 1.3)
-        ident = max(
-            np.abs(u_two.block(1, 1) - u_two.block(2, 2)).max(),
-            np.abs(u_two.block(1, 2) - u_two.block(2, 1)).max(),
-            np.abs(u_two.block(0, 1) - u_two.block(0, 2)).max(),
-            np.abs(u_two.block(1, 0) - u_two.block(2, 0)).max(),
-            np.abs(u_two.block(1, 3) - u_two.block(2, 3)).max(),
-            np.abs(u_two.block(3, 1) - u_two.block(3, 2)).max(),
-            np.abs(u_two.block(1, 1) - u_two.block(1, 2) - np.eye(space.cutoff)).max(),
-        )
-        results.append(_result("two-atom-block-identities", ident, 1e-12))
+        results += _reduction_checks(space, split, a_op)
 
-    ratio = _schrodinger_ratio(n, space, h_total.matrix, full_closed.matrix)
+    # central-difference residual of i dU/dt = H U at U(0.7), step 1e-4 over step 5e-5
+    h_mid = h_oracle.split.gather(h) @ full[0]
+
+    def residual(i: int, step: float) -> float:
+        return _tmax(1j * (full[i] - full[i + 1]) / (2 * step) - h_mid)
+
+    ratio = residual(1, step) / residual(3, step / 2)
     results.append(
         _result("schrodinger-residual-ratio", abs(ratio - 4.0), 0.5, note=f"ratio {ratio:.4f}")
     )
 
-    worst = 0.0
-    eye_c = np.eye(2**n * space.cutoff, dtype=complex)
     unitarity_tg = [t_val * g_val for t_val in UNITARITY_T for g_val in ORACLE_G]
-    unitarity_table = closed_form_table(n, space, unitarity_tg, 1.0)
-    for i in range(len(unitarity_tg)):
-        u = unitarity_table.to_dense(i)
-        worst = max(worst, _tmax(u.matrix.conj().T @ u.matrix - eye_c, 2**n, space))
-    results.append(_result("unitarity", worst, 1e-10))
+    u = split.gather(closed_form_table(n, space, unitarity_tg, 1.0).entries())
+    results.append(_result("unitarity", _tmax(u.dagger() @ u - Blocked.identity(split)), 1e-10))
 
     t1, t2, g_val = 0.4, 0.9, 1.3
-    law_table = closed_form_table(n, space, [t1, t2, t1 + t2], g_val)
-    prod = law_table.to_dense(0) @ law_table.to_dense(1)
-    whole = law_table.to_dense(2)
-    results.append(_result("group-law", compare(prod, whole).max_abs_deviation, 1e-9))
+    law = split.gather(closed_form_table(n, space, [t1, t2, t1 + t2], g_val).entries())
+    results.append(_result("group-law", _tmax(law[0] @ law[1] - law[2]), 1e-9))
 
     return results, notes

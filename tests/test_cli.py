@@ -298,6 +298,40 @@ def test_relation_search_three_atoms_flags_no_fit(capsys):
     assert "degree 6" in out
 
 
+def test_evolve_ignores_options_it_does_not_read(tmp_path):
+    # one file for several commands: evolve reads neither tol nor max_power
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("tol = -1\nmax_power = 4\ncutoff = 24\nsteps = 3\ninitial = e:fock(0)\n")
+    out = tmp_path / "run.csv"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(_read_csv(out)[1]) == 4
+
+
+def test_verify_ignores_a_coupling_it_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("g = inf\ncutoff = 24\n")
+    assert main(["verify", "--atoms", "3", "--config", str(cfg)]) == 0
+    assert "all 4 checks passed" in capsys.readouterr().out
+
+
+def test_verify_still_validates_its_tolerance(tmp_path, capsys):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("tol = -1\ncutoff = 24\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "tol must be positive" in capsys.readouterr().err
+
+
+def test_unread_flag_is_refused_under_the_command_usage(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--cutoff", "24", "--out", "x.csv"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tcprop verify ")
+    assert "\ntcprop verify: error: unrecognized arguments: --out x.csv\n" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_relation_search_rejects_even_power():
     assert main(["relation-search", "--atoms", "1", "--max-power", "4", *FAST]) == 2
 

@@ -14,16 +14,23 @@ import pytest
 import tcprop.oracle
 from tcprop import (
     CompositeOperator,
+    Entries,
     FockSpace,
     annihilator,
+    annihilator_entries,
+    block_eigh,
+    block_split,
     collective,
     compare,
+    compare_blocks,
+    coupling_entries,
     coupling_operator,
     default_guard,
     excitation,
     expm_hermitian,
     fit_left_diagonal,
     hamiltonian,
+    hamiltonian_entries,
     min_poly_degree,
     relation_fit,
     relation_fits,
@@ -418,22 +425,85 @@ def test_fit_left_diagonal_matches_row_by_row_fit():
     assert abs(residual - ref_residual) <= 1e-13 * ref_residual
 
 
-def test_relation_fits_build_the_coupling_once_and_no_dense_product(monkeypatch):
+def test_relation_fits_build_the_coupling_entries_once_and_no_dense_matrix(monkeypatch):
     built = []
-    products = []
-    build = tcprop.oracle.coupling_operator
-    matmul = CompositeOperator.__matmul__
+    dense = []
+    build = tcprop.oracle.coupling_entries
+    init = CompositeOperator.__post_init__
 
     def recording_build(*args):
         built.append(args)
         return build(*args)
 
-    def recording_matmul(self, other):
-        products.append(self.matrix.shape)
-        return matmul(self, other)
+    def recording_init(self):
+        dense.append(self.n_blocks)
+        init(self)
 
-    monkeypatch.setattr(tcprop.oracle, "coupling_operator", recording_build)
-    monkeypatch.setattr(CompositeOperator, "__matmul__", recording_matmul)
+    monkeypatch.setattr(tcprop.oracle, "coupling_entries", recording_build)
+    monkeypatch.setattr(CompositeOperator, "__post_init__", recording_init)
     relation_fits(3, FockSpace(40), (3, 5))
     assert len(built) == 1
-    assert products == []
+    assert dense == []
+
+
+def _dense_blocks(mat: np.ndarray, split) -> list[np.ndarray]:
+    """The blocks of a dense matrix on a split, gathered with fancy indexing."""
+    return [mat[idx[:, :, None], idx[:, None, :]] for idx in split.groups]
+
+
+@pytest.mark.parametrize("cutoff", [60, 140])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_entry_built_blocks_equal_the_dense_ones(n, cutoff):
+    # the split and the blocks from the entry list match those of the dense
+    # kron-built matrix bit for bit: coupling and detuned Hamiltonian
+    space = FockSpace(cutoff)
+    pairs = [
+        (coupling_entries(n, space), coupling_operator(n, space).matrix),
+        (hamiltonian_entries(n, space, 1.3, 0.7, -0.9),
+         hamiltonian(n, space, 1.3, 0.7, -0.9).total.matrix),
+    ]
+    for entries, dense in pairs:
+        rows, cols = np.nonzero(dense)
+        split = block_split(2**n, space, entries)
+        dense_split = block_split(2**n, space, Entries(rows, cols, dense[rows, cols]))
+        assert len(split.groups) == len(dense_split.groups)
+        for idx, dense_idx in zip(split.groups, dense_split.groups):
+            np.testing.assert_array_equal(idx, dense_idx)
+        assert max(idx.shape[1] for idx in split.groups) == 2**n
+        gathered = split.gather(entries)
+        assert gathered.outside.rows.size == 0
+        for got, want in zip(gathered.blocks, _dense_blocks(dense, split)):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_eigh_serves_every_scale(n):
+    space = FockSpace(24)
+    op = coupling_operator(n, space)
+    scales = [0.0, 0.35, -2.0, 25.0, 1e3]
+    batched = block_eigh(2**n, space, coupling_entries(n, space)).expm(scales)
+    for i, scale in enumerate(scales):
+        dense = CompositeOperator.from_entries(2**n, space, batched[i].entries())
+        np.testing.assert_array_equal(dense.matrix, expm_hermitian(op, scale).matrix)
+
+
+def test_block_eigh_refuses_non_hermitian_entries():
+    space = FockSpace(8)
+    rows, cols, values = annihilator_entries(space)
+    with pytest.raises(ValueError, match="Hermitian"):
+        block_eigh(1, space, Entries(rows, cols, values))
+
+
+def test_compare_blocks_matches_dense_compare():
+    space = FockSpace(12, 3)
+    entries = coupling_entries(1, space)
+    oracle = block_eigh(2, space, entries)
+    u = oracle.expm([0.9])[0]
+    perturbed = CompositeOperator.from_entries(2, space, u.entries()).matrix.copy()
+    perturbed[space.cutoff + 2, 1] += 1e-3  # block 1 photon 2, block 0 photon 1
+    rows, cols = np.nonzero(perturbed)
+    (report,) = compare_blocks(oracle.split.gather(Entries(rows, cols, perturbed[rows, cols])), u)
+    reference = expm_hermitian(coupling_operator(1, space), 0.9)
+    dense = compare(CompositeOperator(2, space, perturbed), reference)
+    assert report == dense
+    assert report.location == (1, 0, 2, 1)

@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from tcprop import (
+    BlockSplit,
     CompositeOperator,
+    Entries,
     FockSpace,
     annihilator,
+    annihilator_entries,
     atomic_labels,
     collective,
     coupling_operator,
     creator,
     embed_sigma,
+    entry_deviation,
     excitation,
     hamiltonian,
+    kron_entries,
     number,
 )
 
@@ -170,3 +175,37 @@ def test_composite_matrix_is_frozen():
     op = coupling_operator(1, space)
     with pytest.raises((ValueError, RuntimeError)):
         op.matrix[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kron_entries_match_np_kron(n):
+    space = FockSpace(7, 2)
+    s_plus, _, s_3 = collective(n)
+    a = Entries(*annihilator_entries(space))
+    for atomic in (s_plus, s_3):
+        got = CompositeOperator.from_entries(2**n, space, kron_entries(atomic, a, space.cutoff))
+        np.testing.assert_array_equal(got.matrix, np.kron(atomic, annihilator(space)))
+
+
+def test_entry_deviation_takes_the_union_of_positions():
+    x = Entries(np.array([0, 1]), np.array([1, 2]), np.array([1.0, 2.0 + 1j]))
+    y = Entries(np.array([1, 3]), np.array([2, 0]), np.array([2.0, 0.5]))
+    # (1, 2) differs by 1j, (0, 1) and (3, 0) are held by one list only
+    assert entry_deviation(x, -y) == 1.0
+    assert entry_deviation(x, -x) == 0.0
+    assert entry_deviation(x, x) == pytest.approx(2 * abs(2.0 + 1j))
+
+
+def test_gather_keeps_entries_between_blocks():
+    space = FockSpace(3, 1)
+    split = BlockSplit(2, space, (np.array([[0, 4], [1, 5]]), np.array([[2], [3]])))
+    rows, cols = np.array([0, 4, 1, 2]), np.array([4, 4, 2, 2])
+    entries = Entries(rows, cols, np.array([1.0, 2.0, 3.0, 4.0]))
+    op = split.gather(entries)
+    np.testing.assert_array_equal(op.blocks[0], [[[0, 1], [0, 2]], [[0, 0], [0, 0]]])
+    np.testing.assert_array_equal(op.blocks[1], [[[4]], [[0]]])
+    # (1, 2) joins two blocks: kept aside, never dropped
+    assert (op.outside.rows.tolist(), op.outside.cols.tolist()) == ([1], [2])
+    assert op.outside.values.tolist() == [3.0]
+    both = op.entries()
+    assert np.abs(both.values).max() == 4.0

@@ -1,5 +1,7 @@
 """Contract of the verify check suite: which checks run, and that their bounds catch faults."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,14 @@ from tcprop import (
     SpectralTable,
     annihilator,
     closed_form_table,
+    compare,
+    coupling_operator,
     creator,
     excitation,
+    expm_hermitian,
     number,
+    oracle,
+    relation_fits,
     verify,
 )
 from tcprop.cli import main
@@ -229,3 +236,63 @@ def test_blockdiag_bound_is_four_ulps_of_the_spin1_block(cutoff):
         4 * EPS * np.sqrt(2.0) * np.sqrt(cutoff - 1)
     )
     assert results["reduction-blockdiag"].passed
+
+
+def _with_cross_sector_term(n, space, t, g):
+    """The closed form plus 1e-6 a on the (0, 0) block: a term that changes the excitation."""
+    table = closed_form_table(n, space, t, g)
+    coef = np.full((np.size(t), space.cutoff), 1e-6)
+    return SpectralTable(table.n_blocks, space, (*table.terms, (0, 0, 1, coef)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_entries_between_blocks_count_in_full(monkeypatch, n):
+    monkeypatch.setattr(verify, "closed_form_table", _with_cross_sector_term)
+    results = _by_name(n)
+    # the largest extra entry is 1e-6 sqrt(23), on the guard row 22: never restricted or dropped
+    for name in ("closed-vs-oracle", "unitarity"):
+        assert not results[name].passed
+        assert results[name].deviation == pytest.approx(1e-6 * np.sqrt(23))
+    assert "photons (22, 23)" in results["closed-vs-oracle"].note
+
+
+def _one_pass_components(rows, cols, dim):
+    """The oracle's label propagation stopped after its first pass."""
+    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    label = np.arange(dim)
+    new = label.copy()
+    np.minimum.at(new, rows, label[cols])
+    return new[new]
+
+
+def test_unfinished_label_propagation_is_refused(monkeypatch):
+    monkeypatch.setattr(oracle, "_components", _one_pass_components)
+    with pytest.raises(ValueError, match="between two blocks"):
+        run_checks(2, SPACE, 1e-9)
+    with pytest.raises(ValueError, match="between two blocks"):
+        relation_fits(3, SPACE, (3,))
+
+
+def test_two_atom_checks_at_cutoff_3000_stay_small():
+    # one dense 12000 x 12000 complex matrix would take 2.3 GB
+    tracemalloc.start()
+    try:
+        results, _ = run_checks(2, FockSpace(3000), 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(res.passed for res in results)
+    assert peak < 200e6
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_closed_vs_oracle_equals_the_dense_comparison(n):
+    # the blocked route reads the same entries and runs the same eigh per block
+    a_op = coupling_operator(n, SPACE)
+    worst = max(
+        compare(closed_form_table(n, SPACE, t * g, 1.0).to_dense(), expm_hermitian(a_op, t * g))
+        .max_abs_deviation
+        for t in verify.ORACLE_T
+        for g in verify.ORACLE_G
+    )
+    assert _by_name(n)["closed-vs-oracle"].deviation == worst
