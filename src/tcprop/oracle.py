@@ -197,8 +197,9 @@ def worst_entries(op: Blocked, trusted: bool = True) -> list[ComparisonReport]:
     """The largest |entry| of a blocked operator and where it sits, per leading batch index.
 
     With ``trusted`` the block entries are restricted to trusted rows and
-    columns; entries outside the blocks always count.  Ties go to the first
-    entry in row-major order, as in :func:`compare`.
+    columns; entries outside the blocks always count.  Entries listed at one
+    position are added first, as in :func:`~tcprop.spinchain.entry_deviation`.
+    Ties go to the first entry in row-major order, as in :func:`compare`.
     """
     space = op.rows.space
     c, tr = space.cutoff, space.trusted
@@ -209,7 +210,13 @@ def worst_entries(op: Blocked, trusted: bool = True) -> list[ComparisonReport]:
         keep[:inside] = (rows[:inside] % c < tr) & (cols[:inside] % c < tr)
     dim = op.cols.n_blocks * c
     key = rows[keep].astype(np.int64) * dim + cols[keep]
-    values = np.abs(values[..., keep]).reshape(-1, key.size)
+    values = values[..., keep].reshape(-1, key.size)
+    unique, inverse = np.unique(key, return_inverse=True)
+    if unique.size < key.size:
+        key, total = unique, np.zeros((values.shape[0], unique.size), dtype=complex)
+        np.add.at(total, (slice(None), inverse), values)
+        values = total
+    values = np.abs(values)
     best = values.max(axis=1)
     hit = (values == best[:, None]) | np.isnan(values)
     first = np.where(hit, key, np.iinfo(np.int64).max).min(axis=1)

@@ -339,7 +339,9 @@ class Blocked:
 
     Leading axes index a batch (e.g. times).  ``outside`` holds the entries
     that fell between blocks; products, sums and comparisons carry them
-    along, so such an entry always counts at its full size.
+    along, so such an entry always counts at its full size.  They flag an
+    operand that is not a direct sum of the blocks: each keeps its operand's
+    value and position, and no cross term of a product is formed from them.
     """
 
     rows: BlockSplit

@@ -36,6 +36,7 @@ from tcprop import (
     relation_fits,
     sector_decompose,
     trusted_mask,
+    worst_entries,
 )
 
 SPACE = FockSpace(24, 4)
@@ -507,3 +508,21 @@ def test_compare_blocks_matches_dense_compare():
     dense = compare(CompositeOperator(2, space, perturbed), reference)
     assert report == dense
     assert report.location == (1, 0, 2, 1)
+
+
+def test_worst_entries_adds_entries_listed_at_one_position():
+    space = FockSpace(12, 3)
+    oracle = block_eigh(2, space, coupling_entries(1, space))
+    u = oracle.expm([0.9])[0]
+    dense = CompositeOperator.from_entries(2, space, u.entries()).matrix.copy()
+    dense[space.cutoff + 2, 5] = 1e-3  # block 1 photon 2, block 0 photon 5: between sectors
+    rows, cols = np.nonzero(dense)
+    perturbed = oracle.split.gather(Entries(rows, cols, dense[rows, cols]))
+    assert perturbed.outside.rows.tolist() == [space.cutoff + 2]
+    # the outside entries of both operands sit at one position and cancel
+    (same,) = compare_blocks(perturbed, perturbed)
+    assert same.max_abs_deviation == 0.0
+    # listed twice, one entry counts twice
+    (twice,) = worst_entries((u - perturbed) - (perturbed - u))
+    assert twice.max_abs_deviation == pytest.approx(2e-3)
+    assert twice.location == (1, 0, 2, 5)

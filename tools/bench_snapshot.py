@@ -6,8 +6,8 @@ The parent commit is exported with ``git archive`` into a temporary
 directory; each tree is measured in a fresh Python process that imports
 ``tcprop`` from that tree's ``src/`` and calls ``tcprop.cli.main``
 in-process with stdout captured, so interpreter start-up is not timed.
-Every command runs best of ``--repeat`` after one warm-up call; a command
-whose warm-up takes over 2 s runs once.  The file records:
+Every command runs best of 3 (``REPEAT``) after one warm-up call; a command
+whose warm-up takes over 2 s (``SLOW_S``) runs once.  The file records:
 
 * ``cli_s``: wall time per command (evolve, verify, decompose,
   relation-search) at cutoffs 60, 200 and 400, for both trees;
@@ -36,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CUTOFFS = (60, 200, 400)
 SLOW_S = 2.0
+REPEAT = 3
 
 
 def cli_cases() -> list[list[str]]:
@@ -122,7 +123,7 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def machine(repeat: int) -> dict:
+def machine() -> dict:
     import numpy as np
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -132,7 +133,7 @@ def machine(repeat: int) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
-        "best_of": repeat,
+        "best_of": REPEAT,
         "slow_runs_once_above_s": SLOW_S,
     }
 
@@ -141,13 +142,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
-    parser.add_argument("--repeat", type=int, default=3, help="best of this many runs")
     args = parser.parse_args()
 
-    job = {"cli": cli_cases(), "stages": STAGE_CASES, "repeat": args.repeat, "slow_s": SLOW_S}
+    job = {"cli": cli_cases(), "stages": STAGE_CASES, "repeat": REPEAT, "slow_s": SLOW_S}
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     snapshot = {
-        "machine": machine(args.repeat),
+        "machine": machine(),
         "commits": {
             "change": git("rev-parse", "HEAD") + (" + uncommitted changes" if dirty else ""),
             "parent": git("rev-parse", args.parent),
@@ -160,8 +160,7 @@ def main() -> int:
         snapshot["parent"] = measure(Path(tmp) / "src", job)
     snapshot["change"] = measure(ROOT / "src", job)
     snapshot["scale"] = {
-        " ".join(argv): measure(ROOT / "src", {"cli": [argv], "stages": [], "repeat": 1,
-                                               "slow_s": 0.0})
+        " ".join(argv): measure(ROOT / "src", dict(job, cli=[argv], stages=[], slow_s=0.0))
         for argv in SCALE_CASES
     }
     args.out.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
