@@ -211,9 +211,9 @@ def worst_entries(op: Blocked, trusted: bool = True) -> list[ComparisonReport]:
     dim = op.cols.n_blocks * c
     key = rows[keep].astype(np.int64) * dim + cols[keep]
     values = values[..., keep].reshape(-1, key.size)
-    unique, inverse = np.unique(key, return_inverse=True)
-    if unique.size < key.size:
-        key, total = unique, np.zeros((values.shape[0], unique.size), dtype=complex)
+    if op.outside.rows.size:  # block positions are distinct; only outside ones can repeat
+        key, inverse = np.unique(key, return_inverse=True)
+        total = np.zeros((values.shape[0], key.size), dtype=complex)
         np.add.at(total, (slice(None), inverse), values)
         values = total
     values = np.abs(values)
