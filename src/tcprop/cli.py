@@ -280,6 +280,10 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    # the excitation sector of a trusted level reaches `atoms` levels above it
+    if cfg.atoms < 3 and cfg.guard < cfg.atoms:
+        raise ConfigError(f"verify with atoms={cfg.atoms} needs guard >= {cfg.atoms} "
+                          f"(and cutoff >= {cfg.atoms + 2}), got guard={cfg.guard}")
     space = FockSpace(cfg.cutoff, cfg.guard)
     results, notes = run_checks(cfg.atoms, space, cfg.tol)
     for res in results:

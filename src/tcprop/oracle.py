@@ -123,7 +123,7 @@ class BlockEigen:
             (vecs * np.exp(-1j * scales * evals)[:, :, None, :]) @ vecs.conj().swapaxes(1, 2)
             for evals, vecs in zip(self.evals, self.vecs)
         )
-        return Blocked(self.split, self.split, blocks, Entries.none(scales.shape[:1]))
+        return Blocked(self.split, blocks, Entries.none(scales.shape[:1]))
 
 
 def block_eigh(n_blocks: int, space: FockSpace, entries: Entries) -> BlockEigen:
@@ -201,14 +201,14 @@ def worst_entries(op: Blocked, trusted: bool = True) -> list[ComparisonReport]:
     position are added first, as in :func:`~tcprop.spinchain.entry_deviation`.
     Ties go to the first entry in row-major order, as in :func:`compare`.
     """
-    space = op.rows.space
+    space = op.split.space
     c, tr = space.cutoff, space.trusted
     rows, cols, values = op.entries()
     keep = np.ones(rows.size, dtype=bool)
     if trusted:
         inside = rows.size - op.outside.rows.size  # entries() lists the outside ones last
         keep[:inside] = (rows[:inside] % c < tr) & (cols[:inside] % c < tr)
-    dim = op.cols.n_blocks * c
+    dim = op.split.n_blocks * c
     key = rows[keep].astype(np.int64) * dim + cols[keep]
     values = values[..., keep].reshape(-1, key.size)
     if op.outside.rows.size:  # block positions are distinct; only outside ones can repeat
@@ -226,7 +226,7 @@ def worst_entries(op: Blocked, trusted: bool = True) -> list[ComparisonReport]:
         reports.append(ComparisonReport(
             max_abs_deviation=float(value),
             location=(row // c, col // c, row % c, col % c),
-            trusted_dim=op.rows.n_blocks * tr,
+            trusted_dim=op.split.n_blocks * tr,
         ))
     return reports
 
@@ -280,14 +280,15 @@ class Sector(NamedTuple):
     matrix: np.ndarray
 
 
-def _sectors(n: int, space: FockSpace, entries: Entries, label: np.ndarray) -> list[Sector]:
-    """Blocks of the coupling ``entries`` (component ``label``) on the trusted indices."""
+def _sectors(n: int, space: FockSpace, entries: Entries, label: np.ndarray) -> list[tuple]:
+    """Blocks of the coupling ``entries`` (component ``label``) on the trusted indices.
+
+    One (excitations, indices, matrices) stack per block size s: (k,), (k, s), (k, s, s).
+    """
     excitations = excitation(n, space)
     split = BlockSplit(2**n, space, _blocks(label, np.flatnonzero(trusted_mask(2**n, space))))
-    sectors: list[Sector] = []
-    for idx, mats in zip(split.groups, split.gather(entries).blocks):
-        sectors += map(Sector, excitations[idx[:, 0]].tolist(), idx, mats)
-    return sorted(sectors, key=lambda sector: sector.excitation)
+    return [(excitations[idx[:, 0]], idx, mats)
+            for idx, mats in zip(split.groups, split.gather(entries).blocks)]
 
 
 def sector_decompose(n: int, space: FockSpace) -> list[Sector]:
@@ -298,7 +299,21 @@ def sector_decompose(n: int, space: FockSpace) -> list[Sector]:
     each restricted block is a small Hermitian matrix (dimension <= 2**n).
     """
     entries = coupling_entries(n, space)
-    return _sectors(n, space, entries, _labels(entries, 2**n * space.cutoff))
+    sectors = [Sector(*sector) for excitations, idx, mats
+               in _sectors(n, space, entries, _labels(entries, 2**n * space.cutoff))
+               for sector in zip(excitations.tolist(), idx, mats)]
+    return sorted(sectors, key=lambda sector: sector.excitation)
+
+
+def _min_poly_degrees(stack: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """:func:`min_poly_degree` of every matrix of a (k, s, s) stack, from one ``eigvalsh``."""
+    if stack.shape[-1] == 0:
+        return np.zeros(stack.shape[0], dtype=int)
+    evals = np.linalg.eigvalsh(stack)  # ascending along the last axis
+    norm = np.maximum(np.abs(evals[:, 0]), np.abs(evals[:, -1]))
+    if tol is None:
+        tol = 1e-8 * norm[:, None]
+    return np.where(norm == 0.0, 1, 1 + np.sum(np.diff(evals, axis=-1) > tol, axis=-1))
 
 
 def min_poly_degree(matrix: np.ndarray, tol: float | None = None) -> int:
@@ -307,16 +322,7 @@ def min_poly_degree(matrix: np.ndarray, tol: float | None = None) -> int:
     Counts distinct eigenvalues after clustering; default clustering
     tolerance is 1e-8 times the spectral norm.
     """
-    matrix = np.asarray(matrix)
-    if matrix.shape[0] == 0:
-        return 0
-    evals = np.sort(np.linalg.eigvalsh(matrix))
-    norm = float(max(abs(evals[0]), abs(evals[-1])))
-    if tol is None:
-        tol = 1e-8 * norm
-    if norm == 0.0:
-        return 1
-    return 1 + int(np.sum(np.diff(evals) > tol))
+    return int(_min_poly_degrees(np.asarray(matrix)[None], tol)[0])
 
 
 @dataclass(frozen=True)
@@ -367,7 +373,10 @@ def relation_fits(
         p3 = p2 @ p1
         rows[:, idx, : idx.shape[1]] = np.stack([p1, p2, p3, p3 @ p2]) * keep[idx][:, None, :]
     a_pow = dict(zip((1, 2, 3, 5), rows[:, keep]))
-    degrees = {s.excitation: min_poly_degree(s.matrix) for s in _sectors(n, space, entries, label)}
+    degrees = dict(sorted(
+        (e, d) for excitations, _, mats in _sectors(n, space, entries, label)
+        for e, d in zip(excitations.tolist(), _min_poly_degrees(mats).tolist())
+    ))
     reports = []
     for power in powers:
         values, residual = _fit_rows(a_pow[power], a_pow[power - 2])

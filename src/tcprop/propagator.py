@@ -40,7 +40,6 @@ __all__ = [
     "evolve_one_atom",
     "evolve_two_atoms",
     "evolve_full",
-    "evolve_spin_one",
     "evolve_states",
     "gauss_decompose_one_atom",
     "reduction_transform",
@@ -232,11 +231,6 @@ def evolve_one_atom(space: FockSpace, t: float, g: float) -> CompositeOperator:
 def evolve_two_atoms(space: FockSpace, t: float, g: float) -> CompositeOperator:
     """Closed-form exp(-i t g A) for two atoms; see :func:`two_atom_table`."""
     return two_atom_table(space, t, g).to_dense()
-
-
-def evolve_spin_one(space: FockSpace, t: float, g: float) -> CompositeOperator:
-    """Closed-form exp(-i t g B) for the spin-1 block; see :func:`spin_one_table`."""
-    return spin_one_table(space, t, g).to_dense()
 
 
 class GaussSingularityError(ValueError):

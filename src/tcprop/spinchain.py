@@ -301,24 +301,14 @@ class BlockSplit:
             where[2, idx] = np.arange(idx.shape[1])
         return where
 
-    def relabel(self, order: np.ndarray) -> "BlockSplit":
-        """The split with atomic index j renamed order[j] in every block, photon levels kept."""
-        c = self.space.cutoff
-        return BlockSplit(
-            self.n_blocks, self.space,
-            tuple(np.asarray(order)[idx // c] * c + idx % c for idx in self.groups),
-        )
+    def gather(self, entries: Entries) -> "Blocked":
+        """The entries as blocks of this split.
 
-    def gather(self, entries: Entries, cols: "BlockSplit | None" = None) -> "Blocked":
-        """The entries as blocks, rows placed by this split and columns by ``cols``.
-
-        ``cols`` (default: this split) must have the same block shapes.  An
-        entry whose row and column fall in different blocks, or outside every
-        block, is kept in ``outside``, never dropped.
+        An entry whose row and column fall in different blocks, or outside
+        every block, is kept in ``outside``, never dropped.
         """
-        cols = self if cols is None else cols
         grp, blk, pos = self.where[:, entries.rows]
-        col_grp, col_blk, col_pos = cols.where[:, entries.cols]
+        col_grp, col_blk, col_pos = self.where[:, entries.cols]
         inside = (grp >= 0) & (grp == col_grp) & (blk == col_blk)
         batch = entries.values.shape[:-1]
         blocks = []
@@ -330,12 +320,12 @@ class BlockSplit:
             blocks.append(out)
         out = ~inside
         outside = Entries(entries.rows[out], entries.cols[out], entries.values[..., out])
-        return Blocked(self, cols, tuple(blocks), outside)
+        return Blocked(self, tuple(blocks), outside)
 
 
 @dataclass(frozen=True, eq=False)
 class Blocked:
-    """An operator as (..., k, s, s) blocks: rows grouped by ``rows``, columns by ``cols``.
+    """An operator as (..., k, s, s) blocks on ``split``, rows and columns alike.
 
     Leading axes index a batch (e.g. times).  ``outside`` holds the entries
     that fell between blocks; products, sums and comparisons carry them
@@ -344,8 +334,7 @@ class Blocked:
     value and position, and no cross term of a product is formed from them.
     """
 
-    rows: BlockSplit
-    cols: BlockSplit
+    split: BlockSplit
     blocks: tuple[np.ndarray, ...]
     outside: Entries
 
@@ -353,12 +342,12 @@ class Blocked:
     def identity(cls, split: BlockSplit) -> "Blocked":
         eye = tuple(np.broadcast_to(np.eye(idx.shape[1]), idx.shape + idx.shape[1:])
                     for idx in split.groups)
-        return cls(split, split, eye, Entries.none())
+        return cls(split, eye, Entries.none())
 
     def _map(self, fn) -> "Blocked":
         """Apply an elementwise ``fn`` to every block and outside value."""
         out = self.outside
-        return Blocked(self.rows, self.cols, tuple(map(fn, self.blocks)),
+        return Blocked(self.split, tuple(map(fn, self.blocks)),
                        Entries(out.rows, out.cols, fn(out.values)))
 
     def __getitem__(self, i) -> "Blocked":
@@ -372,38 +361,38 @@ class Blocked:
         return self._map(lambda x: x / scalar)
 
     def __matmul__(self, other: "Blocked") -> "Blocked":
-        if self.cols is not other.rows:
+        if other.split is not self.split:
             raise ValueError("operands live on different block splits")
         blocks = tuple(x @ y for x, y in zip(self.blocks, other.blocks))
-        return Blocked(self.rows, other.cols, blocks, join_entries(self.outside, other.outside))
+        return Blocked(self.split, blocks, join_entries(self.outside, other.outside))
 
     def __sub__(self, other: "Blocked") -> "Blocked":
-        if other.rows is not self.rows or other.cols is not self.cols:
+        if other.split is not self.split:
             raise ValueError("operands live on different block splits")
         blocks = tuple(x - y for x, y in zip(self.blocks, other.blocks))
-        return Blocked(self.rows, self.cols, blocks, join_entries(self.outside, -other.outside))
+        return Blocked(self.split, blocks, join_entries(self.outside, -other.outside))
 
     def dagger(self) -> "Blocked":
-        return Blocked(self.cols, self.rows, tuple(x.conj().swapaxes(-1, -2) for x in self.blocks),
+        return Blocked(self.split, tuple(x.conj().swapaxes(-1, -2) for x in self.blocks),
                        self.outside.dagger())
 
     def scale_rows(self, vec: np.ndarray) -> "Blocked":
         """diag(vec) times the operator; ``vec`` is (..., dim) over composite indices."""
         out = self.outside
         blocks = tuple(
-            vec[..., idx][..., None] * x for idx, x in zip(self.rows.groups, self.blocks)
+            vec[..., idx][..., None] * x for idx, x in zip(self.split.groups, self.blocks)
         )
-        return Blocked(self.rows, self.cols, blocks,
+        return Blocked(self.split, blocks,
                        Entries(out.rows, out.cols, vec[..., out.rows] * out.values))
 
     def entries(self) -> Entries:
         """Every stored entry, block entries first; values keep the batch axes."""
         parts = []
-        for ridx, cidx, x in zip(self.rows.groups, self.cols.groups, self.blocks):
-            shape = ridx.shape + ridx.shape[1:]
+        for idx, x in zip(self.split.groups, self.blocks):
+            shape = idx.shape + idx.shape[1:]
             parts.append(Entries(
-                np.broadcast_to(ridx[:, :, None], shape).ravel(),
-                np.broadcast_to(cidx[:, None, :], shape).ravel(),
+                np.broadcast_to(idx[:, :, None], shape).ravel(),
+                np.broadcast_to(idx[:, None, :], shape).ravel(),
                 x.reshape(x.shape[:-3] + (-1,)),
             ))
         return join_entries(*parts, self.outside)

@@ -125,21 +125,23 @@ def gauss_deviations(space: FockSpace, t: float, g: float) -> tuple[float, float
 
 
 def _reduction_checks(space: FockSpace, split: BlockSplit, a_op: Blocked) -> list[CheckResult]:
-    """The spin-1 reduction, on ``split`` and on its image under the swap S."""
-    similarity, b_entries, order = reduction_entries(space)
-    reduced_split = split.relabel(order)
-    sim = reduced_split.gather(similarity, split)
-    results = [_result("reduction-orthogonal",
-                       _tmax(sim @ sim.dagger() - Blocked.identity(reduced_split), False), 1e-15)]
-    # blockdiag(0, B): B on the three atomic blocks after the singlet
+    """The spin-1 reduction on ``split``, S undone by an index map; T kron 1 keeps every block."""
+    similarity, b, order = reduction_entries(space)
     c = space.cutoff
-    ref = reduced_split.gather(Entries(b_entries.rows + c, b_entries.cols + c, b_entries.values))
+    back = (np.argsort(order)[:, None] * c + np.arange(c)).ravel()  # reduced basis -> T basis
+    sim = split.gather(Entries(back[similarity.rows], similarity.cols, similarity.values))
+    results = [_result("reduction-orthogonal",
+                       _tmax(sim @ sim.dagger() - Blocked.identity(split), False), 1e-15)]
+    # blockdiag(0, B): B on the three atomic blocks after the singlet
+    ref = split.gather(Entries(back[b.rows + c], back[b.cols + c], b.values))
     reduced = sim @ a_op @ sim.dagger()
     results.append(_result("reduction-blockdiag", _tmax(reduced - ref, False),
                            _four_ulps(_tmax(ref, False))))
     b_ref = SpectralTable.from_rows(space, _spin1_rows(space)).entries().at(0)
-    results.append(_result("spin1-pattern", entry_deviation(b_entries, -b_ref), 0.0))
-    recon = sim.dagger() @ reduced_split.gather(reduced_table(space, 0.9, 0.8).entries()) @ sim
+    results.append(_result("spin1-pattern", entry_deviation(b, -b_ref), 0.0))
+    inner = reduced_table(space, 0.9, 0.8).entries()
+    inner = split.gather(Entries(back[inner.rows], back[inner.cols], inner.values))
+    recon = sim.dagger() @ inner @ sim
     recon_dev = compare_blocks(recon, split.gather(two_atom_table(space, 0.9, 0.8).entries()))[0]
     results.append(_result("reduction-reconstruction", recon_dev.max_abs_deviation, 1e-10))
     u_two = two_atom_table(space, 0.7, 1.3).entries().at(0)

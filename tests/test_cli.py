@@ -233,6 +233,32 @@ def test_guard_bounds_checked(capsys):
     assert main(["verify", "--cutoff", "10", "--guard", "-1"]) == 2
 
 
+@pytest.mark.parametrize("atoms, flags", [
+    ("1", ["--cutoff", "2"]),
+    ("2", ["--cutoff", "3"]),
+    ("1", ["--cutoff", "40", "--guard", "0"]),
+    ("2", ["--cutoff", "40", "--guard", "1"]),
+])
+def test_verify_refuses_a_guard_below_the_atom_count(capsys, atoms, flags):
+    # the trusted band's excitation sectors would end in the cut: FAIL by construction
+    assert main(["verify", "--atoms", atoms, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"needs guard >= {atoms}" in captured.err
+
+
+@pytest.mark.parametrize("atoms, flags", [
+    ("1", ["--cutoff", "3"]),
+    ("2", ["--cutoff", "4"]),
+    ("1", ["--cutoff", "40", "--guard", "1"]),
+    ("2", ["--cutoff", "40", "--guard", "2"]),
+    ("3", ["--cutoff", "40", "--guard", "0"]),
+])
+def test_verify_passes_at_a_guard_of_the_atom_count(capsys, atoms, flags):
+    assert main(["verify", "--atoms", atoms, *flags]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_invalid_atoms_rejected():
     assert main(["verify", "--atoms", "4", *FAST]) == 2
 

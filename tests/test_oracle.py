@@ -333,6 +333,54 @@ def test_min_poly_degree_basics():
     assert min_poly_degree(np.diag([0.0, 1.0]), tol=2.0) == 1
 
 
+def _min_poly_degree_one_by_one(matrix: np.ndarray, tol: float | None = None) -> int:
+    """Distinct eigenvalues of one Hermitian matrix, clustered at 1e-8 of its norm."""
+    matrix = np.asarray(matrix)
+    if matrix.shape[0] == 0:
+        return 0
+    evals = np.sort(np.linalg.eigvalsh(matrix))
+    norm = float(max(abs(evals[0]), abs(evals[-1])))
+    if tol is None:
+        tol = 1e-8 * norm
+    if norm == 0.0:
+        return 1
+    return 1 + int(np.sum(np.diff(evals) > tol))
+
+
+@pytest.mark.parametrize(
+    "cutoff,guard", [(c, g) for c in (2, 3, 5, 24, 60) for g in sorted({0, default_guard(c)})]
+)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sector_degrees_match_one_eigvalsh_per_sector(n, cutoff, guard):
+    space = FockSpace(cutoff, guard)
+    sectors = sector_decompose(n, space)
+    expected = {s.excitation: _min_poly_degree_one_by_one(s.matrix) for s in sectors}
+    assert {s.excitation: min_poly_degree(s.matrix) for s in sectors} == expected
+    for report in relation_fits(n, space, (3, 5)):
+        assert report.sector_min_poly_degrees == expected
+        assert all(type(d) is int for d in report.sector_min_poly_degrees.values())
+
+
+def test_relation_fits_run_one_eigvalsh_per_block_size(monkeypatch):
+    space = FockSpace(60)
+    sizes = {len(s.indices) for s in sector_decompose(3, space)}
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        stacks.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("relation_fits called min_poly_degree")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    monkeypatch.setattr(tcprop.oracle, "min_poly_degree", refused)
+    relation_fits(3, space, (3, 5))
+    assert len(stacks) <= len(sizes)
+    assert len({shape[-1] for shape in stacks}) == len(stacks)
+
+
 def _sectors_by_excitation(n: int, space: FockSpace) -> list[tuple[float, list[int]]]:
     """Trusted indices grouped by S_3 + m, one (atomic state, level) at a time."""
     s3_diag = np.diag(collective(n)[2]).real
@@ -370,7 +418,8 @@ def test_relation_fits_match_dense_fit(n, cutoff):
     a_pow = {1: a, 2: a @ a}
     a_pow[3] = a_pow[2] @ a
     a_pow[5] = a_pow[3] @ a_pow[2]
-    degrees = {s.excitation: min_poly_degree(s.matrix) for s in sector_decompose(n, space)}
+    degrees = {s.excitation: _min_poly_degree_one_by_one(s.matrix)
+               for s in sector_decompose(n, space)}
     reports = relation_fits(n, space, (3, 5))
     assert [r.target_power for r in reports] == [3, 5]
     for report in reports:

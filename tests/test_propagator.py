@@ -24,7 +24,6 @@ from tcprop import (
     creator,
     evolve_full,
     evolve_one_atom,
-    evolve_spin_one,
     evolve_states,
     evolve_two_atoms,
     expm_hermitian,
@@ -215,7 +214,7 @@ def test_unitarity_on_trusted(kind, t):
     builders = {
         "one": evolve_one_atom,
         "two": evolve_two_atoms,
-        "spin1": evolve_spin_one,
+        "spin1": lambda space, t, g: spin_one_table(space, t, g).to_dense(),
     }
     u = builders[kind](SMALL, t, g)
     keep = trusted_mask(u.n_blocks, SMALL)
@@ -319,13 +318,13 @@ def test_reduced_coupling_pattern():
 def test_spin_one_against_oracle():
     t, g = 0.9, 0.8
     _, reduced = reduction_transform(SPACE)
-    closed = evolve_spin_one(SPACE, t, g)
+    closed = spin_one_table(SPACE, t, g).to_dense()
     ref = expm_hermitian(reduced, t * g)
     assert compare(closed, ref).max_abs_deviation <= 1e-10
 
 
 def test_spin_one_identity_at_zero():
-    u = evolve_spin_one(SPACE, 0.0, 1.0)
+    u = spin_one_table(SPACE, 0.0, 1.0).to_dense()
     np.testing.assert_array_equal(u.matrix, np.eye(3 * SPACE.cutoff))
 
 

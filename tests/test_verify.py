@@ -7,6 +7,7 @@ import pytest
 
 from tcprop import (
     CompositeOperator,
+    Entries,
     FockSpace,
     SpectralTable,
     annihilator,
@@ -18,6 +19,7 @@ from tcprop import (
     expm_hermitian,
     number,
     oracle,
+    reduction_entries,
     relation_fits,
     verify,
 )
@@ -236,6 +238,30 @@ def test_blockdiag_bound_is_four_ulps_of_the_spin1_block(cutoff):
         4 * EPS * np.sqrt(2.0) * np.sqrt(cutoff - 1)
     )
     assert results["reduction-blockdiag"].passed
+
+
+def test_cross_sector_entry_of_b_fails_blockdiag_and_pattern(monkeypatch):
+    def with_cross_sector_entry(space):
+        similarity, b, order = reduction_entries(space)
+        # B block (0, 0) at photon levels (0, 1): excitation 1 to excitation 2
+        b = Entries(np.append(b.rows, 0), np.append(b.cols, 1), np.append(b.values, 1e-6))
+        return similarity, b, order
+
+    monkeypatch.setattr(verify, "reduction_entries", with_cross_sector_entry)
+    failed = {name: res.deviation for name, res in _by_name(2).items() if not res.passed}
+    assert failed == {"reduction-blockdiag": pytest.approx(1e-6),
+                      "spin1-pattern": pytest.approx(1e-6)}
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2, 3], [0, 2, 1, 3], [3, 0, 2, 1]])
+def test_wrong_swap_order_fails_the_reduction(monkeypatch, order):
+    def with_order(space):
+        similarity, b, _ = reduction_entries(space)
+        return similarity, b, np.array(order)
+
+    monkeypatch.setattr(verify, "reduction_entries", with_order)
+    failed = [name for name, res in _by_name(2).items() if not res.passed]
+    assert failed == ["reduction-orthogonal", "reduction-blockdiag", "reduction-reconstruction"]
 
 
 def _with_cross_sector_term(n, space, t, g):
