@@ -112,10 +112,13 @@ def spectral_fn(space: FockSpace, f: Callable[[int], complex]) -> np.ndarray:
 
 def _split_eval(x, on_nonneg, on_neg):
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(arr)
     neg = arr < 0.0
-    out[~neg] = on_nonneg(np.sqrt(arr[~neg]))
-    out[neg] = on_neg(np.sqrt(-arr[neg]))
+    if neg.any():
+        out = np.empty_like(arr)
+        out[~neg] = on_nonneg(np.sqrt(arr[~neg]))
+        out[neg] = on_neg(np.sqrt(-arr[neg]))
+    else:  # every closed-form argument (t g)^2 d is, so skip the masks
+        out = on_nonneg(np.sqrt(arr))
     if np.ndim(x) == 0:
         return float(out[0])
     return out.reshape(np.shape(x))
@@ -140,8 +143,10 @@ def sincz(x):
     """
 
     def pos(r):
-        out = np.ones_like(r)
         nz = r > 0.0
+        if nz.all():
+            return np.sin(r) / r
+        out = np.ones_like(r)
         out[nz] = np.sin(r[nz]) / r[nz]
         return out
 

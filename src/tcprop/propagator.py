@@ -6,7 +6,7 @@ exp(-i t g A) collapses to a few terms f(N) a^k on atomic blocks, f built
 from the entire functions cosz and sincz of (t g)^2 d(m).  Each closed form
 is one :class:`SpectralTable` of such terms, evaluated for a vector of
 times at once; it lists its entries, assembles the dense operator or acts
-on a state directly, at O(terms x cutoff) work per time point.  The lowest two-atom branch
+on a state directly, at O(terms x levels) work per time point.  The lowest two-atom branch
 d(m) = 2(2m - 1) is negative at m = 0, where cosz is a cosh that overflows
 for large |t g|; that entry is masked (never evaluated, set to its limit).
 
@@ -50,51 +50,60 @@ __all__ = [
 _SQRT2 = sqrt(2.0)
 
 
-def _term_values(coef: np.ndarray, k: int) -> np.ndarray:
-    """Entries of f(N) a^k (a negative k means (a+)^-k) on the row levels where it has one.
-
-    Ladder factors are multiplied in one at a time, as in f(N) @ a @ a, so
-    the entries round as that product does.
-    """
-    lo, hi = max(0, -k), coef.shape[-1] - max(0, k)
-    m = np.arange(lo, hi, dtype=float)
-    out = coef[..., lo:hi]
-    for j in range(abs(k)):
-        out = out * np.sqrt(m + j + 1 if k > 0 else m - j)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralTable:
     """An operator on atomic blocks as a sum of terms f(N) a^k, at one or more times.
 
     Each term is (atomic row, atomic col, ladder shift k, coefficients):
     block (row, col) carries f(N) a^k, a negative k meaning (a+)^-k, and
-    the coefficients of shape (times, cutoff) hold f(m) at the row level m.
+    the coefficients of shape (times, hi - lo) hold f(m) at the row levels
+    m of ``window`` = (lo, hi), by default all; no entry lies outside it.
     """
 
     n_blocks: int
     space: FockSpace
     terms: tuple[tuple[int, int, int, np.ndarray], ...]
+    window: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "window", self.window or (0, self.space.cutoff))
 
     @classmethod
-    def from_rows(cls, space: FockSpace, rows) -> "SpectralTable":
+    def from_rows(cls, space: FockSpace, rows, window=None) -> "SpectralTable":
         """Build from the block layout: rows of (k, coefficients) pairs, None for a zero block."""
         terms = tuple(
             (i, j, *blk) for i, row in enumerate(rows) for j, blk in enumerate(row) if blk is not None
         )
-        return cls(len(rows), space, terms)
+        return cls(len(rows), space, terms, window)
+
+    def _span(self, k: int) -> tuple[int, int]:
+        """Row levels [m0, m1) of the window where f(N) a^k has entries."""
+        m0 = max(self.window[0], -k)
+        return m0, max(m0, min(self.window[1], self.space.cutoff - max(0, k)))
+
+    def _term_values(self, coef: np.ndarray, k: int) -> np.ndarray:
+        """Entries of f(N) a^k (a negative k means (a+)^-k) on the rows of :meth:`_span`.
+
+        Ladder factors are multiplied in one at a time, as in f(N) @ a @ a, so
+        the entries round as that product does.
+        """
+        m0, m1 = self._span(k)
+        m = np.arange(m0, m1, dtype=float)
+        out = coef[..., m0 - self.window[0] : m1 - self.window[0]]
+        for j in range(abs(k)):
+            out = out * np.sqrt(m + j + 1 if k > 0 else m - j)
+        return out
 
     def entries(self) -> Entries:
-        """Every term's entries, values of shape (times, count): O(terms x cutoff) work."""
+        """Every term's entries, values of shape (times, count): O(terms x levels) work."""
         c = self.space.cutoff
         times = max(coef.shape[0] for *_, coef in self.terms)
         rows, cols, values = [], [], []
         for row, col, k, coef in self.terms:
-            m = np.arange(max(0, -k), c - max(0, k))
+            m = np.arange(*self._span(k))
             rows.append(row * c + m)
             cols.append(col * c + m + k)
-            term = _term_values(coef, k)
+            term = self._term_values(coef, k)
             if term.shape[0] != times:
                 term = np.broadcast_to(term, (times, m.size))
             values.append(term)
@@ -107,28 +116,36 @@ class SpectralTable:
     def apply(self, state: np.ndarray, phase: np.ndarray) -> np.ndarray:
         """diag(phase) U state at every time of the table, without forming U.
 
-        ``phase`` and the result have shape (times, n_blocks * cutoff).
-        Each term is a shifted-slice product; real and imaginary cross
-        products are summed separately in column order, as OpenBLAS sums a
-        complex matrix-vector product, so the result matches the dense
-        product to the last bit.
+        ``phase`` has shape (times, n_blocks * (hi - lo)), the result (times,
+        n_blocks * cutoff).  Each term is a shifted-slice product; real and
+        imaginary cross products are summed separately in column order, as
+        OpenBLAS sums a complex matrix-vector product, so the result matches
+        the dense one to the last bit.  Terms on a zero slice of the state are
+        skipped, which can flip only the sign of a zero.
         """
         c = self.space.cutoff
+        lo, hi = self.window
         vec = np.asarray(state, dtype=complex)
         if vec.shape != (self.n_blocks * c,):
             raise ValueError(f"state has shape {vec.shape}, operator expects ({self.n_blocks * c},)")
         psi = vec.reshape(self.n_blocks, c)
         n_times = phase.shape[0]
-        phase = phase.reshape(n_times, self.n_blocks, c)
-        # sum re(U) psi and sum im(U) psi per output entry
-        re_u, im_u = np.zeros((2, n_times, self.n_blocks, c), dtype=complex)
+        phase = phase.reshape(n_times, self.n_blocks, hi - lo)
+        out = np.zeros((n_times, self.n_blocks, c), dtype=complex)
+        re_u = out[..., lo:hi]  # sum re(U) psi and sum im(U) psi per output entry
+        im_u = np.zeros_like(re_u)
         for row, col, k, coef in self.terms:
-            lo, hi = max(0, -k), c - max(0, k)
-            entries = phase[:, row, lo:hi] * _term_values(coef, k)
-            x = psi[col, lo + k : hi + k]
-            re_u[:, row, lo:hi] += entries.real * x
-            im_u[:, row, lo:hi] += entries.imag * x
-        return (re_u.real - im_u.imag + 1j * (re_u.imag + im_u.real)).reshape(n_times, -1)
+            m0, m1 = self._span(k)
+            x = psi[col, m0 + k : m1 + k]
+            if not x.any():
+                continue
+            rows = slice(m0 - lo, m1 - lo)
+            entries = phase[:, row, rows] * self._term_values(coef, k)
+            re_u[:, row, rows] += entries.real * x
+            im_u[:, row, rows] += entries.imag * x
+        re_u.real -= im_u.imag
+        re_u.imag += im_u.real
+        return out.reshape(n_times, -1)
 
 
 def _column(t) -> np.ndarray:
@@ -136,8 +153,8 @@ def _column(t) -> np.ndarray:
     return np.atleast_1d(np.asarray(t, dtype=float))[:, None]
 
 
-def one_atom_table(space: FockSpace, t, g: float) -> SpectralTable:
-    """Closed-form exp(-i t g A) for one atom at the time(s) t.
+def one_atom_table(space: FockSpace, t, g: float, window=None) -> SpectralTable:
+    """Closed-form exp(-i t g A) for one atom at the time(s) t, on the rows of ``window``.
 
     Blocks (atomic order e, g):
 
@@ -146,36 +163,39 @@ def one_atom_table(space: FockSpace, t, g: float) -> SpectralTable:
 
     written with cosz/sincz so every factor is total.
     """
+    lo, hi = window or (0, space.cutoff)
     tg = _column(t) * g
     u = tg * tg
-    levels = np.arange(space.cutoff + 1, dtype=float)
+    levels = np.arange(lo, hi + 1, dtype=float)
     cos_l = cosz(u * levels)
     sin_l = -1j * (tg * sincz(u * levels))
     return SpectralTable.from_rows(space, [
         [(0, cos_l[:, 1:]), (1, sin_l[:, 1:])],
         [(-1, sin_l[:, :-1]), (0, cos_l[:, :-1])],
-    ])
+    ], (lo, hi))
 
 
-def _two_atom_spectral(space: FockSpace, t, g: float) -> dict[str, np.ndarray]:
-    """The distinct spectral functions of the two-atom closed form.
+def _two_atom_spectral(space: FockSpace, t, g: float, window=None) -> dict[str, np.ndarray]:
+    """The distinct spectral functions of the two-atom closed form, on the rows of ``window``.
 
     All branches are d_j = 2(2j+1): the top, middle and bottom atomic rows
     at level m use j = m+1, m and m-1.  The bottom row at m = 0 (j = -1)
     is the masked entry; its coefficients are pinned to their limits.
     """
+    lo, hi = window or (0, space.cutoff)
+    mask = int(lo == 0)  # the window holds the masked entry
     tg = _column(t) * g
     u = tg * tg
-    m = np.arange(space.cutoff, dtype=float)
-    d = 2.0 * (2 * np.arange(space.cutoff + 1, dtype=float) + 1)
+    m = np.arange(lo, hi, dtype=float)
+    d = 2.0 * (2 * np.arange(lo - 1 + mask, hi + 1, dtype=float) + 1)
     cos_d = cosz(u * d)
     sin_d = tg * sincz(u * d)
-    top, mid, bot, mb = cos_d[:, 1:], cos_d[:, :-1], cos_d[:, :-2], m[1:]
+    top, mid, bot, mb = cos_d[:, 2 - mask :], cos_d[:, 1 - mask : -1], cos_d[:, :-2], m[mask:]
     f = {
         "top_diag": (m + 2 + (m + 1) * top) / (2 * m + 3),
-        "top_sin": sin_d[:, 1:],
+        "top_sin": sin_d[:, 2 - mask :],
         "top_two": (top - 1) / (2 * m + 3),
-        "mid_sin": sin_d[:, :-1],
+        "mid_sin": sin_d[:, 1 - mask : -1],
         "mid_plus": (1 + mid) / 2,
         "mid_minus": (mid - 1) / 2,
         "mid_cos": mid,
@@ -183,21 +203,21 @@ def _two_atom_spectral(space: FockSpace, t, g: float) -> dict[str, np.ndarray]:
         "bot_sin": np.zeros_like(mid),
         "bot_diag": np.ones_like(mid),
     }
-    f["bot_two"][:, 1:] = (bot - 1) / (2 * mb - 1)
-    f["bot_sin"][:, 1:] = sin_d[:, :-2]
-    f["bot_diag"][:, 1:] = (mb - 1 + mb * bot) / (2 * mb - 1)
+    f["bot_two"][:, mask:] = (bot - 1) / (2 * mb - 1)
+    f["bot_sin"][:, mask:] = sin_d[:, :-2]
+    f["bot_diag"][:, mask:] = (mb - 1 + mb * bot) / (2 * mb - 1)
     return f
 
 
-def two_atom_table(space: FockSpace, t, g: float) -> SpectralTable:
+def two_atom_table(space: FockSpace, t, g: float, window=None) -> SpectralTable:
     """Closed-form exp(-i t g A) for two atoms (basis ee, eg, ge, gg) at the time(s) t.
 
     Follows from exp(-i t g A) = 1 + D^-1 (cos(tg sqrt(D)) - 1) A^2
     - i D^-1/2 sin(tg sqrt(D)) A with the cubic relation A^3 = D A,
     D = diag(2(2N+3), 2(2N+1), 2(2N+1), 2(2N-1)).  The (1,3)/(2,3) blocks
-    mirror (0,1)/(1,0): -i sin(tg sqrt(2(2N+1)))/sqrt(2(2N+1)) times a.
+    mirror (0,1)/(1,0): -i sin(tg sqrt(2(2N+1)))/sqrt(2(2N+1)) times a.  Rows: ``window``.
     """
-    f = _two_atom_spectral(space, t, g)
+    f = _two_atom_spectral(space, t, g, window)
     top, mid, bot = (-1j * f[k] for k in ("top_sin", "mid_sin", "bot_sin"))
     plus, minus = (0, f["mid_plus"]), (0, f["mid_minus"])
     return SpectralTable.from_rows(space, [
@@ -205,7 +225,7 @@ def two_atom_table(space: FockSpace, t, g: float) -> SpectralTable:
         [(-1, mid), plus, minus, (1, mid)],
         [(-1, mid), minus, plus, (1, mid)],
         [(-2, f["bot_two"]), (-1, bot), (-1, bot), (0, f["bot_diag"])],
-    ])
+    ], window)
 
 
 def spin_one_table(space: FockSpace, t, g: float) -> SpectralTable:
@@ -314,19 +334,23 @@ def gauss_decompose_one_atom(
     return GaussFactors(*(table.to_dense() for table in gauss_tables(space, t, g, tau_sing)))
 
 
-def closed_form_table(n: int, space: FockSpace, t, g: float) -> SpectralTable:
-    """Closed-form exp(-i t g A) for n = 1 or 2 atoms at the time(s) t.
+def closed_form_table(n: int, space: FockSpace, t, g: float, window=None) -> SpectralTable:
+    """Closed-form exp(-i t g A) for n = 1 or 2 atoms at the time(s) t, on the rows of ``window``.
 
     The coefficients depend on t and g only through t*g.
     """
     if n not in (1, 2):
         raise ValueError(f"closed-form propagator exists for 1 or 2 atoms, got n={n!r}")
-    return (one_atom_table if n == 1 else two_atom_table)(space, t, g)
+    return (one_atom_table if n == 1 else two_atom_table)(space, t, g, window)
 
 
-def free_phase(n: int, space: FockSpace, t, omega: float) -> np.ndarray:
-    """exp(-i t omega (S_3 + N)) on the composite basis, one row per time."""
-    return np.exp(-1j * _column(t) * omega * excitation(n, space))
+def free_phase(n: int, space: FockSpace, t, omega: float, window=None) -> np.ndarray:
+    """exp(-i t omega (S_3 + N)) on the composite basis, levels of ``window``, one row per time."""
+    lo, hi = window or (0, space.cutoff)
+    e = excitation(n, space).reshape(2**n, space.cutoff)[:, lo:hi].ravel() - (lo - n / 2)
+    # exp once per excitation value lo - n/2, lo - n/2 + 1, ..., then gathered
+    phase = np.exp(-1j * _column(t) * omega * (lo - n / 2 + np.arange(hi - lo + n)))
+    return phase[:, e.astype(int)]
 
 
 def evolve_full(n: int, space: FockSpace, t: float, omega: float, g: float) -> CompositeOperator:
@@ -346,11 +370,16 @@ def evolve_states(
 ) -> np.ndarray:
     """U(t) state for every t in ``times``, matrix-free; shape (len(times), 2**n * cutoff).
 
-    Equals apply(evolve_full(n, space, t, omega, g), state) at O(2**n cutoff)
-    work per time point instead of O((2**n cutoff)^2); memory grows with
-    len(times), so pass long trajectories in chunks.
+    Equals apply(evolve_full(n, space, t, omega, g), state) up to the sign
+    of zero amplitudes.  The coupling conserves S_3 + N and shifts N by at
+    most n, so only the levels within n of the state's support are
+    evaluated.  Memory grows with len(times): pass long trajectories in chunks.
     """
-    return closed_form_table(n, space, times, g).apply(state, free_phase(n, space, times, omega))
+    levels = np.flatnonzero(state) % space.cutoff  # none for a zero state: an empty window
+    lo, hi = (int(levels.min()) - n, int(levels.max()) + 1 + n) if levels.size else (0, 0)
+    window = (max(0, lo), min(space.cutoff, hi))
+    table = closed_form_table(n, space, times, g, window)
+    return table.apply(state, free_phase(n, space, times, omega, window))
 
 
 def reduction_entries(space: FockSpace) -> tuple[Entries, Entries, np.ndarray]:

@@ -259,6 +259,31 @@ def test_verify_passes_at_a_guard_of_the_atom_count(capsys, atoms, flags):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def _no_checks(*args):
+    raise AssertionError("run_checks reached: the refusal must come before any allocation")
+
+
+@pytest.mark.parametrize("atoms", ["1", "2", "3"])
+def test_verify_refuses_a_working_set_over_the_budget(capsys, monkeypatch, atoms):
+    cutoff = 60
+    need = cli.VERIFY_BYTES_PER_LEVEL[int(atoms)] * cutoff
+    monkeypatch.setattr(cli, "VERIFY_MEMORY_BUDGET", need - 1)
+    monkeypatch.setattr(cli, "run_checks", _no_checks)
+    assert main(["verify", "--atoms", atoms, "--cutoff", str(cutoff)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget" in captured.err and f"cutoff={cutoff}" in captured.err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "VERIFY_MEMORY_BUDGET", need)
+    assert main(["verify", "--atoms", atoms, "--cutoff", str(cutoff)]) == 0
+
+
+def test_verify_refuses_a_cutoff_near_a_million_up_front(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_checks", _no_checks)
+    assert main(["verify", "--atoms", "2", "--cutoff", "1000000"]) == 2
+    assert "GiB" in capsys.readouterr().err
+
+
 def test_invalid_atoms_rejected():
     assert main(["verify", "--atoms", "4", *FAST]) == 2
 

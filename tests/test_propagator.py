@@ -27,6 +27,7 @@ from tcprop import (
     evolve_states,
     evolve_two_atoms,
     expm_hermitian,
+    free_phase,
     gauss_decompose_one_atom,
     hamiltonian,
     reconstruct_two_atoms,
@@ -36,6 +37,7 @@ from tcprop import (
     trusted_mask,
     two_atom_table,
 )
+from tcprop.cli import InitialStateSpec, build_state
 
 SPACE = FockSpace(60, 8)
 SMALL = FockSpace(40, 5)
@@ -438,3 +440,60 @@ def test_batched_coefficients_match_single_time():
 def test_batched_states_reject_wrong_shape():
     with pytest.raises(ValueError):
         evolve_states(1, SMALL, BATCH_TIMES, 1.0, 1.0, np.zeros(3))
+
+
+# evolve_states evaluates the closed form only on the levels within n of the
+# state's support (the window); the full-window table is the reference.
+def _fock(n: int, space: FockSpace, block: int, level: int) -> np.ndarray:
+    psi = np.zeros(2**n * space.cutoff, dtype=complex)
+    psi[block * space.cutoff + level] = 1.0
+    return psi
+
+
+def _window_cases(n: int, space: FockSpace):
+    c = space.cutoff
+    for block in range(2**n):
+        for level in (0, 1, space.trusted - 1, c - 1):
+            yield f"fock({level}) on block {block}", _fock(n, space, block, level)
+    far = _fock(n, space, 0, 2) + 0.5j * _fock(n, space, 2**n - 1, c - 6)
+    yield "two blocks at distant levels", far / np.linalg.norm(far)
+    yield "coherent", build_state(InitialStateSpec("e" * n, "coherent", alpha=1.2 - 0.7j), space)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("g", [1.6, -0.9])
+def test_windowed_evolution_equals_the_full_window(n, g):
+    omega = 0.8
+    full = closed_form_table(n, SMALL, BATCH_TIMES, g)
+    phase = free_phase(n, SMALL, BATCH_TIMES, omega)
+    for name, psi0 in _window_cases(n, SMALL):
+        got = evolve_states(n, SMALL, BATCH_TIMES, omega, g, psi0)
+        assert np.array_equal(got, full.apply(psi0, phase)), name
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_zero_state_evolves_to_zeros(n):
+    got = evolve_states(n, SMALL, BATCH_TIMES, 0.8, 1.6, np.zeros(2**n * SMALL.cutoff))
+    assert got.shape == (len(BATCH_TIMES), 2**n * SMALL.cutoff)
+    assert not got.any()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("window", [(0, 5), (1, 9), (7, 19), (33, 40)])
+def test_windowed_table_holds_the_full_rows_of_its_window(n, window):
+    # BATCH_TIMES reach t g = 1e3: evaluating the masked bottom entry would overflow
+    lo, hi = window
+    inside = np.zeros((2**n, SMALL.cutoff), dtype=bool)
+    inside[:, lo:hi] = True
+    inside = inside.ravel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        part = closed_form_table(n, SMALL, BATCH_TIMES, 1.6, window)
+        whole = closed_form_table(n, SMALL, BATCH_TIMES, 1.6)
+        for i in range(len(BATCH_TIMES)):
+            dense = part.to_dense(i).matrix
+            assert np.array_equal(dense[inside], whole.to_dense(i).matrix[inside])
+            assert not dense[~inside].any()
+        phase = free_phase(n, SMALL, BATCH_TIMES, 0.8)
+        phase_part = free_phase(n, SMALL, BATCH_TIMES, 0.8, window)
+    assert np.array_equal(phase_part, phase[:, inside])

@@ -9,8 +9,9 @@ in-process with stdout captured, so interpreter start-up is not timed.
 Every command runs best of 3 (``REPEAT``) after one warm-up call; a command
 whose warm-up takes over 2 s (``SLOW_S``) runs once.  The file records:
 
-* ``cli_s``: wall time per command (evolve, verify, decompose,
-  relation-search) at cutoffs 60, 200 and 400, for both trees;
+* ``cli_s``: wall time per command (evolve from a Fock and from a
+  coherent state, verify, decompose, relation-search) at cutoffs 60, 200
+  and 400, for both trees;
 * ``run_checks_stages_s``: for ``verify --atoms 2``, the time up to each
   check line since the previous one (the first includes building the
   coupling), read by wrapping ``tcprop.verify._result``;
@@ -45,6 +46,9 @@ def cli_cases() -> list[list[str]]:
         cases += [
             ["evolve", "--atoms", "1", "--cutoff", c, "--initial", "e:fock(0)", "--steps", "500"],
             ["evolve", "--atoms", "2", "--cutoff", c, "--initial", "ee:fock(0)", "--steps", "500"],
+            # a Fock state reaches a few levels only; a coherent one reaches every level
+            ["evolve", "--atoms", "2", "--cutoff", c, "--initial", "eg:coherent(3)",
+             "--steps", "500"],
             ["verify", "--atoms", "1", "--cutoff", c],
             ["verify", "--atoms", "2", "--cutoff", c],
             ["decompose", "--cutoff", c, "--t0", "0.3"],
