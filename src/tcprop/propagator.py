@@ -210,12 +210,12 @@ def _two_atom_spectral(space: FockSpace, t, g: float, window=None) -> dict[str, 
 
 
 def two_atom_table(space: FockSpace, t, g: float, window=None) -> SpectralTable:
-    """Closed-form exp(-i t g A) for two atoms (basis ee, eg, ge, gg) at the time(s) t.
+    """Closed-form exp(-i t g A) for two atoms (ee, eg, ge, gg), time(s) t, rows of ``window``.
 
     Follows from exp(-i t g A) = 1 + D^-1 (cos(tg sqrt(D)) - 1) A^2
     - i D^-1/2 sin(tg sqrt(D)) A with the cubic relation A^3 = D A,
     D = diag(2(2N+3), 2(2N+1), 2(2N+1), 2(2N-1)).  The (1,3)/(2,3) blocks
-    mirror (0,1)/(1,0): -i sin(tg sqrt(2(2N+1)))/sqrt(2(2N+1)) times a.  Rows: ``window``.
+    mirror (0,1)/(1,0): -i sin(tg sqrt(2(2N+1)))/sqrt(2(2N+1)) times a.
     """
     f = _two_atom_spectral(space, t, g, window)
     top, mid, bot = (-1j * f[k] for k in ("top_sin", "mid_sin", "bot_sin"))
