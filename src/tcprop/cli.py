@@ -36,9 +36,13 @@ COHERENT_WEIGHT_TOL = 1e-10
 # time points propagated together by evolve; bounds its memory at
 # O(2**atoms * cutoff * EVOLVE_CHUNK) for any step count
 EVOLVE_CHUNK = 64
-# verify's bytes per Fock level (peak-RSS slope, cutoffs 1e4 to 2e4) and the budget it refuses past
-VERIFY_BYTES_PER_LEVEL = {1: 6_000, 2: 24_000, 3: 6_000}
-VERIFY_MEMORY_BUDGET = 2 * 2**30
+# bytes per Fock level of (command, atoms): the peak-RSS slope between cutoffs 1e4 and 2e4,
+# rounded up; a run whose estimate passes MEMORY_BUDGET is refused before it builds anything
+BYTES_PER_LEVEL = {("verify", 1): 6_000, ("verify", 2): 24_000, ("verify", 3): 6_000,
+                   ("evolve", 1): 6_000, ("evolve", 2): 10_000, ("decompose", 1): 2_000,
+                   ("relation-search", 1): 2_000, ("relation-search", 2): 5_000,
+                   ("relation-search", 3): 15_000}
+MEMORY_BUDGET = 2 * 2**30
 
 
 class ConfigError(ValueError):
@@ -120,7 +124,7 @@ def read_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file and explicit flags, then validate what the command reads."""
+    """Merge defaults, config file and flags; validate what the command reads and its memory."""
     merged = {key: default for key, (_, default, _, _) in _OPTIONS.items()}
     if args.config is not None:
         merged.update(read_config_file(args.config))
@@ -141,6 +145,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"tol must be positive, got {merged['tol']}")
     if "max_power" in reads and merged["max_power"] not in (3, 5):
         raise ConfigError(f"max-power must be 3 or 5, got {merged['max_power']}")
+    # an atom count the command refuses has no entry; the command says why
+    atoms, cutoff = merged["atoms"], merged["cutoff"]
+    if BYTES_PER_LEVEL.get((args.command, atoms), 0) * cutoff > MEMORY_BUDGET:
+        raise ConfigError(f"{args.command} at atoms={atoms}, cutoff={cutoff} would pass its "
+                          f"{MEMORY_BUDGET / 2**30:g} GiB memory budget; lower the cutoff")
     return RunConfig(**merged)
 
 
@@ -287,9 +296,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.atoms < 3 and cfg.guard < cfg.atoms:
         raise ConfigError(f"verify with atoms={cfg.atoms} needs guard >= {cfg.atoms} "
                           f"(and cutoff >= {cfg.atoms + 2}), got guard={cfg.guard}")
-    if VERIFY_BYTES_PER_LEVEL[cfg.atoms] * cfg.cutoff > VERIFY_MEMORY_BUDGET:
-        raise ConfigError(f"verify at atoms={cfg.atoms}, cutoff={cfg.cutoff} would pass its "
-                          f"{VERIFY_MEMORY_BUDGET / 2**30:g} GiB memory budget; lower the cutoff")
     space = FockSpace(cfg.cutoff, cfg.guard)
     results, notes = run_checks(cfg.atoms, space, cfg.tol)
     for res in results:

@@ -128,9 +128,9 @@ def cosz(x):
     """Entire function cos(sqrt(x)), power series sum_k (-x)^k / (2k)!.
 
     Evaluates to cos(sqrt(x)) for x >= 0 and cosh(sqrt(-x)) for x < 0, so
-    spectral arguments that go negative (they do, at photon number zero in
-    the lowest two-atom branch) stay real and well defined.  Accepts scalars
-    or arrays.
+    a negative argument stays real and well defined; the closed forms pass
+    none (they clamp the lowest two-atom branch at 0).  Accepts scalars or
+    arrays.
     """
     return _split_eval(x, np.cos, np.cosh)
 

@@ -305,24 +305,23 @@ def sector_decompose(n: int, space: FockSpace) -> list[Sector]:
     return sorted(sectors, key=lambda sector: sector.excitation)
 
 
-def _min_poly_degrees(stack: np.ndarray, tol: float | None = None) -> np.ndarray:
+def _min_poly_degrees(stack: np.ndarray) -> np.ndarray:
     """:func:`min_poly_degree` of every matrix of a (k, s, s) stack, from one ``eigvalsh``."""
     if stack.shape[-1] == 0:
         return np.zeros(stack.shape[0], dtype=int)
     evals = np.linalg.eigvalsh(stack)  # ascending along the last axis
     norm = np.maximum(np.abs(evals[:, 0]), np.abs(evals[:, -1]))
-    if tol is None:
-        tol = 1e-8 * norm[:, None]
+    tol = 1e-8 * norm[:, None]
     return np.where(norm == 0.0, 1, 1 + np.sum(np.diff(evals, axis=-1) > tol, axis=-1))
 
 
-def min_poly_degree(matrix: np.ndarray, tol: float | None = None) -> int:
+def min_poly_degree(matrix: np.ndarray) -> int:
     """Degree of the minimal polynomial of a Hermitian matrix.
 
-    Counts distinct eigenvalues after clustering; default clustering
-    tolerance is 1e-8 times the spectral norm.
+    Counts distinct eigenvalues after clustering at 1e-8 times the
+    spectral norm.
     """
-    return int(_min_poly_degrees(np.asarray(matrix)[None], tol)[0])
+    return int(_min_poly_degrees(np.asarray(matrix)[None])[0])
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,14 @@
 The coupling operator A of one or two atoms satisfies a low-degree
 polynomial relation (A^2 is diagonal for one atom, A^3 = D A for two), so
 exp(-i t g A) collapses to a few terms f(N) a^k on atomic blocks, f built
-from the entire functions cosz and sincz of (t g)^2 d(m).  Each closed form
-is one :class:`SpectralTable` of such terms, evaluated for a vector of
-times at once; it lists its entries, assembles the dense operator or acts
-on a state directly, at O(terms x levels) work per time point.  The lowest two-atom branch
-d(m) = 2(2m - 1) is negative at m = 0, where cosz is a cosh that overflows
-for large |t g|; that entry is masked (never evaluated, set to its limit).
+from the entire functions cosz and sincz of (t g)^2 d(m), all evaluated by
+one kernel.  Each closed form is one :class:`SpectralTable` of such terms,
+evaluated for a vector of times at once; it lists its entries, assembles
+the dense operator or acts on a state directly, at O(terms x levels) work
+per time point.  The lowest two-atom branch d(m) = 2(2m - 1) is negative
+at m = 0, where cosz is a cosh that overflows for large |t g|; it is
+clamped to 0 there, where only a diagonal coefficient that is exactly 1
+at any branch value is read, so no argument is ever negative.
 
 With the resonant full Hamiltonian the free part commutes with the
 coupling, so the full propagator is the free phase times the interaction
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -48,6 +51,8 @@ __all__ = [
 ]
 
 _SQRT2 = sqrt(2.0)
+# the triangular factorization is refused where |cos(tg sqrt(m))| falls below this
+GAUSS_TAU_SING = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,17 +102,11 @@ class SpectralTable:
     def entries(self) -> Entries:
         """Every term's entries, values of shape (times, count): O(terms x levels) work."""
         c = self.space.cutoff
-        times = max(coef.shape[0] for *_, coef in self.terms)
-        rows, cols, values = [], [], []
+        parts = []
         for row, col, k, coef in self.terms:
             m = np.arange(*self._span(k))
-            rows.append(row * c + m)
-            cols.append(col * c + m + k)
-            term = self._term_values(coef, k)
-            if term.shape[0] != times:
-                term = np.broadcast_to(term, (times, m.size))
-            values.append(term)
-        return Entries(np.concatenate(rows), np.concatenate(cols), np.concatenate(values, axis=-1))
+            parts.append(Entries(row * c + m, col * c + m + k, self._term_values(coef, k)))
+        return join_entries(*parts)
 
     def to_dense(self, i: int = 0) -> CompositeOperator:
         """The dense operator at the i-th time of the table."""
@@ -153,6 +152,18 @@ def _column(t) -> np.ndarray:
     return np.atleast_1d(np.asarray(t, dtype=float))[:, None]
 
 
+def _branch(t, g: float, d: np.ndarray) -> Iterator[np.ndarray]:
+    """cos(tg sqrt(d)) and sin(tg sqrt(d))/sqrt(d) as cosz(u d), t g sincz(u d), u = (t g)^2.
+
+    One row per time t, one column per branch value d.  Yields the cosine
+    first, so a caller that refuses on it can stop before the sine.
+    """
+    tg = _column(t) * g
+    u = tg * tg
+    yield cosz(u * d)
+    yield tg * sincz(u * d)
+
+
 def one_atom_table(space: FockSpace, t, g: float, window=None) -> SpectralTable:
     """Closed-form exp(-i t g A) for one atom at the time(s) t, on the rows of ``window``.
 
@@ -164,14 +175,10 @@ def one_atom_table(space: FockSpace, t, g: float, window=None) -> SpectralTable:
     written with cosz/sincz so every factor is total.
     """
     lo, hi = window or (0, space.cutoff)
-    tg = _column(t) * g
-    u = tg * tg
-    levels = np.arange(lo, hi + 1, dtype=float)
-    cos_l = cosz(u * levels)
-    sin_l = -1j * (tg * sincz(u * levels))
+    cos_l, sin_l = _branch(t, g, np.arange(lo, hi + 1, dtype=float))
     return SpectralTable.from_rows(space, [
-        [(0, cos_l[:, 1:]), (1, sin_l[:, 1:])],
-        [(-1, sin_l[:, :-1]), (0, cos_l[:, :-1])],
+        [(0, cos_l[:, 1:]), (1, -1j * sin_l[:, 1:])],
+        [(-1, -1j * sin_l[:, :-1]), (0, cos_l[:, :-1])],
     ], (lo, hi))
 
 
@@ -179,34 +186,26 @@ def _two_atom_spectral(space: FockSpace, t, g: float, window=None) -> dict[str, 
     """The distinct spectral functions of the two-atom closed form, on the rows of ``window``.
 
     All branches are d_j = 2(2j+1): the top, middle and bottom atomic rows
-    at level m use j = m+1, m and m-1.  The bottom row at m = 0 (j = -1)
-    is the masked entry; its coefficients are pinned to their limits.
+    at level m use j = m+1, m and m-1.  At m = 0 the bottom row's j = -1
+    is clamped to d = 0 (d = -2 is a cosh that overflows for large |t g|);
+    only its diagonal, (0 - 1 + 0 cosz(d)) / (-1) = 1 at any d, is read.
     """
     lo, hi = window or (0, space.cutoff)
-    mask = int(lo == 0)  # the window holds the masked entry
-    tg = _column(t) * g
-    u = tg * tg
     m = np.arange(lo, hi, dtype=float)
-    d = 2.0 * (2 * np.arange(lo - 1 + mask, hi + 1, dtype=float) + 1)
-    cos_d = cosz(u * d)
-    sin_d = tg * sincz(u * d)
-    top, mid, bot, mb = cos_d[:, 2 - mask :], cos_d[:, 1 - mask : -1], cos_d[:, :-2], m[mask:]
-    f = {
+    cos_d, sin_d = _branch(t, g, np.maximum(4.0 * np.arange(lo - 1, hi + 1) + 2, 0))
+    top, mid, bot = cos_d[:, 2:], cos_d[:, 1:-1], cos_d[:, :-2]
+    return {
         "top_diag": (m + 2 + (m + 1) * top) / (2 * m + 3),
-        "top_sin": sin_d[:, 2 - mask :],
+        "top_sin": sin_d[:, 2:],
         "top_two": (top - 1) / (2 * m + 3),
-        "mid_sin": sin_d[:, 1 - mask : -1],
+        "mid_sin": sin_d[:, 1:-1],
         "mid_plus": (1 + mid) / 2,
         "mid_minus": (mid - 1) / 2,
         "mid_cos": mid,
-        "bot_two": np.zeros_like(mid),
-        "bot_sin": np.zeros_like(mid),
-        "bot_diag": np.ones_like(mid),
+        "bot_two": (bot - 1) / (2 * m - 1),
+        "bot_sin": sin_d[:, :-2],
+        "bot_diag": (m - 1 + m * bot) / (2 * m - 1),
     }
-    f["bot_two"][:, mask:] = (bot - 1) / (2 * mb - 1)
-    f["bot_sin"][:, mask:] = sin_d[:, :-2]
-    f["bot_diag"][:, mask:] = (mb - 1 + mb * bot) / (2 * mb - 1)
-    return f
 
 
 def two_atom_table(space: FockSpace, t, g: float, window=None) -> SpectralTable:
@@ -287,24 +286,23 @@ class GaussFactors:
 
 
 def gauss_tables(
-    space: FockSpace, t: float, g: float, tau_sing: float = 1e-8
+    space: FockSpace, t: float, g: float
 ) -> tuple[SpectralTable, SpectralTable, SpectralTable]:
     """The (lower, diagonal, upper) factors of :func:`gauss_decompose_one_atom` as tables.
 
     Refuses with :class:`GaussSingularityError` as that function does.
     """
     c = space.cutoff
-    tg = _column(t) * g
-    u = tg * tg
-    levels = np.arange(c + 1, dtype=float)
-    cos_l = cosz(u * levels)
-    bad = np.nonzero(np.abs(cos_l[0, :c]) < tau_sing)[0]
+    branch = _branch(t, g, np.arange(c + 1, dtype=float))
+    cos_l = next(branch)
+    bad = np.nonzero(np.abs(cos_l[0, :c]) < GAUSS_TAU_SING)[0]
     if bad.size:
         level = int(bad[0])
         raise GaussSingularityError(level, float(abs(cos_l[0, level])))
+    sin_l = next(branch)
 
     # -i tan(tg sqrt(m))/sqrt(m) on levels 0..cutoff-1; total because sincz(0) = cosz(0) = 1
-    tan = -1j * (tg * sincz(u * levels[:c]) / cos_l[:, :c])
+    tan = -1j * (sin_l[:, :c] / cos_l[:, :c])
     # the same function of N+1, at the row level m
     tan_up = np.pad(tan[:, 1:], ((0, 0), (0, 1)))
     one = (0, np.ones((1, c)))
@@ -317,9 +315,7 @@ def gauss_tables(
     )
 
 
-def gauss_decompose_one_atom(
-    space: FockSpace, t: float, g: float, tau_sing: float = 1e-8
-) -> GaussFactors:
+def gauss_decompose_one_atom(space: FockSpace, t: float, g: float) -> GaussFactors:
     """Triangular factorization of the one-atom propagator.
 
         exp(-i t g A) = lower @ diagonal @ upper
@@ -329,9 +325,9 @@ def gauss_decompose_one_atom(
     upper = [[1, -i tan(tg sqrt(N+1))/sqrt(N+1) a], [0, 1]].
 
     Refuses with :class:`GaussSingularityError` when |cos(tg sqrt(m))| falls
-    below ``tau_sing`` for any level m in 0..cutoff-1.
+    below :data:`GAUSS_TAU_SING` for any level m in 0..cutoff-1.
     """
-    return GaussFactors(*(table.to_dense() for table in gauss_tables(space, t, g, tau_sing)))
+    return GaussFactors(*(table.to_dense() for table in gauss_tables(space, t, g)))
 
 
 def closed_form_table(n: int, space: FockSpace, t, g: float, window=None) -> SpectralTable:

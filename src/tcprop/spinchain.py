@@ -2,7 +2,9 @@
 
 Atomic basis ordering is binary with the excited state first: |e..e> is
 index 0 and |g..g> is index L-1, L = 2**n, atom 1 being the leftmost
-(slowest) tensor factor.  Composite operators use the layout
+(slowest) tensor factor, so bit n - i of the index is set when atom i is
+in g.  S+-, S_3, the basis labels and the excitation are all read from
+that one table of ground bits.  Composite operators use the layout
 kron(atomic, field): atomic index slow, photon index fast.  With this
 ordering the coupling operator of one atom is [[0, a], [a+, 0]] and larger
 atom counts nest recursively.
@@ -25,15 +27,11 @@ import numpy as np
 from .fock import FockSpace, annihilator_entries
 
 __all__ = [
-    "SIGMA_PLUS",
-    "SIGMA_MINUS",
-    "SIGMA_3",
     "CompositeOperator",
     "Entries",
     "BlockSplit",
     "Blocked",
     "Hamiltonian",
-    "embed_sigma",
     "collective",
     "kron_entries",
     "join_entries",
@@ -46,65 +44,41 @@ __all__ = [
     "atomic_labels",
 ]
 
-SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)
-SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
-SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
-_PAULI = {"+": SIGMA_PLUS, "-": SIGMA_MINUS, "3": SIGMA_3}
-
-
-def _check_atoms(n: int) -> None:
+def _ground_bits(n: int) -> np.ndarray:
+    """(2**n, n) table of 0/1: entry (k, i - 1) is bit n - i of k, set when atom i is in g."""
     if n not in (1, 2, 3):
         raise ValueError(f"atom count must be 1, 2 or 3, got {n!r}")
+    return (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
-def embed_sigma(i: int, kind: str, n: int) -> np.ndarray:
-    """Pauli operator of atom i (1-based) embedded in the n-atom space.
-
-    ``kind`` is one of "+", "-", "3".  Returns a 2**n x 2**n matrix.
-    """
-    _check_atoms(n)
-    if kind not in _PAULI:
-        raise ValueError(f'kind must be "+", "-" or "3", got {kind!r}')
-    if not 1 <= i <= n:
-        raise ValueError(f"atom index must be in 1..{n}, got {i}")
-    out = np.array([[1.0 + 0j]])
-    for slot in range(1, n + 1):
-        out = np.kron(out, _PAULI[kind] if slot == i else np.eye(2, dtype=complex))
-    return out
+def _s3_diagonal(n: int) -> np.ndarray:
+    """S_3 of each atomic basis state: half the count of e minus g atoms."""
+    return (n - 2 * _ground_bits(n).sum(axis=1)) / 2
 
 
 def collective(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collective spin operators (S_plus, S_minus, S_3) for n atoms.
 
-    S_plus and S_minus are sums of single-atom raising/lowering operators;
-    S_3 is half the sum of single-atom sigma_3, so its eigenvalues step by 1
-    between n/2 and -n/2.  They satisfy the su(2) relations
-    [S_3, S_pm] = +-S_pm and [S_plus, S_minus] = 2 S_3 exactly.
+    S_plus takes a basis state to each state with one g atom turned to e,
+    S_minus is its transpose and S_3 is diagonal, half the count of e minus
+    g atoms, so its eigenvalues step by 1 between n/2 and -n/2.  They satisfy
+    the su(2) relations [S_3, S_pm] = +-S_pm and [S_plus, S_minus] = 2 S_3 exactly.
     """
-    _check_atoms(n)
-    s_plus = sum(embed_sigma(i, "+", n) for i in range(1, n + 1))
-    s_minus = sum(embed_sigma(i, "-", n) for i in range(1, n + 1))
-    s_3 = sum(embed_sigma(i, "3", n) for i in range(1, n + 1)) / 2
-    return s_plus, s_minus, s_3
+    k, i = np.nonzero(_ground_bits(n))  # atom i + 1 of state k is in g
+    s_plus = np.zeros((2**n, 2**n), dtype=complex)
+    s_plus[k - (1 << (n - 1 - i)), k] = 1  # clear that g bit
+    return s_plus, s_plus.T.copy(), np.diag(_s3_diagonal(n)).astype(complex)
 
 
 def atomic_labels(n: int) -> tuple[str, ...]:
     """Basis labels in index order, e.g. ("ee", "eg", "ge", "gg") for n = 2."""
-    _check_atoms(n)
-    return tuple(
-        "".join("g" if (k >> (n - 1 - bit)) & 1 else "e" for bit in range(n))
-        for k in range(2**n)
-    )
+    return tuple("".join("eg"[bit] for bit in bits) for bits in _ground_bits(n).tolist())
 
 
 def excitation(n: int, space: FockSpace) -> np.ndarray:
-    """Excitation S_3 + N of each composite basis index, in index order.
-
-    S_3 is half the count of excited minus ground letters of the atomic label.
-    """
-    s_3 = [(lab.count("e") - lab.count("g")) / 2 for lab in atomic_labels(n)]
-    return (np.array(s_3)[:, None] + np.arange(space.cutoff, dtype=float)[None, :]).ravel()
+    """Excitation S_3 + N of each composite basis index, in index order."""
+    return (_s3_diagonal(n)[:, None] + np.arange(space.cutoff, dtype=float)[None, :]).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,7 +374,6 @@ class Blocked:
 
 def coupling_entries(n: int, space: FockSpace) -> Entries:
     """Entries of the atom-field coupling S_plus kron a + S_minus kron a+, built from S+- and a."""
-    _check_atoms(n)
     s_plus, s_minus, _ = collective(n)
     a = Entries(*annihilator_entries(space))
     c = space.cutoff
@@ -429,7 +402,6 @@ def hamiltonian(n: int, space: FockSpace, omega: float, delta: float, g: float) 
     resonance (delta = omega) the free part is omega times the excitation
     operator and commutes with the interaction.
     """
-    _check_atoms(n)
     free = CompositeOperator.from_entries(2**n, space, _free_entries(n, space, omega, delta))
     interaction = g * coupling_operator(n, space)
     return Hamiltonian(free + interaction, free, interaction)
@@ -437,15 +409,13 @@ def hamiltonian(n: int, space: FockSpace, omega: float, delta: float, g: float) 
 
 def _free_entries(n: int, space: FockSpace, omega: float, delta: float) -> Entries:
     """Entries of the free part omega 1 kron N + delta S_3 kron 1, all on the diagonal."""
-    s_3 = np.diag(collective(n)[2]).real
-    diagonal = (omega * np.arange(space.cutoff)[None, :] + delta * s_3[:, None]).ravel()
+    diagonal = (omega * np.arange(space.cutoff)[None, :] + delta * _s3_diagonal(n)[:, None]).ravel()
     levels = np.arange(diagonal.size)
     return Entries(levels, levels, diagonal + 0j)
 
 
 def hamiltonian_entries(n: int, space: FockSpace, omega: float, delta: float, g: float) -> Entries:
     """Entries of :func:`hamiltonian`'s total: omega N + delta S_3 on the diagonal, g A off it."""
-    _check_atoms(n)
     a = coupling_entries(n, space)
     return join_entries(_free_entries(n, space, omega, delta),
                         Entries(a.rows, a.cols, a.values * complex(g)))

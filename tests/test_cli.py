@@ -263,25 +263,65 @@ def _no_checks(*args):
     raise AssertionError("run_checks reached: the refusal must come before any allocation")
 
 
-@pytest.mark.parametrize("atoms", ["1", "2", "3"])
-def test_verify_refuses_a_working_set_over_the_budget(capsys, monkeypatch, atoms):
+# each command's work, replaced by a failure: a refusal must come before any of it
+_WORK = {"verify": ["run_checks"], "evolve": ["build_state", "evolve_states"],
+         "decompose": ["gauss_deviations"], "relation-search": ["relation_fits"]}
+
+
+def _check_budget_refusal(capsys, monkeypatch, command, atoms):
     cutoff = 60
-    need = cli.VERIFY_BYTES_PER_LEVEL[int(atoms)] * cutoff
-    monkeypatch.setattr(cli, "VERIFY_MEMORY_BUDGET", need - 1)
-    monkeypatch.setattr(cli, "run_checks", _no_checks)
-    assert main(["verify", "--atoms", atoms, "--cutoff", str(cutoff)]) == 2
+    extra = ["--initial", "g" * atoms + ":fock(0)"] if command == "evolve" else []
+    argv = [command, "--atoms", str(atoms), "--cutoff", str(cutoff), *extra]
+    need = cli.BYTES_PER_LEVEL[command, atoms] * cutoff
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", need - 1)
+    for name in _WORK[command]:
+        monkeypatch.setattr(cli, name, _no_checks)
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "budget" in captured.err and f"cutoff={cutoff}" in captured.err
+    assert "budget" in captured.err and f"{command} at atoms={atoms}, cutoff={cutoff}" in captured.err
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "VERIFY_MEMORY_BUDGET", need)
-    assert main(["verify", "--atoms", atoms, "--cutoff", str(cutoff)]) == 0
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", need)
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("atoms", ["1", "2", "3"])
+def test_verify_refuses_a_working_set_over_the_budget(capsys, monkeypatch, atoms):
+    _check_budget_refusal(capsys, monkeypatch, "verify", int(atoms))
+
+
+@pytest.mark.parametrize("command, atoms",
+                         sorted(key for key in cli.BYTES_PER_LEVEL if key[0] != "verify"))
+def test_every_command_refuses_a_working_set_over_the_budget(capsys, monkeypatch, command, atoms):
+    _check_budget_refusal(capsys, monkeypatch, command, atoms)
 
 
 def test_verify_refuses_a_cutoff_near_a_million_up_front(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_checks", _no_checks)
     assert main(["verify", "--atoms", "2", "--cutoff", "1000000"]) == 2
     assert "GiB" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--atoms", "2", "--cutoff", "300000", "--initial", "gg:fock(0)"],
+    ["evolve", "--atoms", "1", "--cutoff", "100000000", "--initial", "g:fock(0)"],
+    ["relation-search", "--atoms", "3", "--cutoff", "200000"],
+    ["decompose", "--cutoff", "100000000"],
+], ids=["evolve-2", "evolve-1", "relation-search-3", "decompose-1"])
+def test_large_cutoffs_are_refused_up_front(capsys, monkeypatch, argv):
+    for name in ("build_state", "evolve_states", "relation_fits", "gauss_deviations"):
+        monkeypatch.setattr(cli, name, _no_checks)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "GiB memory budget" in captured.err
+
+
+def test_a_refused_atom_count_keeps_its_own_message(capsys):
+    # no memory entry for what the command refuses anyway: the command says why
+    assert main(["evolve", "--atoms", "3", "--cutoff", "100000000", "--initial", "ggg:fock(0)"]) == 2
+    assert "three atoms" in capsys.readouterr().err
+    assert main(["decompose", "--atoms", "2", "--cutoff", "100000000"]) == 2
+    assert "one atom only" in capsys.readouterr().err
 
 
 def test_invalid_atoms_rejected():

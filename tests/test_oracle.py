@@ -330,21 +330,18 @@ def test_min_poly_degree_basics():
     assert min_poly_degree(np.diag([1.0, 1.0 + 1e-12])) == 1
     assert min_poly_degree(np.diag([1.0, 1.0 + 1e-4])) == 2
     assert min_poly_degree(np.zeros((0, 0))) == 0
-    assert min_poly_degree(np.diag([0.0, 1.0]), tol=2.0) == 1
 
 
-def _min_poly_degree_one_by_one(matrix: np.ndarray, tol: float | None = None) -> int:
+def _min_poly_degree_one_by_one(matrix: np.ndarray) -> int:
     """Distinct eigenvalues of one Hermitian matrix, clustered at 1e-8 of its norm."""
     matrix = np.asarray(matrix)
     if matrix.shape[0] == 0:
         return 0
     evals = np.sort(np.linalg.eigvalsh(matrix))
     norm = float(max(abs(evals[0]), abs(evals[-1])))
-    if tol is None:
-        tol = 1e-8 * norm
     if norm == 0.0:
         return 1
-    return 1 + int(np.sum(np.diff(evals) > tol))
+    return 1 + int(np.sum(np.diff(evals) > 1e-8 * norm))
 
 
 @pytest.mark.parametrize(

@@ -29,14 +29,17 @@ from tcprop import (
     expm_hermitian,
     free_phase,
     gauss_decompose_one_atom,
+    gauss_tables,
     hamiltonian,
     reconstruct_two_atoms,
+    reduced_table,
     reduction_transform,
     spectral_fn,
     spin_one_table,
     trusted_mask,
     two_atom_table,
 )
+from tcprop import propagator
 from tcprop.cli import InitialStateSpec, build_state
 
 SPACE = FockSpace(60, 8)
@@ -277,11 +280,12 @@ def test_gauss_refuses_singular_point():
     assert "m=1" in str(exc.value)
 
 
-def test_gauss_threshold_is_adjustable():
+def test_gauss_threshold_is_adjustable(monkeypatch):
     # a generous threshold rejects points where the default succeeds
     gauss_decompose_one_atom(SPACE, 0.3, 1.0)
+    monkeypatch.setattr(propagator, "GAUSS_TAU_SING", 0.999)
     with pytest.raises(GaussSingularityError) as exc:
-        gauss_decompose_one_atom(SPACE, 0.3, 1.0, tau_sing=0.999)
+        gauss_decompose_one_atom(SPACE, 0.3, 1.0)
     assert exc.value.level == 1
 
 
@@ -378,8 +382,8 @@ def test_apply_rejects_wrong_shape():
 # agreement with ample margin; it stays below the 1e-12 (1 + |t g|) the
 # benchmark's output check allows at t g = 0.
 BATCH_TOL = 1e-13
-# with g = 1.6 the last time reaches t g = 1e3, where the masked bottom
-# two-atom entry (cosz at d = -2, i.e. cosh(sqrt(2) t g)) would overflow
+# with g = 1.6 the last time reaches t g = 1e3, where the unclamped bottom
+# two-atom branch (cosz at d = -2, i.e. cosh(sqrt(2) t g)) would overflow
 BATCH_TIMES = np.array([0.0, 0.37, 1.9, 12.5, 97.3, 333.0, 625.0])
 
 
@@ -408,7 +412,7 @@ def test_batched_states_match_dense_route(n, g):
 @pytest.mark.parametrize("g", [1.6, -1.6])
 def test_batched_two_atom_bottom_branch_at_zero_photons(g):
     # |gg,0> spans an excitation sector of its own: only the free phase
-    # exp(+i t omega) acts, through the pinned bottom-row entries at m = 0
+    # exp(+i t omega) acts, through the clamped bottom-row branch at m = 0
     omega = 1.1
     c = SMALL.cutoff
     psi0 = np.zeros(4 * c, dtype=complex)
@@ -481,7 +485,7 @@ def test_zero_state_evolves_to_zeros(n):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("window", [(0, 5), (1, 9), (7, 19), (33, 40)])
 def test_windowed_table_holds_the_full_rows_of_its_window(n, window):
-    # BATCH_TIMES reach t g = 1e3: evaluating the masked bottom entry would overflow
+    # BATCH_TIMES reach t g = 1e3: the bottom branch at m = 0 would overflow unclamped
     lo, hi = window
     inside = np.zeros((2**n, SMALL.cutoff), dtype=bool)
     inside[:, lo:hi] = True
@@ -497,3 +501,36 @@ def test_windowed_table_holds_the_full_rows_of_its_window(n, window):
         phase = free_phase(n, SMALL, BATCH_TIMES, 0.8)
         phase_part = free_phase(n, SMALL, BATCH_TIMES, 0.8, window)
     assert np.array_equal(phase_part, phase[:, inside])
+
+
+# windows from level 0 reach the bottom two-atom row at m = 0, whose branch d = 2(2m - 1)
+# would be -2 there: cosz(-2 (t g)^2) is cosh(sqrt(2) t g), which overflows near t g = 503
+CLAMP_TIMES = np.array([0.0, 0.37, 12.5, 503.0, 1e3, 1e4, 1e5, 1e6])
+
+
+def test_closed_forms_pass_no_negative_argument_to_cosz_or_sincz(monkeypatch):
+    smallest = []
+    for name in ("cosz", "sincz"):
+        fn = getattr(propagator, name)
+        monkeypatch.setattr(propagator, name,
+                            lambda x, fn=fn: smallest.append(float(np.min(x))) or fn(x))
+    bottom = SMALL.cutoff * 3  # (gg, gg) at m = 0 in the two-atom table
+    state = np.zeros(4 * SMALL.cutoff, dtype=complex)
+    state[bottom] = 1.0
+    with np.errstate(all="raise"):
+        for n in (1, 2):
+            for window in ((0, 1), (0, 5), None):
+                closed_form_table(n, SMALL, CLAMP_TIMES, 1.0, window).entries()
+        spin_one_table(SMALL, CLAMP_TIMES, 1.0).entries()
+        reduced_table(SMALL, CLAMP_TIMES, 1.0).entries()
+        for tg in (0.3, 12.0, 1e6):
+            for table in gauss_tables(SMALL, tg, 1.0):
+                table.entries()
+        evolve_states(2, SMALL, CLAMP_TIMES, 0.8, 1.0, state)
+        full = two_atom_table(SMALL, CLAMP_TIMES, 1.0).entries()
+    # 13 builder calls (6 closed forms, spin-1, reduced, 3 Gauss, evolve, full), each one
+    # cosz and one sincz
+    assert len(smallest) == 2 * 13 and min(smallest) >= 0.0
+    at_bottom = (full.rows == bottom) & (full.cols == bottom)
+    assert at_bottom.sum() == 1
+    assert np.array_equal(full.values[:, at_bottom], np.ones((len(CLAMP_TIMES), 1)))

@@ -42,6 +42,7 @@ from tcprop import (
     worst_entries,
 )
 from tcprop.cli import main
+from tcprop.propagator import GAUSS_TAU_SING
 from tcprop.verify import gauss_deviations
 
 EPS = np.finfo(float).eps
@@ -75,9 +76,6 @@ def test_closed_form_agrees_with_the_oracle(n, cutoff, tg, share):
     assert _largest(u[1] @ u[2] - u[0]) <= bound
 
 
-TAU_SING = 1e-8  # gauss_tables' default refusal threshold
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     cutoff=st.integers(min_value=4, max_value=200),
@@ -95,9 +93,9 @@ def test_gauss_factorization_near_a_zero_of_cos(cutoff, level, zero, offset, sid
     try:
         product_dev, variant_dev = gauss_deviations(space, tg, 1.0)
     except GaussSingularityError as exc:
-        assert closest < TAU_SING and exc.value == closest
+        assert closest < GAUSS_TAU_SING and exc.value == closest
         return
-    assert closest >= TAU_SING
+    assert closest >= GAUSS_TAU_SING
     largest = max(np.abs(t.entries().values).max() for t in gauss_tables(space, tg, 1.0))
     assert product_dev <= 8 * EPS * largest
     assert variant_dev == 0.0

@@ -1,5 +1,7 @@
 """Collective spin operators, composite operators, and the Hamiltonian."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from tcprop import (
     collective,
     coupling_operator,
     creator,
-    embed_sigma,
     entry_deviation,
     excitation,
     hamiltonian,
@@ -36,19 +37,23 @@ def test_su2_commutators_exact(n):
     assert not np.array_equal(sp, zero)
 
 
-def test_embedded_sigma_placement():
-    z1 = embed_sigma(1, "3", 2)
-    z2 = embed_sigma(2, "3", 2)
-    np.testing.assert_array_equal(np.diag(z1), [1, 1, -1, -1])
-    np.testing.assert_array_equal(np.diag(z2), [1, -1, 1, -1])
-    p2 = embed_sigma(2, "+", 2)
-    # raises the second atom: |gg> -> |ge>, |eg> -> |ee>
-    assert p2[0, 1] == 1.0 and p2[2, 3] == 1.0
-    assert np.count_nonzero(p2) == 2
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_collective_placement(n):
+    # S+ turns one g atom to e: entry (j, k) is 1 exactly when label j is label k
+    # with one g changed to e, and 0 elsewhere
+    labels = ["".join(letters) for letters in itertools.product("eg", repeat=n)]
+    assert atomic_labels(n) == tuple(labels)
+    sp, sm, s3 = collective(n)
+    expected = np.zeros((2**n, 2**n), dtype=complex)
+    for k, src in enumerate(labels):
+        for i in (i for i, letter in enumerate(src) if letter == "g"):
+            expected[labels.index(src[:i] + "e" + src[i + 1 :]), k] = 1.0
+    np.testing.assert_array_equal(sp, expected)
+    np.testing.assert_array_equal(sm, expected.T)
+    np.testing.assert_array_equal(s3, np.diag([(lab.count("e") - lab.count("g")) / 2
+                                               for lab in labels]))
     with pytest.raises(ValueError):
-        embed_sigma(3, "+", 2)
-    with pytest.raises(ValueError):
-        embed_sigma(1, "x", 2)
+        collective(4)
 
 
 def test_collective_s3_halves():
