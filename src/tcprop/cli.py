@@ -41,7 +41,7 @@ EVOLVE_CHUNK = 64
 BYTES_PER_LEVEL = {("verify", 1): 6_000, ("verify", 2): 24_000, ("verify", 3): 6_000,
                    ("evolve", 1): 6_000, ("evolve", 2): 10_000, ("decompose", 1): 2_000,
                    ("relation-search", 1): 2_000, ("relation-search", 2): 5_000,
-                   ("relation-search", 3): 15_000}
+                   ("relation-search", 3): 11_000}
 MEMORY_BUDGET = 2 * 2**30
 
 
@@ -213,10 +213,14 @@ def build_state(spec: InitialStateSpec, space: FockSpace) -> np.ndarray:
                 f"|alpha|^2 = {mean:.3f} exceeds (cutoff-1-guard)/4 = {top_trusted / 4:.3f}; "
                 "raise the cutoff"
             )
-        field = np.empty(space.cutoff, dtype=complex)
-        field[0] = math.exp(-mean / 2)
-        for m in range(1, space.cutoff):
-            field[m] = field[m - 1] * alpha / math.sqrt(m)
+        # the recurrence on complex128 scalars, as one array would round it, gathered once
+        value = np.complex128(math.exp(-mean / 2))
+        values = [value]
+        alpha = np.complex128(alpha)
+        for root in np.sqrt(np.arange(1.0, space.cutoff)).tolist():
+            value = value * alpha / root
+            values.append(value)
+        field = np.array(values)
         kept = float(np.sum(np.abs(field) ** 2))
         discarded = max(0.0, 1.0 - kept)
         if discarded > COHERENT_WEIGHT_TOL:

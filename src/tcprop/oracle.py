@@ -199,34 +199,43 @@ def worst_entries(op: Blocked, trusted: bool = True) -> list[ComparisonReport]:
     With ``trusted`` the block entries are restricted to trusted rows and
     columns; entries outside the blocks always count.  Entries listed at one
     position are added first, as in :func:`~tcprop.spinchain.entry_deviation`.
-    Ties go to the first entry in row-major order, as in :func:`compare`.
+    Ties go to the first entry in row-major order, as in :func:`compare`,
+    and a NaN entry beats every number.  Without outside entries the blocks
+    are reduced directly, in the split's flat buffer order.
     """
-    space = op.split.space
-    c, tr = space.cutoff, space.trusted
-    rows, cols, values = op.entries()
-    keep = np.ones(rows.size, dtype=bool)
-    if trusted:
-        inside = rows.size - op.outside.rows.size  # entries() lists the outside ones last
-        keep[:inside] = (rows[:inside] % c < tr) & (cols[:inside] % c < tr)
-    dim = op.split.n_blocks * c
-    key = rows[keep].astype(np.int64) * dim + cols[keep]
-    values = values[..., keep].reshape(-1, key.size)
-    if op.outside.rows.size:  # block positions are distinct; only outside ones can repeat
-        key, inverse = np.unique(key, return_inverse=True)
+    split = op.split
+    c, tr = split.space.cutoff, split.space.trusted
+    dim = split.n_blocks * c
+    if not op.outside.rows.size:
+        order, key = split.trusted if trusted else split.row_major
+        values = [np.abs(x) for x in op.blocks]
+        batch = np.broadcast_shapes(*(x.shape[:-3] for x in values))
+        values = np.concatenate(  # |entry| of every block, in the split's flat buffer order
+            [(x if x.shape[:-3] == batch else np.broadcast_to(x, batch + x.shape[-3:]))
+             .reshape(batch + (-1,)) for x in values], axis=-1)
+        values = values[..., order].reshape(-1, key.size)
+    else:
+        rows, cols, values = op.entries()
+        keep = np.ones(rows.size, dtype=bool)
+        if trusted:
+            inside = rows.size - op.outside.rows.size  # entries() lists the outside ones last
+            keep[:inside] = (rows[:inside] % c < tr) & (cols[:inside] % c < tr)
+        key, inverse = np.unique(rows[keep].astype(np.int64) * dim + cols[keep],
+                                 return_inverse=True)
+        values = values[..., keep].reshape(-1, inverse.size)
         total = np.zeros((values.shape[0], key.size), dtype=complex)
         np.add.at(total, (slice(None), inverse), values)
-        values = total
-    values = np.abs(values)
+        values = np.abs(total)
+    # columns in row-major order: the first hit is the earliest
     best = values.max(axis=1)
-    hit = (values == best[:, None]) | np.isnan(values)
-    first = np.where(hit, key, np.iinfo(np.int64).max).min(axis=1)
+    first = key[np.argmax((values == best[:, None]) | np.isnan(values), axis=1)]
     reports = []
     for value, flat in zip(best, first):
         row, col = divmod(int(flat), dim)
         reports.append(ComparisonReport(
             max_abs_deviation=float(value),
             location=(row // c, col // c, row % c, col % c),
-            trusted_dim=op.split.n_blocks * tr,
+            trusted_dim=split.n_blocks * tr,
         ))
     return reports
 
@@ -349,6 +358,28 @@ class RelationFitReport:
         return [(int(k), int(m)) for k, m in bad]
 
 
+def _trusted_powers(split: BlockSplit, entries: Entries) -> np.ndarray:
+    """Trusted row i of A, A^2, A^3 and A^5 = A^3 A^2 over the trusted columns of its block.
+
+    Shape (4, trusted rows, n_blocks); only trusted rows are ever stored, and
+    the powers of the blocks are freed on return.
+    """
+    keep = trusted_mask(split.n_blocks, split.space)
+    row_of = np.cumsum(keep) - 1  # the trusted row of each trusted composite index
+    rows = np.zeros((4, row_of[-1] + 1, split.n_blocks), dtype=complex)
+    for idx, p1 in zip(split.groups, split.gather(entries).blocks):
+        trusted = keep[idx]
+        at = row_of[idx[trusted]]
+        columns = np.broadcast_to(trusted[:, None, :], p1.shape)[trusted]
+        p2 = p1 @ p1
+        p3 = p2 @ p1
+        for out, power in zip(rows, (p1, p2, p3, p3 @ p2)):
+            power = power[trusted]
+            power *= columns  # untrusted columns to zero, as a product
+            out[at, : idx.shape[1]] = power
+    return rows
+
+
 def relation_fits(
     n: int, space: FockSpace, powers: tuple[int, ...]
 ) -> list[RelationFitReport]:
@@ -364,14 +395,7 @@ def relation_fits(
     dim = 2**n * space.cutoff
     label = _labels(entries, dim)
     split = BlockSplit(2**n, space, _blocks(label, np.arange(dim)))
-    keep = trusted_mask(2**n, space)
-    # row i of A, A^2, A^3 and A^5 = A^3 A^2 over the trusted columns of its block
-    rows = np.zeros((4, dim, 2**n), dtype=complex)
-    for idx, p1 in zip(split.groups, split.gather(entries).blocks):
-        p2 = p1 @ p1
-        p3 = p2 @ p1
-        rows[:, idx, : idx.shape[1]] = np.stack([p1, p2, p3, p3 @ p2]) * keep[idx][:, None, :]
-    a_pow = dict(zip((1, 2, 3, 5), rows[:, keep]))
+    a_pow = dict(zip((1, 2, 3, 5), _trusted_powers(split, entries)))
     degrees = dict(sorted(
         (e, d) for excitations, _, mats in _sectors(n, space, entries, label)
         for e, d in zip(excitations.tolist(), _min_poly_degrees(mats).tolist())

@@ -26,7 +26,15 @@ from typing import Iterator
 import numpy as np
 
 from .fock import FockSpace, annihilator_entries, cosz, sincz
-from .spinchain import CompositeOperator, Entries, excitation, join_entries, kron_entries
+from .spinchain import (
+    Blocked,
+    BlockSplit,
+    CompositeOperator,
+    Entries,
+    excitation,
+    join_entries,
+    kron_entries,
+)
 
 __all__ = [
     "GaussFactors",
@@ -99,14 +107,36 @@ class SpectralTable:
             out = out * np.sqrt(m + j + 1 if k > 0 else m - j)
         return out
 
+    def _positions(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(rows, cols) of each term's entries, in term order; no term repeats a position."""
+        c = self.space.cutoff
+        positions = []
+        for row, col, k, _ in self.terms:
+            m = np.arange(*self._span(k))
+            positions.append((row * c + m, col * c + m + k))
+        return positions
+
+    def _values(self) -> Iterator[np.ndarray]:
+        """Each term's entry values in turn, shape (times, count)."""
+        for _, _, k, coef in self.terms:
+            yield self._term_values(coef, k)
+
     def entries(self) -> Entries:
         """Every term's entries, values of shape (times, count): O(terms x levels) work."""
-        c = self.space.cutoff
-        parts = []
-        for row, col, k, coef in self.terms:
-            m = np.arange(*self._span(k))
-            parts.append(Entries(row * c + m, col * c + m + k, self._term_values(coef, k)))
-        return join_entries(*parts)
+        return join_entries(*(Entries(rows, cols, values)
+                              for (rows, cols), values in zip(self._positions(), self._values())))
+
+    def blocked(self, split: BlockSplit, relabel: np.ndarray | None = None) -> Blocked:
+        """The table as blocks of ``split``, each term written straight into them.
+
+        Equals ``split.gather(self.entries())`` bit for bit.  ``relabel`` maps
+        each composite index of the table to one of the split's.
+        """
+        rows, cols = (np.concatenate(part) for part in zip(*self._positions()))
+        if relabel is not None:
+            rows, cols = relabel[rows], relabel[cols]
+        batch = np.broadcast_shapes(*(coef.shape[:-1] for *_, coef in self.terms))
+        return split.gather_terms(rows, cols, self._values(), batch)
 
     def to_dense(self, i: int = 0) -> CompositeOperator:
         """The dense operator at the i-th time of the table."""

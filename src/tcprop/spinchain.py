@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from math import prod
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -259,6 +260,8 @@ class BlockSplit:
     Row b of a group lists the s indices of one block.  An operator with no
     entry between two blocks is the direct sum of its (k, s, s) blocks, so
     any product or comparison of such operators is a stack of small ones.
+    The blocks of every group lie one after another, row-major, in one flat
+    buffer: group i fills ``offsets[i]:offsets[i + 1]``.
     """
 
     n_blocks: int
@@ -266,35 +269,111 @@ class BlockSplit:
     groups: tuple[np.ndarray, ...]
 
     @cached_property
-    def where(self) -> np.ndarray:
-        """(group, block, position) of each composite index, shape (3, dim); -1 outside all."""
-        where = np.full((3, self.n_blocks * self.space.cutoff), -1)
-        for group, idx in enumerate(self.groups):
-            where[0, idx] = group
-            where[1, idx] = np.arange(idx.shape[0])[:, None]
-            where[2, idx] = np.arange(idx.shape[1])
-        return where
+    def offsets(self) -> np.ndarray:
+        """Start of each group's blocks in the flat buffer, and the buffer's size last."""
+        return np.cumsum([0] + [idx.shape[0] * idx.shape[1] ** 2 for idx in self.groups])
+
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per composite index: its block (-1 outside all), its row's flat start, its position.
+
+        Entry (i, j) of a block sits at ``start[i] + position[j]`` of the flat buffer.
+        """
+        dim = self.n_blocks * self.space.cutoff
+        block, start, position = np.full(dim, -1), np.zeros(dim, np.int64), np.zeros(dim, np.int64)
+        first = 0
+        for offset, idx in zip(self.offsets, self.groups):
+            k, s = idx.shape
+            block[idx] = first + np.arange(k)[:, None]
+            start[idx] = offset + s * np.arange(k * s).reshape(k, s)
+            position[idx] = np.arange(s)
+            first += k
+        return block, start, position
+
+    @cached_property
+    def row_major(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every flat buffer position in row-major order of its entry, and the entries' keys.
+
+        The key of entry (row, col) is row * dim + col.
+        """
+        dim = self.n_blocks * self.space.cutoff
+        keys = np.concatenate([(idx[:, :, None].astype(np.int64) * dim + idx[:, None, :]).ravel()
+                               for idx in self.groups])
+        order = np.argsort(keys)
+        return order, keys[order]
+
+    @cached_property
+    def trusted(self) -> tuple[np.ndarray, np.ndarray]:
+        """:attr:`row_major` restricted to entries whose row and column are trusted levels."""
+        order, keys = self.row_major
+        dim = self.n_blocks * self.space.cutoff
+        levels = np.arange(dim) % self.space.cutoff < self.space.trusted
+        keep = levels[keys // dim] & levels[keys % dim]
+        return order[keep], keys[keep]
+
+    def _place(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat buffer index of each (row, col) pair inside one block, and the mask of them."""
+        block, start, position = self._layout
+        row_block = block[rows]
+        inside = (row_block >= 0) & (row_block == block[cols])
+        return start[rows[inside]] + position[cols[inside]], inside
+
+    def _blocked(self, flat: np.ndarray, outside: Entries) -> "Blocked":
+        """The (..., size) flat buffer as blocks, each a view of it."""
+        batch = flat.shape[:-1]
+        blocks = tuple(flat[..., lo:hi].reshape(batch + idx.shape + idx.shape[1:])
+                       for lo, hi, idx in zip(self.offsets, self.offsets[1:], self.groups))
+        return Blocked(self, blocks, outside)
 
     def gather(self, entries: Entries) -> "Blocked":
-        """The entries as blocks of this split.
+        """The entries as blocks of this split; entries listed at one position add.
 
-        An entry whose row and column fall in different blocks, or outside
-        every block, is kept in ``outside``, never dropped.
+        All batch indices scatter into one flat buffer with a single 1-D
+        ``np.add.at``.  An entry whose row and column fall in different
+        blocks, or outside every block, is kept in ``outside``, never dropped.
         """
-        grp, blk, pos = self.where[:, entries.rows]
-        col_grp, col_blk, col_pos = self.where[:, entries.cols]
-        inside = (grp >= 0) & (grp == col_grp) & (blk == col_blk)
-        batch = entries.values.shape[:-1]
-        blocks = []
-        for group, idx in enumerate(self.groups):
-            k, s = idx.shape
-            out = np.zeros(batch + (k, s, s), dtype=complex)
-            sel = inside & (grp == group)
-            np.add.at(out, (Ellipsis, blk[sel], pos[sel], col_pos[sel]), entries.values[..., sel])
-            blocks.append(out)
+        rows, cols, values = entries
+        flat, inside = self._place(rows, cols)
+        batch = values.shape[:-1]
+        size = int(self.offsets[-1])
+        buf = np.zeros(batch + (size,), dtype=complex)
+        lead = size * np.arange(prod(batch))[:, None]  # batch index b starts at b * size
+        np.add.at(buf.reshape(-1), (lead + flat).ravel(), values[..., inside].ravel())
         out = ~inside
-        outside = Entries(entries.rows[out], entries.cols[out], entries.values[..., out])
-        return Blocked(self, tuple(blocks), outside)
+        return self._blocked(buf, Entries(rows[out], cols[out], values[..., out]))
+
+    def gather_terms(self, rows: np.ndarray, cols: np.ndarray, terms: Iterable[np.ndarray],
+                     batch: tuple[int, ...]) -> "Blocked":
+        """:meth:`gather` of the entries at (rows, cols) whose values ``terms`` yields in turn.
+
+        Each term's values, of a batch shape that broadcasts to ``batch``,
+        cover the next stretch of ``rows`` and ``cols``, where the term lists
+        no position twice.  They are added into the flat buffer with one
+        ``+=`` on the term's positions as they come, so terms sharing a
+        position add in order, as :meth:`gather` adds them, and neither a
+        joined list nor the values of two terms are held at once.  Entries
+        outside the blocks send every term through :meth:`gather`.
+        """
+        flat, inside = self._place(rows, cols)
+        if not inside.all():
+            values = [np.broadcast_to(x, batch + x.shape[-1:]) for x in terms]
+            return self.gather(Entries(rows, cols, np.concatenate(values, axis=-1)))
+        size = int(self.offsets[-1])
+        buf = np.zeros(batch + (size,), dtype=complex)
+        lead = (size * np.arange(prod(batch))).reshape(batch + (1,))  # batch index b at b * size
+        out, start = buf.reshape(-1), 0
+        for values in terms:
+            stop = start + values.shape[-1]
+            out[lead + flat[start:stop]] += values
+            start = stop
+        return self._blocked(buf, Entries.none(batch))
+
+
+def _join_outside(a: Entries, b: Entries) -> Entries:
+    """``join_entries(a, b)``, without a copy when both are empty and of one batch shape."""
+    if not (a.rows.size or b.rows.size) and a.values.shape == b.values.shape:
+        return a
+    return join_entries(a, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,13 +417,13 @@ class Blocked:
         if other.split is not self.split:
             raise ValueError("operands live on different block splits")
         blocks = tuple(x @ y for x, y in zip(self.blocks, other.blocks))
-        return Blocked(self.split, blocks, join_entries(self.outside, other.outside))
+        return Blocked(self.split, blocks, _join_outside(self.outside, other.outside))
 
     def __sub__(self, other: "Blocked") -> "Blocked":
         if other.split is not self.split:
             raise ValueError("operands live on different block splits")
         blocks = tuple(x - y for x, y in zip(self.blocks, other.blocks))
-        return Blocked(self.split, blocks, join_entries(self.outside, -other.outside))
+        return Blocked(self.split, blocks, _join_outside(self.outside, -other.outside))
 
     def dagger(self) -> "Blocked":
         return Blocked(self.split, tuple(x.conj().swapaxes(-1, -2) for x in self.blocks),

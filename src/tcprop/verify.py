@@ -8,11 +8,13 @@ Structured references are built from their displayed block rows as a
 
 No check forms a dense (2**n cutoff)^2 matrix.  The tolerance-0 checks
 compare entry lists.  Every other check runs on the blocks the oracle
-finds in the generator's entries: closed forms, factors and references are
-gathered into those blocks, at most 2**n levels each, and every product is
-a stack of small ones.  A closed-form entry that falls between blocks
-counts in full.  The oracle factors each generator once and exponentiates
-a whole grid of scales in one batched product.
+finds in the generator's entries, at most 2**n levels each, held in one
+flat buffer per operator: closed forms, factors and table-built references
+are written into it term by term, other entry lists are scattered into it
+at once, every product is a stack of small ones and every comparison
+reduces the blocks directly.  A closed-form entry that falls between
+blocks counts in full.  The oracle factors each generator once and
+exponentiates a whole grid of scales in one batched product.
 """
 
 from __future__ import annotations
@@ -109,18 +111,23 @@ def _tmax(op: Blocked, trusted: bool = True) -> float:
     return max(report.max_abs_deviation for report in worst_entries(op, trusted))
 
 
-def gauss_deviations(space: FockSpace, t: float, g: float) -> tuple[float, float]:
+def gauss_deviations(
+    space: FockSpace, t: float, g: float, split: BlockSplit | None = None
+) -> tuple[float, float]:
     """One-atom triangular factorization at (t, g): (product deviation, max|lower - upper^T|).
 
     The first is the trusted deviation of lower @ diagonal @ upper from the
-    closed form, on the blocks of the one-atom coupling; the second checks
-    the shift identity f(N) a+ = a+ f(N+1) on the factors' entry lists.
+    closed form, on ``split``, the blocks of the one-atom coupling (found
+    here if not given); the second checks the shift identity
+    f(N) a+ = a+ f(N+1) on the factors' entry lists.
     """
-    lower, diagonal, upper = (table.entries() for table in gauss_tables(space, t, g))
-    split = block_split(2, space, coupling_entries(1, space))
-    product = split.gather(lower) @ split.gather(diagonal) @ split.gather(upper)
-    closed = split.gather(one_atom_table(space, t, g).entries())
-    variant = entry_deviation(lower.at(0), -upper.at(0).transpose())
+    tables = gauss_tables(space, t, g)
+    if split is None:
+        split = block_split(2, space, coupling_entries(1, space))
+    lower, diagonal, upper = (table.blocked(split) for table in tables)
+    product = lower @ diagonal @ upper
+    closed = one_atom_table(space, t, g).blocked(split)
+    variant = entry_deviation(tables[0].entries().at(0), -tables[2].entries().at(0).transpose())
     return compare_blocks(product, closed)[0].max_abs_deviation, variant
 
 
@@ -139,10 +146,9 @@ def _reduction_checks(space: FockSpace, split: BlockSplit, a_op: Blocked) -> lis
                            _four_ulps(_tmax(ref, False))))
     b_ref = SpectralTable.from_rows(space, _spin1_rows(space)).entries().at(0)
     results.append(_result("spin1-pattern", entry_deviation(b, -b_ref), 0.0))
-    inner = reduced_table(space, 0.9, 0.8).entries()
-    inner = split.gather(Entries(back[inner.rows], back[inner.cols], inner.values))
+    inner = reduced_table(space, 0.9, 0.8).blocked(split, back)
     recon = sim.dagger() @ inner @ sim
-    recon_dev = compare_blocks(recon, split.gather(two_atom_table(space, 0.9, 0.8).entries()))[0]
+    recon_dev = compare_blocks(recon, two_atom_table(space, 0.9, 0.8).blocked(split))[0]
     results.append(_result("reduction-reconstruction", recon_dev.max_abs_deviation, 1e-10))
     u_two = two_atom_table(space, 0.7, 1.3).entries().at(0)
 
@@ -195,7 +201,7 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
     oracle = block_eigh(2**n, space, a)
     split = oracle.split
     a_op = split.gather(a)
-    sq_ref = split.gather(SpectralTable.from_rows(space, _square_rows(n, space)).entries())
+    sq_ref = SpectralTable.from_rows(space, _square_rows(n, space)).blocked(split)
     a_sq = a_op @ a_op
     results.append(
         _result("key-relation-squared", _tmax(a_sq - sq_ref), _four_ulps(_tmax(sq_ref)))
@@ -209,7 +215,7 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
     # the closed forms depend on t and g only through t*g: one table per grid, g = 1
     oracle_grid = [(t_val, g_val) for t_val in ORACLE_T for g_val in ORACLE_G]
     scales = [t_val * g_val for t_val, g_val in oracle_grid]
-    closed = split.gather(closed_form_table(n, space, scales, 1.0).entries())
+    closed = closed_form_table(n, space, scales, 1.0).blocked(split)
     reports = compare_blocks(closed, oracle.expm(scales))
     i = max(range(len(reports)), key=lambda i: reports[i].max_abs_deviation)
     (t_val, g_val), worst = oracle_grid[i], reports[i]
@@ -223,13 +229,13 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
     h_oracle = block_eigh(2**n, space, h)
     t, step = 0.7, 1e-4
     times = [t, t + step, t - step, t + step / 2, t - step / 2]
-    full = h_oracle.split.gather(closed_form_table(n, space, times, 1.0).entries())
+    full = closed_form_table(n, space, times, 1.0).blocked(h_oracle.split)
     full = full.scale_rows(free_phase(n, space, times, 1.0))
     full_dev = compare_blocks(full[0], h_oracle.expm(t)[0])[0].max_abs_deviation
     results.append(_result("full-vs-oracle", full_dev, tol))
 
     if n == 1:
-        product_dev, variant_dev = gauss_deviations(space, 0.3, 1.0)
+        product_dev, variant_dev = gauss_deviations(space, 0.3, 1.0, split)
         results.append(_result("gauss-product", product_dev, tol))
         results.append(_result("gauss-variants", variant_dev, 1e-12))
 
@@ -248,11 +254,11 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
     )
 
     unitarity_tg = [t_val * g_val for t_val in UNITARITY_T for g_val in ORACLE_G]
-    u = split.gather(closed_form_table(n, space, unitarity_tg, 1.0).entries())
+    u = closed_form_table(n, space, unitarity_tg, 1.0).blocked(split)
     results.append(_result("unitarity", _tmax(u.dagger() @ u - Blocked.identity(split)), 1e-10))
 
     t1, t2, g_val = 0.4, 0.9, 1.3
-    law = split.gather(closed_form_table(n, space, [t1, t2, t1 + t2], g_val).entries())
+    law = closed_form_table(n, space, [t1, t2, t1 + t2], g_val).blocked(split)
     results.append(_result("group-law", _tmax(law[0] @ law[1] - law[2]), 1e-9))
 
     return results, notes

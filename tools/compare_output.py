@@ -1,0 +1,124 @@
+"""Compare the CLI output of this checkout with a parent commit, byte for byte.
+
+    python tools/compare_output.py --parent HEAD~1
+
+The parent commit is exported with ``git archive`` into a temporary
+directory, as ``bench_snapshot.py`` does.  Each tree runs one fixed command
+list in a fresh Python process that imports ``tcprop`` from that tree's
+``src/`` and calls ``tcprop.cli.main`` in process, capturing stdout, stderr
+and the exit code (an argparse exit included).  The list holds:
+
+* ``verify`` at 1-3 atoms and cutoffs 24, 120 and 400, each at the default
+  guard, a wider one and the narrowest accepted, plus one run whose
+  tolerance makes checks fail;
+* ``decompose`` at t0 = 0.3, 12 and pi/2 + 1e-7, the last 1e-7 from the
+  level-1 singular point;
+* ``relation-search`` at 1-3 atoms, max power 3 and 5;
+* every ``evolve`` case pinned in ``tests/data/evolve/cases.json``, with
+  its CSV on stdout;
+* a few refusals.
+
+One line per command says ``same`` or which streams differ; the exit code
+is 1 if any command differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CASES = ROOT / "tests" / "data" / "evolve" / "cases.json"
+
+
+def _default_guard(cutoff: int) -> int:
+    return min(cutoff - 2, max(4, -(-cutoff // 8)))
+
+
+def commands(config_dir: Path) -> list[list[str]]:
+    """The fixed command list; config files of the evolve cases are written to ``config_dir``."""
+    out = []
+    for atoms in (1, 2, 3):
+        for cutoff in (24, 120, 400):
+            guards = {_default_guard(cutoff), _default_guard(cutoff) + 3, atoms}
+            out += [["verify", "--atoms", str(atoms), "--cutoff", str(cutoff),
+                     "--guard", str(guard)] for guard in sorted(guards)]
+    out.append(["verify", "--atoms", "2", "--cutoff", "120", "--tol", "1e-15"])
+    for cutoff in (60, 400):
+        for t0 in (0.3, 12.0, math.pi / 2 + 1e-7):
+            out.append(["decompose", "--cutoff", str(cutoff), "--t0", repr(t0)])
+    for atoms in (1, 2, 3):
+        for cutoff, power in ((24, 3), (140, 5)):
+            out.append(["relation-search", "--atoms", str(atoms), "--cutoff", str(cutoff),
+                        "--max-power", str(power)])
+    for name, case in sorted(json.loads(CASES.read_text(encoding="utf-8")).items()):
+        argv = ["evolve", *case["argv"]]
+        if "config" in case:
+            path = config_dir / f"{name}.cfg"
+            path.write_text(case["config"], encoding="utf-8")
+            argv += ["--config", str(path)]
+        out.append(argv)
+    out += [
+        ["verify", "--atoms", "2", "--cutoff", "3"],
+        ["verify", "--cutoff", "24", "--out", "x.csv"],
+        ["evolve", "--atoms", "3", "--cutoff", "24", "--initial", "eee:fock(0)"],
+        ["relation-search", "--atoms", "3", "--cutoff", "100000000"],
+    ]
+    return out
+
+
+# Run in a child process: argv[1] is the tree's src/, stdin the JSON command list.
+CHILD = r'''
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import tcprop.cli
+out = []
+for argv in json.load(sys.stdin):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            rc = tcprop.cli.main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+    out.append({"stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "rc": rc})
+json.dump(out, sys.stdout)
+'''
+
+
+def run(src: Path, argvs: list[list[str]]) -> list[dict]:
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(src)], input=json.dumps(argvs),
+                          text=True, capture_output=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    args = parser.parse_args()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, capture_output=True,
+                                 check=True).stdout
+        (tmp / "parent").mkdir()
+        subprocess.run(["tar", "-x", "-C", tmp / "parent"], input=archive, check=True)
+        argvs = commands(tmp)
+        parent = run(tmp / "parent" / "src", argvs)
+        change = run(ROOT / "src", argvs)
+
+    differ = 0
+    for argv, old, new in zip(argvs, parent, change):
+        streams = [key for key in ("stdout", "stderr", "rc") if old[key] != new[key]]
+        differ += bool(streams)
+        print(f"{'DIFF ' + '/'.join(streams) if streams else 'same'}: {' '.join(argv)}")
+    print(f"{differ} of {len(argvs)} commands differ from {args.parent}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
