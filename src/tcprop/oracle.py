@@ -228,16 +228,10 @@ def worst_entries(op: Blocked, trusted: bool = True) -> list[ComparisonReport]:
         values = np.abs(total)
     # columns in row-major order: the first hit is the earliest
     best = values.max(axis=1)
-    first = key[np.argmax((values == best[:, None]) | np.isnan(values), axis=1)]
-    reports = []
-    for value, flat in zip(best, first):
-        row, col = divmod(int(flat), dim)
-        reports.append(ComparisonReport(
-            max_abs_deviation=float(value),
-            location=(row // c, col // c, row % c, col % c),
-            trusted_dim=split.n_blocks * tr,
-        ))
-    return reports
+    row, col = np.divmod(key[np.argmax((values == best[:, None]) | np.isnan(values), axis=1)], dim)
+    locations = zip(*(x.tolist() for x in (row // c, col // c, row % c, col % c)))
+    return [ComparisonReport(value, location, split.n_blocks * tr)
+            for value, location in zip(best.tolist(), locations)]
 
 
 def compare_blocks(closed: Blocked, reference: Blocked) -> list[ComparisonReport]:

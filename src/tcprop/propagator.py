@@ -20,6 +20,7 @@ propagator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
 from typing import Iterator
 
@@ -33,6 +34,7 @@ from .spinchain import (
     Entries,
     excitation,
     join_entries,
+    join_values,
     kron_entries,
 )
 
@@ -101,20 +103,28 @@ class SpectralTable:
         the entries round as that product does.
         """
         m0, m1 = self._span(k)
-        m = np.arange(m0, m1, dtype=float)
         out = coef[..., m0 - self.window[0] : m1 - self.window[0]]
         for j in range(abs(k)):
-            out = out * np.sqrt(m + j + 1 if k > 0 else m - j)
+            shift = j + 1 if k > 0 else -j
+            out = out * self._roots[m0 + shift : m1 + shift]  # sqrt(m + shift) on the rows
         return out
 
-    def _positions(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(rows, cols) of each term's entries, in term order; no term repeats a position."""
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        """sqrt(m) for m = 0 .. cutoff: every ladder factor of every term."""
+        return np.sqrt(np.arange(self.space.cutoff + 1, dtype=float))
+
+    def _positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and cols of every term's entries, term after term; no term repeats a position."""
         c = self.space.cutoff
-        positions = []
-        for row, col, k, _ in self.terms:
-            m = np.arange(*self._span(k))
-            positions.append((row * c + m, col * c + m + k))
-        return positions
+        spans = [self._span(k) for _, _, k, _ in self.terms]
+        m = np.concatenate([np.arange(*span) for span in spans])  # the row level of each entry
+        counts = [m1 - m0 for m0, m1 in spans]
+        rows = np.repeat([row * c for row, _, _, _ in self.terms], counts)
+        cols = np.repeat([col * c + k for _, col, k, _ in self.terms], counts)
+        rows += m
+        cols += m
+        return rows, cols
 
     def _values(self) -> Iterator[np.ndarray]:
         """Each term's entry values in turn, shape (times, count)."""
@@ -123,8 +133,7 @@ class SpectralTable:
 
     def entries(self) -> Entries:
         """Every term's entries, values of shape (times, count): O(terms x levels) work."""
-        return join_entries(*(Entries(rows, cols, values)
-                              for (rows, cols), values in zip(self._positions(), self._values())))
+        return Entries(*self._positions(), join_values(list(self._values())))
 
     def blocked(self, split: BlockSplit, relabel: np.ndarray | None = None) -> Blocked:
         """The table as blocks of ``split``, each term written straight into them.
@@ -132,7 +141,7 @@ class SpectralTable:
         Equals ``split.gather(self.entries())`` bit for bit.  ``relabel`` maps
         each composite index of the table to one of the split's.
         """
-        rows, cols = (np.concatenate(part) for part in zip(*self._positions()))
+        rows, cols = self._positions()
         if relabel is not None:
             rows, cols = relabel[rows], relabel[cols]
         batch = np.broadcast_shapes(*(coef.shape[:-1] for *_, coef in self.terms))

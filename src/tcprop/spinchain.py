@@ -36,6 +36,7 @@ __all__ = [
     "collective",
     "kron_entries",
     "join_entries",
+    "join_values",
     "entry_deviation",
     "coupling_entries",
     "coupling_operator",
@@ -213,17 +214,21 @@ class Entries(NamedTuple):
         return cls(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(batch + (0,)))
 
 
+def join_values(values: Sequence[np.ndarray]) -> np.ndarray:
+    """Values of several entry lists side by side, broadcast to a common batch shape."""
+    batch = np.broadcast_shapes(*(x.shape[:-1] for x in values))
+    return np.concatenate(
+        [x if x.shape[:-1] == batch else np.broadcast_to(x, batch + x.shape[-1:]) for x in values],
+        axis=-1,
+    )
+
+
 def join_entries(*parts: Entries) -> Entries:
     """One entry list holding every part, values broadcast to a common batch shape."""
-    batch = np.broadcast_shapes(*(part.values.shape[:-1] for part in parts))
     return Entries(
         np.concatenate([part.rows for part in parts]),
         np.concatenate([part.cols for part in parts]),
-        np.concatenate(
-            [part.values if part.values.shape[:-1] == batch
-             else np.broadcast_to(part.values, batch + part.values.shape[-1:]) for part in parts],
-            axis=-1,
-        ),
+        join_values([part.values for part in parts]),
     )
 
 
@@ -356,8 +361,7 @@ class BlockSplit:
         """
         flat, inside = self._place(rows, cols)
         if not inside.all():
-            values = [np.broadcast_to(x, batch + x.shape[-1:]) for x in terms]
-            return self.gather(Entries(rows, cols, np.concatenate(values, axis=-1)))
+            return self.gather(Entries(rows, cols, join_values(list(terms))))
         size = int(self.offsets[-1])
         buf = np.zeros(batch + (size,), dtype=complex)
         lead = (size * np.arange(prod(batch))).reshape(batch + (1,))  # batch index b at b * size
@@ -424,6 +428,10 @@ class Blocked:
             raise ValueError("operands live on different block splits")
         blocks = tuple(x - y for x, y in zip(self.blocks, other.blocks))
         return Blocked(self.split, blocks, _join_outside(self.outside, -other.outside))
+
+    def transpose(self) -> "Blocked":
+        return Blocked(self.split, tuple(x.swapaxes(-1, -2) for x in self.blocks),
+                       self.outside.transpose())
 
     def dagger(self) -> "Blocked":
         return Blocked(self.split, tuple(x.conj().swapaxes(-1, -2) for x in self.blocks),

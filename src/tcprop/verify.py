@@ -116,10 +116,10 @@ def gauss_deviations(
 ) -> tuple[float, float]:
     """One-atom triangular factorization at (t, g): (product deviation, max|lower - upper^T|).
 
-    The first is the trusted deviation of lower @ diagonal @ upper from the
-    closed form, on ``split``, the blocks of the one-atom coupling (found
-    here if not given); the second checks the shift identity
-    f(N) a+ = a+ f(N+1) on the factors' entry lists.
+    Both run on ``split``, the blocks of the one-atom coupling (found here
+    if not given).  The first is the trusted deviation of
+    lower @ diagonal @ upper from the closed form; the second checks the
+    shift identity f(N) a+ = a+ f(N+1) over every entry, guard levels included.
     """
     tables = gauss_tables(space, t, g)
     if split is None:
@@ -127,7 +127,7 @@ def gauss_deviations(
     lower, diagonal, upper = (table.blocked(split) for table in tables)
     product = lower @ diagonal @ upper
     closed = one_atom_table(space, t, g).blocked(split)
-    variant = entry_deviation(tables[0].entries().at(0), -tables[2].entries().at(0).transpose())
+    variant = _tmax(lower - upper.transpose(), trusted=False)
     return compare_blocks(product, closed)[0].max_abs_deviation, variant
 
 

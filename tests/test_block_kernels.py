@@ -22,6 +22,7 @@ from tcprop import (
     block_split,
     closed_form_table,
     coupling_entries,
+    entry_deviation,
     gauss_tables,
     one_atom_table,
     reduced_table,
@@ -290,6 +291,18 @@ def test_trusted_powers_equal_the_full_width_rows(n, cutoff):
 def test_gauss_deviations_on_the_coupling_split_it_is_given():
     split = _coupling_split(1)
     assert gauss_deviations(SPACE, 0.3, 1.0, split) == gauss_deviations(SPACE, 0.3, 1.0)
+
+
+def test_gauss_variant_on_the_blocks_is_the_entry_list_deviation(monkeypatch):
+    lower, diagonal, upper = gauss_tables(SPACE, 0.3, 1.2)
+    row, col, k, coef = upper.terms[1]  # -i tan(tg sqrt(N+1))/sqrt(N+1) a
+    bumped = coef.copy()
+    bumped[0, -2] += 1e-3  # row level cutoff - 2, in the guard band
+    upper = SpectralTable(2, SPACE, (upper.terms[0], (row, col, k, bumped), upper.terms[2]))
+    monkeypatch.setattr(tcprop.verify, "gauss_tables", lambda *args: (lower, diagonal, upper))
+    _, variant = gauss_deviations(SPACE, 0.3, 1.2)
+    want = entry_deviation(lower.entries().at(0), -upper.entries().at(0).transpose())
+    assert variant == want > 1e-4
 
 
 def test_run_checks_reuses_the_coupling_split_for_the_gauss_checks(monkeypatch):
