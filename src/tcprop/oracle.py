@@ -112,9 +112,13 @@ def block_split(n_blocks: int, space: FockSpace, entries: Entries) -> BlockSplit
 class BlockEigen:
     """A Hermitian generator factored block by block: one stacked ``eigh`` per block size."""
 
-    split: BlockSplit
+    generator: Blocked  # the blocks that were factored
     evals: tuple[np.ndarray, ...]
     vecs: tuple[np.ndarray, ...]
+
+    @property
+    def split(self) -> BlockSplit:
+        return self.generator.split
 
     def expm(self, scales) -> Blocked:
         """exp(-i scale M) for every scale, stacked along a leading axis."""
@@ -138,9 +142,9 @@ def block_eigh(n_blocks: int, space: FockSpace, entries: Entries) -> BlockEigen:
     dev = entry_deviation(entries, -entries.dagger())
     if dev > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M+| = {dev:.3e}")
-    split = block_split(n_blocks, space, entries)
-    pairs = [np.linalg.eigh(block) for block in split.gather(entries).blocks]
-    return BlockEigen(split, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+    generator = block_split(n_blocks, space, entries).gather(entries)
+    pairs = [np.linalg.eigh(block) for block in generator.blocks]
+    return BlockEigen(generator, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
 
 def expm_hermitian(m: CompositeOperator, scale: float) -> CompositeOperator:

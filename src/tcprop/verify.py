@@ -200,7 +200,7 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
 
     oracle = block_eigh(2**n, space, a)
     split = oracle.split
-    a_op = split.gather(a)
+    a_op = oracle.generator
     sq_ref = SpectralTable.from_rows(space, _square_rows(n, space)).blocked(split)
     a_sq = a_op @ a_op
     results.append(
@@ -243,7 +243,7 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
         results += _reduction_checks(space, split, a_op)
 
     # central-difference residual of i dU/dt = H U at U(0.7), step 1e-4 over step 5e-5
-    h_mid = h_oracle.split.gather(h) @ full[0]
+    h_mid = h_oracle.generator @ full[0]
 
     def residual(i: int, step: float) -> float:
         return _tmax(1j * (full[i] - full[i + 1]) / (2 * step) - h_mid)
