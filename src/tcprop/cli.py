@@ -33,12 +33,16 @@ from .verify import gauss_deviations, run_checks
 __all__ = ["ConfigError", "RunConfig", "InitialStateSpec", "main", "entry"]
 
 COHERENT_WEIGHT_TOL = 1e-10
+# the largest |alpha|^2 whose coherent weight exp(-|alpha|^2 / 2) is a normal float:
+# past it the weight of |0> loses precision, and from about 1490 on it is 0
+COHERENT_MEAN_MAX = -2 * math.log(sys.float_info.min)
 # time points propagated together by evolve; bounds its memory at
 # O(2**atoms * cutoff * EVOLVE_CHUNK) for any step count
 EVOLVE_CHUNK = 64
 # bytes per Fock level of (command, atoms): the peak-RSS slope between cutoffs 1e4 and 2e4,
-# rounded up; a run whose estimate passes MEMORY_BUDGET is refused before it builds anything
-BYTES_PER_LEVEL = {("verify", 1): 6_000, ("verify", 2): 24_000, ("verify", 3): 6_000,
+# rounded up (for verify, 1.05 times it, up to the next 1000); a run whose estimate passes
+# MEMORY_BUDGET is refused before it builds anything
+BYTES_PER_LEVEL = {("verify", 1): 7_000, ("verify", 2): 24_000, ("verify", 3): 7_000,
                    ("evolve", 1): 6_000, ("evolve", 2): 10_000, ("decompose", 1): 2_000,
                    ("relation-search", 1): 2_000, ("relation-search", 2): 5_000,
                    ("relation-search", 3): 11_000}
@@ -195,7 +199,8 @@ def build_state(spec: InitialStateSpec, space: FockSpace) -> np.ndarray:
     Fock levels must sit inside the trusted band.  Coherent amplitudes are
     truncated at the cutoff, refused if the discarded weight exceeds 1e-10
     or if |alpha|^2 strays past a quarter of the top trusted level, and
-    renormalized after truncation.
+    renormalized after truncation.  Weight lost because exp(-|alpha|^2 / 2)
+    underflows is refused as such: no cutoff brings it back.
     """
     top_trusted = space.trusted - 1
     if spec.kind == "fock":
@@ -223,6 +228,12 @@ def build_state(spec: InitialStateSpec, space: FockSpace) -> np.ndarray:
         field = np.array(values)
         kept = float(np.sum(np.abs(field) ** 2))
         discarded = max(0.0, 1.0 - kept)
+        if discarded > COHERENT_WEIGHT_TOL and mean > COHERENT_MEAN_MAX:
+            raise ConfigError(
+                f"coherent state loses weight {discarded:.3e} at |alpha|^2 = {mean:.3f}: "
+                f"exp(-|alpha|^2/2) underflows past |alpha|^2 = {COHERENT_MEAN_MAX:.3f}, "
+                "the largest supported; no cutoff can fix this"
+            )
         if discarded > COHERENT_WEIGHT_TOL:
             raise ConfigError(
                 f"coherent state loses weight {discarded:.3e} past the cutoff "
@@ -339,12 +350,11 @@ def cmd_relation_search(cfg: RunConfig) -> int:
         power = report.target_power
         print(f"relation A^{power} = D A^{power - 2} for atoms={cfg.atoms}")
         print(f"relative residual {report.relative_residual:.6e}")
-        for k in range(2**cfg.atoms):
-            vals = report.best_fit_values[k]
+        for k, vals in enumerate(report.best_fit_values[:, : shown + 1].tolist()):
             head = ", ".join(
-                "unconstrained" if np.isnan(v) else format(v, ".12g") for v in vals[:shown]
+                "unconstrained" if math.isnan(v) else format(v, ".12g") for v in vals[:shown]
             )
-            more = " ..." if vals.size > shown else ""
+            more = " ..." if len(vals) > shown else ""
             print(f"  block {k}: [{head}{more}]")
         histo = Counter(report.sector_min_poly_degrees.values())
         histo_text = ", ".join(f"degree {d}: {c} sectors" for d, c in sorted(histo.items()))

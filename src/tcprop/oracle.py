@@ -13,7 +13,11 @@ phases for a whole grid of scales go through one batched product.  The
 coupling and the Hamiltonian conserve excitation even under truncation, so
 the blocks are the excitation sectors, at most 2**n levels each; the split
 finds them from the entries, never from the excitation operator or a
-closed form.
+closed form.  The Hamiltonian's entries are the coupling's plus a
+diagonal, so :func:`block_eigh` may lay them out on the coupling's split
+instead of finding the same blocks again.  It does so only after checking
+that every entry fits that split, and then factors them with their own
+``eigh``; an entry between its blocks is refused, never dropped.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ __all__ = [
     "expm_hermitian",
     "compare",
     "compare_blocks",
+    "block_magnitudes",
     "worst_entries",
     "fit_left_diagonal",
     "relation_fit",
@@ -130,19 +135,35 @@ class BlockEigen:
         return Blocked(self.split, blocks, Entries.none(scales.shape[:1]))
 
 
-def block_eigh(n_blocks: int, space: FockSpace, entries: Entries) -> BlockEigen:
+def block_eigh(
+    n_blocks: int, space: FockSpace, entries: Entries, split: BlockSplit | None = None
+) -> BlockEigen:
     """Factor the Hermitian operator with these (unbatched) entries, guard levels included.
 
     Refuses non-finite or non-Hermitian input (max deviation above 1e-12).
-    The blocks come from the entries alone; the operator is exactly their
-    direct sum, so exponentiating each block is the exact exponential.
+    The blocks come from the entries alone, or from ``split``, a split of
+    another operator on the same space; then every entry must fall inside
+    one of its blocks, or the input is refused.  Either way the operator is
+    exactly the direct sum of its blocks, so exponentiating each block is
+    the exact exponential.  Hermiticity is read on the blocks, or from the
+    entry list when an entry sits between them.
     """
     if not np.isfinite(entries.values).all():
         raise ValueError("matrix has non-finite entries")
-    dev = entry_deviation(entries, -entries.dagger())
+    if split is None:
+        generator = block_split(n_blocks, space, entries).gather(entries)
+    else:
+        if split.n_blocks != n_blocks or split.space != space:
+            raise ValueError("the split lives on a different composite space")
+        generator = split.gather(entries)
+        if generator.outside.rows.size:
+            raise ValueError("an entry falls between two blocks of the given split")
+    if generator.outside.rows.size:  # zero entries the split left between blocks
+        dev = entry_deviation(entries, -entries.dagger())
+    else:
+        dev = max(float(np.abs(x - x.conj().swapaxes(-1, -2)).max()) for x in generator.blocks)
     if dev > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M+| = {dev:.3e}")
-    generator = block_split(n_blocks, space, entries).gather(entries)
     pairs = [np.linalg.eigh(block) for block in generator.blocks]
     return BlockEigen(generator, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
@@ -197,6 +218,22 @@ def compare(closed: CompositeOperator, reference: CompositeOperator) -> Comparis
     )
 
 
+def block_magnitudes(op: Blocked, trusted: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """|entry| of every block entry of ``op``, in row-major order, one row per batch index.
+
+    With ``trusted`` only entries in trusted rows and columns are listed.
+    Returns the values and the key row * dim + col of each entry's
+    (row, col); ``op`` has no outside entries.
+    """
+    order, key = op.split.trusted if trusted else op.split.row_major
+    values = [np.abs(x) for x in op.blocks]
+    batch = np.broadcast_shapes(*(x.shape[:-3] for x in values))
+    values = np.concatenate(  # |entry| of every block, in the split's flat buffer order
+        [(x if x.shape[:-3] == batch else np.broadcast_to(x, batch + x.shape[-3:]))
+         .reshape(batch + (-1,)) for x in values], axis=-1)
+    return values[..., order].reshape(-1, key.size), key
+
+
 def worst_entries(op: Blocked, trusted: bool = True) -> list[ComparisonReport]:
     """The largest |entry| of a blocked operator and where it sits, per leading batch index.
 
@@ -211,13 +248,7 @@ def worst_entries(op: Blocked, trusted: bool = True) -> list[ComparisonReport]:
     c, tr = split.space.cutoff, split.space.trusted
     dim = split.n_blocks * c
     if not op.outside.rows.size:
-        order, key = split.trusted if trusted else split.row_major
-        values = [np.abs(x) for x in op.blocks]
-        batch = np.broadcast_shapes(*(x.shape[:-3] for x in values))
-        values = np.concatenate(  # |entry| of every block, in the split's flat buffer order
-            [(x if x.shape[:-3] == batch else np.broadcast_to(x, batch + x.shape[-3:]))
-             .reshape(batch + (-1,)) for x in values], axis=-1)
-        values = values[..., order].reshape(-1, key.size)
+        values, key = block_magnitudes(op, trusted)
     else:
         rows, cols, values = op.entries()
         keep = np.ones(rows.size, dtype=bool)

@@ -12,9 +12,12 @@ finds in the generator's entries, at most 2**n levels each, held in one
 flat buffer per operator: closed forms, factors and table-built references
 are written into it term by term, other entry lists are scattered into it
 at once, every product is a stack of small ones and every comparison
-reduces the blocks directly.  A closed-form entry that falls between
-blocks counts in full.  The oracle factors each generator once and
-exponentiates a whole grid of scales in one batched product.
+reduces the blocks directly, to a bare value where no location is
+printed.  A closed-form entry that falls between blocks counts in full.
+The oracle splits the coupling once, lays the Hamiltonian out on the same
+blocks, factors each generator once and exponentiates a whole grid of
+scales in one batched product.  Every closed form the checks read comes
+from one table of t g scales at g = 1, sliced grid by grid.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace
-from .oracle import block_eigh, block_split, compare_blocks, worst_entries
+from .oracle import block_eigh, block_magnitudes, block_split, compare_blocks, worst_entries
 from .propagator import (
     SpectralTable,
     closed_form_table,
@@ -50,7 +53,14 @@ __all__ = ["CheckResult", "gauss_deviations", "run_checks"]
 
 ORACLE_T = (0.1, 0.7, 2.5, 10.0)
 ORACLE_G = (0.5, 1.0, 2.0)
+ORACLE_GRID = tuple((t, g) for t in ORACLE_T for g in ORACLE_G)
+ORACLE_TG = tuple(t * g for t, g in ORACLE_GRID)
 UNITARITY_T = (0.1, 1.0, 5.0, 20.0)
+# U(t) with the free phase at t = 0.7 and the four points of the central differences
+FULL_STEP = 1e-4
+FULL_TIMES = (0.7, 0.7 + FULL_STEP, 0.7 - FULL_STEP, 0.7 + FULL_STEP / 2, 0.7 - FULL_STEP / 2)
+GROUP_LAW = (0.4, 0.9, 1.3)  # t1, t2, g
+RECONSTRUCTION = (0.9, 0.8)  # t, g of the spin-1 reduction's rebuilt propagator
 
 
 @dataclass(frozen=True)
@@ -107,8 +117,15 @@ def _four_ulps(largest: float) -> float:
 
 
 def _tmax(op: Blocked, trusted: bool = True) -> float:
-    """Largest |entry| of ``op`` over every batch index; see :func:`worst_entries`."""
-    return max(report.max_abs_deviation for report in worst_entries(op, trusted))
+    """Largest |entry| of ``op`` over every batch index, NaN if any entry is NaN.
+
+    Without outside entries the blocks, restricted to trusted rows and
+    columns with ``trusted``, reduce straight to one value; otherwise
+    :func:`worst_entries` adds the entries listed at one position first.
+    """
+    if op.outside.rows.size:
+        return float(np.max([report.max_abs_deviation for report in worst_entries(op, trusted)]))
+    return float(block_magnitudes(op, trusted)[0].max())
 
 
 def gauss_deviations(
@@ -131,8 +148,13 @@ def gauss_deviations(
     return compare_blocks(product, closed)[0].max_abs_deviation, variant
 
 
-def _reduction_checks(space: FockSpace, split: BlockSplit, a_op: Blocked) -> list[CheckResult]:
-    """The spin-1 reduction on ``split``, S undone by an index map; T kron 1 keeps every block."""
+def _reduction_checks(
+    space: FockSpace, split: BlockSplit, a_op: Blocked, closed: Blocked
+) -> list[CheckResult]:
+    """The spin-1 reduction on ``split``, S undone by an index map; T kron 1 keeps every block.
+
+    ``closed`` is the two-atom closed form at :data:`RECONSTRUCTION`, where it is rebuilt.
+    """
     similarity, b, order = reduction_entries(space)
     c = space.cutoff
     back = (np.argsort(order)[:, None] * c + np.arange(c)).ravel()  # reduced basis -> T basis
@@ -146,9 +168,9 @@ def _reduction_checks(space: FockSpace, split: BlockSplit, a_op: Blocked) -> lis
                            _four_ulps(_tmax(ref, False))))
     b_ref = SpectralTable.from_rows(space, _spin1_rows(space)).entries().at(0)
     results.append(_result("spin1-pattern", entry_deviation(b, -b_ref), 0.0))
-    inner = reduced_table(space, 0.9, 0.8).blocked(split, back)
+    inner = reduced_table(space, *RECONSTRUCTION).blocked(split, back)
     recon = sim.dagger() @ inner @ sim
-    recon_dev = compare_blocks(recon, two_atom_table(space, 0.9, 0.8).blocked(split))[0]
+    recon_dev = compare_blocks(recon, closed)[0]
     results.append(_result("reduction-reconstruction", recon_dev.max_abs_deviation, 1e-10))
     u_two = two_atom_table(space, 0.7, 1.3).entries().at(0)
 
@@ -170,6 +192,29 @@ def _reduction_checks(space: FockSpace, split: BlockSplit, a_op: Blocked) -> lis
     )
     results.append(_result("two-atom-block-identities", ident, 1e-12))
     return results
+
+
+def _closed_forms(n: int, space: FockSpace, split: BlockSplit) -> list[Blocked]:
+    """Every closed form a propagator check reads, on ``split``, sliced from one table at g = 1.
+
+    One batch per grid: ORACLE_TG, FULL_TIMES, UNITARITY_T x ORACLE_G, the
+    t1, t2 and t1 + t2 of GROUP_LAW, and RECONSTRUCTION (two atoms only,
+    empty for one).  The closed forms depend on t and g only through t g,
+    which the table forms as (t g) * 1.0, so each batch has the bits of its
+    own table at g.
+    """
+    t1, t2, g_law = GROUP_LAW
+    grids = [
+        ORACLE_TG,
+        FULL_TIMES,
+        [t * g for t in UNITARITY_T for g in ORACLE_G],
+        [t1 * g_law, t2 * g_law, (t1 + t2) * g_law],
+        [RECONSTRUCTION[0] * RECONSTRUCTION[1]] if n == 2 else [],
+    ]
+    scales = [scale for grid in grids for scale in grid]
+    table = closed_form_table(n, space, scales, 1.0).blocked(split)
+    stops = np.cumsum([len(grid) for grid in grids]).tolist()
+    return [table[lo:hi] for lo, hi in zip([0, *stops], stops)]
 
 
 def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult], list[str]]:
@@ -212,26 +257,21 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
         cube_dev = _tmax(a_sq @ a_op - cube_ref)
         results.append(_result("key-relation-cubed", cube_dev, _four_ulps(_tmax(cube_ref))))
 
-    # the closed forms depend on t and g only through t*g: one table per grid, g = 1
-    oracle_grid = [(t_val, g_val) for t_val in ORACLE_T for g_val in ORACLE_G]
-    scales = [t_val * g_val for t_val, g_val in oracle_grid]
-    closed = closed_form_table(n, space, scales, 1.0).blocked(split)
-    reports = compare_blocks(closed, oracle.expm(scales))
-    i = max(range(len(reports)), key=lambda i: reports[i].max_abs_deviation)
-    (t_val, g_val), worst = oracle_grid[i], reports[i]
+    closed, full, u, law, recon = _closed_forms(n, space, split)
+    reports = compare_blocks(closed, oracle.expm(ORACLE_TG))
+    # a NaN deviation is picked over every number, as worst_entries picks a NaN entry
+    i = int(np.argmax([report.max_abs_deviation for report in reports]))
+    (t_val, g_val), worst = ORACLE_GRID[i], reports[i]
     block_row, block_col, photon_row, photon_col = worst.location
     note = (f"worst at t={t_val:g} g={g_val:g}, blocks ({block_row}, {block_col}), "
             f"photons ({photon_row}, {photon_col})")
     results.append(_result("closed-vs-oracle", worst.max_abs_deviation, tol, note=note))
 
-    # U(t) with the free phase at t = 0.7 and the four points of the central differences
+    # H is A plus a diagonal: its entries fit A's blocks, and it is factored on them
     h = hamiltonian_entries(n, space, 1.0, 1.0, 1.0)
-    h_oracle = block_eigh(2**n, space, h)
-    t, step = 0.7, 1e-4
-    times = [t, t + step, t - step, t + step / 2, t - step / 2]
-    full = closed_form_table(n, space, times, 1.0).blocked(h_oracle.split)
-    full = full.scale_rows(free_phase(n, space, times, 1.0))
-    full_dev = compare_blocks(full[0], h_oracle.expm(t)[0])[0].max_abs_deviation
+    h_oracle = block_eigh(2**n, space, h, split)
+    full = full.scale_rows(free_phase(n, space, FULL_TIMES, 1.0))
+    full_dev = compare_blocks(full[0], h_oracle.expm(FULL_TIMES[0])[0])[0].max_abs_deviation
     results.append(_result("full-vs-oracle", full_dev, tol))
 
     if n == 1:
@@ -240,7 +280,7 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
         results.append(_result("gauss-variants", variant_dev, 1e-12))
 
     if n == 2:
-        results += _reduction_checks(space, split, a_op)
+        results += _reduction_checks(space, split, a_op, recon[0])
 
     # central-difference residual of i dU/dt = H U at U(0.7), step 1e-4 over step 5e-5
     h_mid = h_oracle.generator @ full[0]
@@ -248,17 +288,12 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
     def residual(i: int, step: float) -> float:
         return _tmax(1j * (full[i] - full[i + 1]) / (2 * step) - h_mid)
 
-    ratio = residual(1, step) / residual(3, step / 2)
+    ratio = residual(1, FULL_STEP) / residual(3, FULL_STEP / 2)
     results.append(
         _result("schrodinger-residual-ratio", abs(ratio - 4.0), 0.5, note=f"ratio {ratio:.4f}")
     )
 
-    unitarity_tg = [t_val * g_val for t_val in UNITARITY_T for g_val in ORACLE_G]
-    u = closed_form_table(n, space, unitarity_tg, 1.0).blocked(split)
     results.append(_result("unitarity", _tmax(u.dagger() @ u - Blocked.identity(split)), 1e-10))
-
-    t1, t2, g_val = 0.4, 0.9, 1.3
-    law = closed_form_table(n, space, [t1, t2, t1 + t2], g_val).blocked(split)
     results.append(_result("group-law", _tmax(law[0] @ law[1] - law[2]), 1e-9))
 
     return results, notes

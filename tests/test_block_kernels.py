@@ -2,8 +2,10 @@
 
 Each kernel is checked bit for bit against a copy, kept here, of the code
 it replaced: the per-block-size 4-D ``np.add.at`` gather, the entry-list
-``worst_entries``, the full-width relation-fit rows and the level-by-level
-coherent-state loop.
+``worst_entries``, the full-width relation-fit rows, the level-by-level
+coherent-state loop, the one table per grid of ``verify``, the entry-list
+Hermiticity check of ``block_eigh`` and the maximum over ``worst_entries``
+reports.
 """
 
 import math
@@ -19,11 +21,13 @@ from tcprop import (
     Entries,
     FockSpace,
     SpectralTable,
+    block_eigh,
     block_split,
     closed_form_table,
     coupling_entries,
     entry_deviation,
     gauss_tables,
+    hamiltonian_entries,
     one_atom_table,
     reduced_table,
     reduction_entries,
@@ -34,7 +38,7 @@ from tcprop import (
 )
 from tcprop.cli import COHERENT_WEIGHT_TOL, ConfigError, InitialStateSpec, build_state
 from tcprop.oracle import _blocks, _labels, _trusted_powers
-from tcprop.verify import gauss_deviations, run_checks
+from tcprop.verify import _closed_forms, _tmax, gauss_deviations, run_checks
 
 SPACE = FockSpace(20, 4)
 TIMES = [0.3, 1.7, 9.0]
@@ -349,3 +353,150 @@ def test_coherent_state_is_bitwise_the_level_by_level_loop(cutoff, kind):
             build_state(spec, space)
         return
     assert build_state(spec, space).tobytes() == want.tobytes()
+
+
+def _old_closed_forms(n: int, space: FockSpace, split: BlockSplit) -> list[Blocked]:
+    """The closed forms as run_checks built them: one table per grid, the group law at g = 1.3."""
+    t, step = 0.7, 1e-4
+    tables = [
+        closed_form_table(n, space, [t * g for t in (0.1, 0.7, 2.5, 10.0)
+                                     for g in (0.5, 1.0, 2.0)], 1.0),
+        closed_form_table(n, space, [t, t + step, t - step, t + step / 2, t - step / 2], 1.0),
+        closed_form_table(n, space, [t * g for t in (0.1, 1.0, 5.0, 20.0)
+                                     for g in (0.5, 1.0, 2.0)], 1.0),
+        closed_form_table(n, space, [0.4, 0.9, 0.4 + 0.9], 1.3),
+    ]
+    if n == 2:
+        tables.append(two_atom_table(space, 0.9, 0.8))
+    return [table.blocked(split) for table in tables]
+
+
+@pytest.mark.parametrize("cutoff", [24, 120])
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_table_sliced_by_grid_equals_one_table_per_grid(n, cutoff):
+    space = FockSpace(cutoff)
+    split = _coupling_split(n, space)
+    got = _closed_forms(n, space, split)
+    want = _old_closed_forms(n, space, split)
+    assert len(want) == 4 + (n == 2)
+    assert [x.blocks[0].shape[0] for x in got] == [12, 5, 12, 3, n - 1]
+    for x, y in zip(got, want):
+        _assert_same_blocked(x, y.blocks, y.outside)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hamiltonian_on_the_coupling_split_factors_as_on_its_own(n):
+    space = FockSpace(30)
+    split = _coupling_split(n, space)
+    for h in (hamiltonian_entries(n, space, 1.0, 1.0, 1.0),
+              hamiltonian_entries(n, space, 1.3, 0.7, -0.9)):
+        assert split.gather(h).outside.rows.size == 0  # every entry fits the layout
+        shared, alone = block_eigh(2**n, space, h, split), block_eigh(2**n, space, h)
+        assert shared.split is split
+        for idx, other in zip(split.groups, alone.split.groups):
+            np.testing.assert_array_equal(idx, other)
+        _assert_same_blocked(shared.generator, alone.generator.blocks, alone.generator.outside)
+        for x, y in zip(shared.evals + shared.vecs, alone.evals + alone.vecs):
+            assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("value", [1e-3, 0.0])
+def test_block_eigh_refuses_an_entry_outside_the_split_it_is_given(value):
+    split = _coupling_split(2)
+    h = hamiltonian_entries(2, SPACE, 1.0, 1.0, 1.0)
+    # (ee, 0) and (ee, 1) lie in different excitation sectors; a Hermitian pair, even of zeros
+    rows, cols = [0, 1], [1, 0]
+    joined = Entries(np.append(h.rows, rows), np.append(h.cols, cols),
+                     np.append(h.values, [value, value]))
+    with pytest.raises(ValueError, match="between two blocks of the given split"):
+        block_eigh(4, SPACE, joined, split)
+    with pytest.raises(ValueError, match="different composite space"):
+        block_eigh(4, FockSpace(21, 4), h, split)
+
+
+def _old_hermiticity_refusal(entries: Entries) -> str | None:
+    """block_eigh's refusal as the entry-list route worded it, None where it accepted."""
+    dev = entry_deviation(entries, -entries.dagger())
+    return f"matrix is not Hermitian: max |M - M+| = {dev:.3e}" if dev > 1e-12 else None
+
+
+def _hermiticity_cases():
+    a = coupling_entries(2, SPACE)
+    for size in (3e-13, 1e-12, 2e-12, 1e-6, 3.0):
+        values = a.values.copy()
+        values[7] += size * (1 + 1j)
+        yield f"bump-{size:g}", Entries(a.rows, a.cols, values)
+    # zero entries between two sectors stay outside the blocks: the entry-list route
+    values = a.values.copy()
+    values[7] += 1e-6
+    yield "outside", Entries(np.append(a.rows, [0, 1]), np.append(a.cols, [1, 0]),
+                             np.append(values, [0.0, 0.0]))
+
+
+@pytest.mark.parametrize("name, entries", list(_hermiticity_cases()),
+                         ids=[name for name, _ in _hermiticity_cases()])
+def test_block_hermiticity_equals_the_entry_list_deviation(monkeypatch, name, entries):
+    want = _old_hermiticity_refusal(entries)
+    if want is None:
+        block_eigh(4, SPACE, entries)
+    else:
+        with pytest.raises(ValueError, match=re.escape(want) + "$"):
+            block_eigh(4, SPACE, entries)
+    # the same value to the last bit: accepted at a bound equal to it, refused just below
+    dev = entry_deviation(entries, -entries.dagger())
+    monkeypatch.setattr(tcprop.oracle, "HERMITICITY_TOL", dev)
+    block_eigh(4, SPACE, entries)
+    monkeypatch.setattr(tcprop.oracle, "HERMITICITY_TOL", np.nextafter(dev, 0.0))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        block_eigh(4, SPACE, entries)
+
+
+def _operator(rng, split: BlockSplit, batch, outside: bool) -> Blocked:
+    if outside:
+        op = split.gather(_random_entries(rng, split, 80, batch))
+        assert op.outside.rows.size
+        return op
+    return _random_blocked(rng, split, batch)
+
+
+@pytest.mark.parametrize("outside", [False, True])
+@pytest.mark.parametrize("trusted", [True, False])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+def test_value_only_tmax_is_the_largest_worst_entry(batch, trusted, outside):
+    rng = np.random.default_rng(13 + len(batch))
+    for split in (_random_split(rng, 2, SPACE, skip=5), _coupling_split(2)):
+        op = _operator(rng, split, batch, outside)
+        want = max(report.max_abs_deviation for report in worst_entries(op, trusted))
+        assert repr(_tmax(op, trusted)) == repr(want)
+    identity = Blocked.identity(_coupling_split(1))
+    assert _tmax(identity, trusted) == 1.0
+
+
+@pytest.mark.parametrize("outside", [False, True])
+@pytest.mark.parametrize("nan_at", [0, 1, 2])
+def test_tmax_is_nan_when_any_batch_index_holds_a_nan(nan_at, outside):
+    rng = np.random.default_rng(17)
+    split = _coupling_split(1)
+    op = _operator(rng, split, (3,), outside)
+    blocks = op.blocks[-1]
+    row = np.flatnonzero((split.groups[-1] % SPACE.cutoff < SPACE.trusted).all(axis=1))[0]
+    blocks[nan_at, row, 0, 0] = np.nan  # a trusted entry
+    maxima = [report.max_abs_deviation for report in worst_entries(op)]
+    assert math.isnan(maxima[nan_at]) and sum(map(math.isnan, maxima)) == 1
+    assert math.isnan(_tmax(op)) and math.isnan(_tmax(op, trusted=False))
+
+
+@pytest.mark.parametrize("mean, builds", [(1400.0, True), (1450.0, False), (1482.25, True),
+                                         (1487.0, True), (1505.44, False)])
+def test_coherent_state_past_the_normal_floats_builds_or_names_the_underflow(mean, builds):
+    space = FockSpace(8000)
+    alpha = complex(math.sqrt(mean))
+    spec = InitialStateSpec("g", "coherent", alpha=alpha)
+    if builds:
+        assert build_state(spec, space).tobytes() == _old_coherent_state(alpha, space).tobytes()
+        return
+    # past the normal floats the loop loses weight to the underflow; the message says so
+    with pytest.raises(ConfigError, match="loses weight"):
+        _old_coherent_state(alpha, space)
+    with pytest.raises(ConfigError, match="underflows past"):
+        build_state(spec, space)

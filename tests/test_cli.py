@@ -134,6 +134,26 @@ def test_evolve_rejects_wide_coherent_state(capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["38.8", "38.1", "20+35i"])
+def test_evolve_refuses_weight_lost_to_underflow_as_such(capsys, alpha):
+    # |alpha|^2 = 1505.4, 1451.6 and 1625: exp(-|alpha|^2 / 2) is 0 or subnormal
+    rc = main(["evolve", "--atoms", "1", "--cutoff", "8000", "--steps", "1",
+               "--initial", f"e:coherent({alpha})"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "underflows past |alpha|^2 = 1416.793, the largest supported" in err
+    assert "raise the cutoff" not in err
+
+
+def test_evolve_builds_a_coherent_state_past_the_normal_floats_when_no_weight_is_lost(capsys):
+    # |alpha|^2 = 1482.25: exp(-|alpha|^2 / 2) is subnormal, yet the kept weight passes
+    rc = main(["evolve", "--atoms", "1", "--cutoff", "8000", "--steps", "1",
+               "--initial", "e:coherent(38.5)"])
+    assert rc == 0
+    assert capsys.readouterr().out.count("\n") == 3
+
+
 @pytest.mark.parametrize(
     "bad",
     ["e-fock(0)", "x:fock(0)", "e:fock(-1)", "e:fock(a)", "e:coherent(1+2j)", "e:thermal(1)"],

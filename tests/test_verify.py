@@ -94,6 +94,31 @@ def test_perturbed_closed_form_fails_its_checks(monkeypatch, capsys, n):
         assert f"FAIL {name} " in out
 
 
+def _nan_at(index: int):
+    """closed_form_table with a NaN coefficient on a trusted entry at batch index ``index``."""
+
+    def table(n, space, t, g):
+        table = closed_form_table(n, space, t, g)
+        (row, col, k, coef), *rest = table.terms
+        coef = coef.copy()
+        coef[index, 0] = np.nan
+        return SpectralTable(table.n_blocks, space, ((row, col, k, coef), *rest))
+
+    return table
+
+
+# run_checks reads one table: 12 closed-vs-oracle scales, 5 full-vs-oracle times, then unitarity
+@pytest.mark.parametrize("index, check", [(0, "closed-vs-oracle"), (5, "closed-vs-oracle"),
+                                          (17, "unitarity"), (20, "unitarity")])
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_nan_at_any_grid_point_fails_its_check(monkeypatch, capsys, n, index, check):
+    monkeypatch.setattr(verify, "closed_form_table", _nan_at(index))
+    result = _by_name(n)[check]
+    assert np.isnan(result.deviation) and not result.passed
+    assert main(["verify", "--atoms", str(n), *FAST]) == 1
+    assert f"FAIL {check:28s} deviation nan" in capsys.readouterr().out
+
+
 def test_cubic_diagonal_shifted_one_level_fails(monkeypatch):
     # E + 1 turns D = 2(2E + 1) into the diagonal of the next photon level
     monkeypatch.setattr(verify, "excitation", lambda n, space: excitation(n, space) + 1)

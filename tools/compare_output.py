@@ -11,8 +11,13 @@ and the exit code (an argparse exit included).  The list holds:
 * ``verify`` at 1-3 atoms and cutoffs 24, 120 and 400, each at the default
   guard, a wider one and the narrowest accepted, plus one run whose
   tolerance makes checks fail;
+* ``verify`` at 1-2 atoms and cutoffs 40 and 80 with the default guard
+  plus 1 and plus 2, the shapes the ``validation`` benchmark sends;
 * ``decompose`` at t0 = 0.3, 12 and pi/2 + 1e-7, the last 1e-7 from the
   level-1 singular point;
+* ``decompose`` at cutoffs 40, 80 and 120 with a coupling g and a t0 below
+  every singular point, as the benchmark draws them, plus one t0 on the
+  singular point of a mid level;
 * ``relation-search`` at 1-3 atoms, max power 3 and 5;
 * every ``evolve`` case pinned in ``tests/data/evolve/cases.json``, with
   its CSV on stdout;
@@ -49,9 +54,20 @@ def commands(config_dir: Path) -> list[list[str]]:
             out += [["verify", "--atoms", str(atoms), "--cutoff", str(cutoff),
                      "--guard", str(guard)] for guard in sorted(guards)]
     out.append(["verify", "--atoms", "2", "--cutoff", "120", "--tol", "1e-15"])
+    for atoms in (1, 2):
+        for cutoff in (40, 80):
+            out += [["verify", "--atoms", str(atoms), "--cutoff", str(cutoff),
+                     "--guard", str(_default_guard(cutoff) + extra)] for extra in (1, 2)]
     for cutoff in (60, 400):
         for t0 in (0.3, 12.0, math.pi / 2 + 1e-7):
             out.append(["decompose", "--cutoff", str(cutoff), "--t0", repr(t0)])
+    g = 1.37
+    for cutoff in (40, 80, 120):
+        t0 = round(0.6 * math.pi / (2 * g * math.sqrt(cutoff - 1)), 9)
+        out.append(["decompose", "--atoms", "1", "--cutoff", str(cutoff), "--t0", repr(t0),
+                    "--g", repr(g), "--tol", "1e-09"])
+    out.append(["decompose", "--atoms", "1", "--cutoff", "80", "--t0",
+                repr(math.pi / (2 * g * math.sqrt(29))), "--g", repr(g)])
     for atoms in (1, 2, 3):
         for cutoff, power in ((24, 3), (140, 5)):
             out.append(["relation-search", "--atoms", str(atoms), "--cutoff", str(cutoff),
