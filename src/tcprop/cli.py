@@ -42,7 +42,7 @@ EVOLVE_CHUNK = 64
 # bytes per Fock level of (command, atoms): the peak-RSS slope between cutoffs 1e4 and 2e4,
 # rounded up (for verify, 1.05 times it, up to the next 1000); a run whose estimate passes
 # MEMORY_BUDGET is refused before it builds anything
-BYTES_PER_LEVEL = {("verify", 1): 7_000, ("verify", 2): 24_000, ("verify", 3): 7_000,
+BYTES_PER_LEVEL = {("verify", 1): 7_000, ("verify", 2): 25_000, ("verify", 3): 7_000,
                    ("evolve", 1): 6_000, ("evolve", 2): 10_000, ("decompose", 1): 2_000,
                    ("relation-search", 1): 2_000, ("relation-search", 2): 5_000,
                    ("relation-search", 3): 11_000}
@@ -232,7 +232,7 @@ def build_state(spec: InitialStateSpec, space: FockSpace) -> np.ndarray:
             raise ConfigError(
                 f"coherent state loses weight {discarded:.3e} at |alpha|^2 = {mean:.3f}: "
                 f"exp(-|alpha|^2/2) underflows past |alpha|^2 = {COHERENT_MEAN_MAX:.3f}, "
-                "the largest supported; no cutoff can fix this"
+                "and no cutoff can fix this"
             )
         if discarded > COHERENT_WEIGHT_TOL:
             raise ConfigError(

@@ -34,7 +34,6 @@ from .spinchain import (
     CompositeOperator,
     Entries,
     coupling_entries,
-    entry_deviation,
     excitation,
 )
 
@@ -145,8 +144,8 @@ def block_eigh(
     another operator on the same space; then every entry must fall inside
     one of its blocks, or the input is refused.  Either way the operator is
     exactly the direct sum of its blocks, so exponentiating each block is
-    the exact exponential.  Hermiticity is read on the blocks, or from the
-    entry list when an entry sits between them.
+    the exact exponential.  Hermiticity is read on the blocks: an entry the
+    split leaves between them is zero, and so is the one at its transpose.
     """
     if not np.isfinite(entries.values).all():
         raise ValueError("matrix has non-finite entries")
@@ -158,10 +157,7 @@ def block_eigh(
         generator = split.gather(entries)
         if generator.outside.rows.size:
             raise ValueError("an entry falls between two blocks of the given split")
-    if generator.outside.rows.size:  # zero entries the split left between blocks
-        dev = entry_deviation(entries, -entries.dagger())
-    else:
-        dev = max(float(np.abs(x - x.conj().swapaxes(-1, -2)).max()) for x in generator.blocks)
+    dev = max(float(np.abs(x - x.conj().swapaxes(-1, -2)).max()) for x in generator.blocks)
     if dev > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M+| = {dev:.3e}")
     pairs = [np.linalg.eigh(block) for block in generator.blocks]

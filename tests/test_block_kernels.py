@@ -426,7 +426,7 @@ def _hermiticity_cases():
         values = a.values.copy()
         values[7] += size * (1 + 1j)
         yield f"bump-{size:g}", Entries(a.rows, a.cols, values)
-    # zero entries between two sectors stay outside the blocks: the entry-list route
+    # zero entries between two sectors stay outside the blocks and add nothing to the deviation
     values = a.values.copy()
     values[7] += 1e-6
     yield "outside", Entries(np.append(a.rows, [0, 1]), np.append(a.cols, [1, 0]),

@@ -142,7 +142,7 @@ def test_evolve_refuses_weight_lost_to_underflow_as_such(capsys, alpha):
     assert rc == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "underflows past |alpha|^2 = 1416.793, the largest supported" in err
+    assert "underflows past |alpha|^2 = 1416.793, and no cutoff can fix this" in err
     assert "raise the cutoff" not in err
 
 
