@@ -33,8 +33,8 @@ from .verify import gauss_deviations, run_checks
 __all__ = ["ConfigError", "RunConfig", "InitialStateSpec", "main", "entry"]
 
 COHERENT_WEIGHT_TOL = 1e-10
-# the largest |alpha|^2 whose coherent weight exp(-|alpha|^2 / 2) is a normal float:
-# past it the weight of |0> loses precision, and from about 1490 on it is 0
+# the largest |alpha|^2 whose coherent weight exp(-|alpha|^2 / 2) is a normal float; past it
+# the weight of |0> loses precision (from about 1490 on it is 0), so build_state refuses
 COHERENT_MEAN_MAX = -2 * math.log(sys.float_info.min)
 # time points propagated together by evolve; bounds its memory at
 # O(2**atoms * cutoff * EVOLVE_CHUNK) for any step count
@@ -199,8 +199,9 @@ def build_state(spec: InitialStateSpec, space: FockSpace) -> np.ndarray:
     Fock levels must sit inside the trusted band.  Coherent amplitudes are
     truncated at the cutoff, refused if the discarded weight exceeds 1e-10
     or if |alpha|^2 strays past a quarter of the top trusted level, and
-    renormalized after truncation.  Weight lost because exp(-|alpha|^2 / 2)
-    underflows is refused as such: no cutoff brings it back.
+    renormalized after truncation.  Past |alpha|^2 = COHERENT_MEAN_MAX the
+    weight exp(-|alpha|^2 / 2) of |0> is no normal float, so the state is
+    refused first, at any cutoff: no cutoff brings that weight back.
     """
     top_trusted = space.trusted - 1
     if spec.kind == "fock":
@@ -213,6 +214,11 @@ def build_state(spec: InitialStateSpec, space: FockSpace) -> np.ndarray:
     else:
         alpha = spec.alpha
         mean = abs(alpha) ** 2
+        if mean > COHERENT_MEAN_MAX:
+            raise ConfigError(
+                f"coherent state at |alpha|^2 = {mean:.3f} cannot be built: exp(-|alpha|^2/2) "
+                f"underflows past |alpha|^2 = {COHERENT_MEAN_MAX:.3f}, and no cutoff can fix this"
+            )
         if mean > top_trusted / 4:
             raise ConfigError(
                 f"|alpha|^2 = {mean:.3f} exceeds (cutoff-1-guard)/4 = {top_trusted / 4:.3f}; "
@@ -228,12 +234,6 @@ def build_state(spec: InitialStateSpec, space: FockSpace) -> np.ndarray:
         field = np.array(values)
         kept = float(np.sum(np.abs(field) ** 2))
         discarded = max(0.0, 1.0 - kept)
-        if discarded > COHERENT_WEIGHT_TOL and mean > COHERENT_MEAN_MAX:
-            raise ConfigError(
-                f"coherent state loses weight {discarded:.3e} at |alpha|^2 = {mean:.3f}: "
-                f"exp(-|alpha|^2/2) underflows past |alpha|^2 = {COHERENT_MEAN_MAX:.3f}, "
-                "and no cutoff can fix this"
-            )
         if discarded > COHERENT_WEIGHT_TOL:
             raise ConfigError(
                 f"coherent state loses weight {discarded:.3e} past the cutoff "

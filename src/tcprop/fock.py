@@ -110,48 +110,30 @@ def spectral_fn(space: FockSpace, f: Callable[[int], complex]) -> np.ndarray:
     return np.diag(values)
 
 
-def _split_eval(x, on_nonneg, on_neg):
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    neg = arr < 0.0
-    if neg.any():
-        out = np.empty_like(arr)
-        out[~neg] = on_nonneg(np.sqrt(arr[~neg]))
-        out[neg] = on_neg(np.sqrt(-arr[neg]))
-    else:  # every closed-form argument (t g)^2 d is, so skip the masks
-        out = on_nonneg(np.sqrt(arr))
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out.reshape(np.shape(x))
+def _root(x) -> np.ndarray:
+    """sqrt(x) for x >= 0 (-0.0 included); a negative argument is refused."""
+    x = np.asarray(x, dtype=float)
+    if (x < 0.0).any():
+        raise ValueError("cosz and sincz take arguments x >= 0")
+    return np.sqrt(x)
 
 
 def cosz(x):
-    """Entire function cos(sqrt(x)), power series sum_k (-x)^k / (2k)!.
+    """Entire function cos(sqrt(x)), power series sum_k (-x)^k / (2k)!, for x >= 0.
 
-    Evaluates to cos(sqrt(x)) for x >= 0 and cosh(sqrt(-x)) for x < 0, so
-    a negative argument stays real and well defined; the closed forms pass
-    none (they clamp the lowest two-atom branch at 0).  Accepts scalars or
-    arrays.
+    Every closed form passes (t g)^2 d with a branch d >= 0 (the lowest
+    two-atom branch is clamped at 0), so a negative argument, where the
+    series grows exponentially, is refused with ``ValueError``.  Accepts
+    scalars or arrays; NaN propagates.
     """
-    return _split_eval(x, np.cos, np.cosh)
+    return np.cos(_root(x))[()]  # [()] gives a scalar for a scalar x, as in sincz
 
 
 def sincz(x):
-    """Entire function sin(sqrt(x))/sqrt(x), power series sum_k (-x)^k / (2k+1)!.
+    """Entire function sin(sqrt(x))/sqrt(x), power series sum_k (-x)^k / (2k+1)!, for x >= 0.
 
-    Evaluates to sin(sqrt(x))/sqrt(x) for x > 0, to 1 at x = 0, and to
-    sinh(sqrt(-x))/sqrt(-x) for x < 0.  Accepts scalars or arrays.
+    Evaluates to 1 at x = 0 and refuses x < 0, as :func:`cosz` does.
+    Accepts scalars or arrays; NaN propagates.
     """
-
-    def pos(r):
-        nz = r > 0.0
-        if nz.all():
-            return np.sin(r) / r
-        out = np.ones_like(r)
-        out[nz] = np.sin(r[nz]) / r[nz]
-        return out
-
-    def neg(r):
-        # r > 0 strictly here: the x == 0 case lands in the other branch
-        return np.sinh(r) / r
-
-    return _split_eval(x, pos, neg)
+    r = _root(x)
+    return np.divide(np.sin(r), r, out=np.ones_like(r), where=r != 0.0)[()]

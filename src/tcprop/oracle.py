@@ -35,6 +35,7 @@ from .spinchain import (
     Entries,
     coupling_entries,
     excitation,
+    join_values,
 )
 
 __all__ = [
@@ -215,48 +216,41 @@ def compare(closed: CompositeOperator, reference: CompositeOperator) -> Comparis
 
 
 def block_magnitudes(op: Blocked, trusted: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """|entry| of every block entry of ``op``, in row-major order, one row per batch index.
+    """|entry| of every entry of ``op``, in row-major order, one row per batch index.
 
-    With ``trusted`` only entries in trusted rows and columns are listed.
-    Returns the values and the key row * dim + col of each entry's
-    (row, col); ``op`` has no outside entries.
+    Returns the values and each entry's key row * dim + col.  With
+    ``trusted`` only block entries in trusted rows and columns are listed;
+    entries outside the blocks always count.  This function alone decides
+    how: those listed at one position are added first, in listing order, as
+    in :func:`~tcprop.spinchain.entry_deviation`, and their keys merge into
+    the block keys (no outside position is a block position).
     """
-    order, key = op.split.trusted if trusted else op.split.row_major
-    values = [np.abs(x) for x in op.blocks]
-    batch = np.broadcast_shapes(*(x.shape[:-3] for x in values))
-    values = np.concatenate(  # |entry| of every block, in the split's flat buffer order
-        [(x if x.shape[:-3] == batch else np.broadcast_to(x, batch + x.shape[-3:]))
-         .reshape(batch + (-1,)) for x in values], axis=-1)
-    return values[..., order].reshape(-1, key.size), key
+    split = op.split
+    order, key = split.trusted if trusted else split.row_major
+    values = join_values([np.abs(x).reshape(x.shape[:-3] + (-1,)) for x in op.blocks])[..., order]
+    rows, cols, out = op.outside
+    if rows.size:
+        dim = split.n_blocks * split.space.cutoff
+        out_key, inverse = np.unique(rows.astype(np.int64) * dim + cols, return_inverse=True)
+        total = np.zeros(out.shape[:-1] + out_key.shape, dtype=complex)
+        np.add.at(total, (..., inverse), out)
+        key = np.concatenate([key, out_key])
+        merge = np.argsort(key)
+        values, key = join_values([values, np.abs(total)])[..., merge], key[merge]
+    return values.reshape(-1, key.size), key
 
 
 def worst_entries(op: Blocked, trusted: bool = True) -> list[ComparisonReport]:
     """The largest |entry| of a blocked operator and where it sits, per leading batch index.
 
-    With ``trusted`` the block entries are restricted to trusted rows and
-    columns; entries outside the blocks always count.  Entries listed at one
-    position are added first, as in :func:`~tcprop.spinchain.entry_deviation`.
-    Ties go to the first entry in row-major order, as in :func:`compare`,
-    and a NaN entry beats every number.  Without outside entries the blocks
-    are reduced directly, in the split's flat buffer order.
+    The entries are those :func:`block_magnitudes` lists.  Ties go to the
+    first entry in row-major order, as in :func:`compare`, and a NaN entry
+    beats every number.
     """
     split = op.split
     c, tr = split.space.cutoff, split.space.trusted
     dim = split.n_blocks * c
-    if not op.outside.rows.size:
-        values, key = block_magnitudes(op, trusted)
-    else:
-        rows, cols, values = op.entries()
-        keep = np.ones(rows.size, dtype=bool)
-        if trusted:
-            inside = rows.size - op.outside.rows.size  # entries() lists the outside ones last
-            keep[:inside] = (rows[:inside] % c < tr) & (cols[:inside] % c < tr)
-        key, inverse = np.unique(rows[keep].astype(np.int64) * dim + cols[keep],
-                                 return_inverse=True)
-        values = values[..., keep].reshape(-1, inverse.size)
-        total = np.zeros((values.shape[0], key.size), dtype=complex)
-        np.add.at(total, (slice(None), inverse), values)
-        values = np.abs(total)
+    values, key = block_magnitudes(op, trusted)
     # columns in row-major order: the first hit is the earliest
     best = values.max(axis=1)
     row, col = np.divmod(key[np.argmax((values == best[:, None]) | np.isnan(values), axis=1)], dim)

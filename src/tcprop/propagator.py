@@ -8,7 +8,7 @@ one kernel.  Each closed form is one :class:`SpectralTable` of such terms,
 evaluated for a vector of times at once; it lists its entries, assembles
 the dense operator or acts on a state directly, at O(terms x levels) work
 per time point.  The lowest two-atom branch d(m) = 2(2m - 1) is negative
-at m = 0, where cosz is a cosh that overflows for large |t g|; it is
+at m = 0, which cosz refuses (a cosh that overflows for large |t g|); it is
 clamped to 0 there, where only a diagonal coefficient that is exactly 1
 at any branch value is read, so no argument is ever negative.
 
@@ -226,7 +226,7 @@ def _two_atom_spectral(space: FockSpace, t, g: float, window=None) -> dict[str, 
 
     All branches are d_j = 2(2j+1): the top, middle and bottom atomic rows
     at level m use j = m+1, m and m-1.  At m = 0 the bottom row's j = -1
-    is clamped to d = 0 (d = -2 is a cosh that overflows for large |t g|);
+    is clamped to d = 0 (cosz refuses d = -2, a cosh that overflows for large |t g|);
     only its diagonal, (0 - 1 + 0 cosz(d)) / (-1) = 1 at any d, is read.
     """
     lo, hi = window or (0, space.cutoff)

@@ -12,8 +12,9 @@ finds in the generator's entries, at most 2**n levels each, held in one
 flat buffer per operator: closed forms, factors and table-built references
 are written into it term by term, other entry lists are scattered into it
 at once, every product is a stack of small ones and every comparison
-reduces the blocks directly, to a bare value where no location is
-printed.  A closed-form entry that falls between blocks counts in full.
+reduces the blocks through :func:`~tcprop.oracle.block_magnitudes`, to a
+bare value where no location is printed.  That function alone decides
+how an entry between blocks counts: in full.
 The oracle splits the coupling once, lays the Hamiltonian out on the same
 blocks, factors each generator once and exponentiates a whole grid of
 scales in one batched product.  Every closed form the checks read comes
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace
-from .oracle import block_eigh, block_magnitudes, block_split, compare_blocks, worst_entries
+from .oracle import block_eigh, block_magnitudes, block_split, compare_blocks
 from .propagator import (
     SpectralTable,
     closed_form_table,
@@ -117,14 +118,7 @@ def _four_ulps(largest: float) -> float:
 
 
 def _tmax(op: Blocked, trusted: bool = True) -> float:
-    """Largest |entry| of ``op`` over every batch index, NaN if any entry is NaN.
-
-    Without outside entries the blocks, restricted to trusted rows and
-    columns with ``trusted``, reduce straight to one value; otherwise
-    :func:`worst_entries` adds the entries listed at one position first.
-    """
-    if op.outside.rows.size:
-        return float(np.max([report.max_abs_deviation for report in worst_entries(op, trusted)]))
+    """Largest |entry| of ``op`` over every batch index, NaN if any entry is NaN."""
     return float(block_magnitudes(op, trusted)[0].max())
 
 

@@ -36,7 +36,13 @@ from tcprop import (
     two_atom_table,
     worst_entries,
 )
-from tcprop.cli import COHERENT_WEIGHT_TOL, ConfigError, InitialStateSpec, build_state
+from tcprop.cli import (
+    COHERENT_MEAN_MAX,
+    COHERENT_WEIGHT_TOL,
+    ConfigError,
+    InitialStateSpec,
+    build_state,
+)
 from tcprop.oracle import _blocks, _labels, _trusted_powers
 from tcprop.verify import _closed_forms, _tmax, gauss_deviations, run_checks
 
@@ -231,6 +237,33 @@ def test_worst_entries_with_outside_entries_keep_the_entry_list_route():
         assert _reports(op - op, trusted) == _old_worst_entries(op - op, trusted)
 
 
+@pytest.mark.parametrize("trusted", [True, False])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+def test_outside_entries_reduce_without_the_joined_entry_list(monkeypatch, trusted, batch):
+    rng = np.random.default_rng(23 + len(batch))
+    split = _random_split(rng, 2, SPACE, skip=5)
+    op = split.gather(_random_entries(rng, split, 80, batch))
+    # blocks of batch shape ``batch`` with outside entries of batch (), broadcast when reduced
+    unbatched = Blocked(split, _random_blocked(rng, split, batch).blocks,
+                        split.gather(_random_entries(rng, split, 80)).outside)
+    # an outside entry at (0, 1), listed twice, ties a later block entry: row-major order wins
+    one_atom = _coupling_split(1)
+    tie = one_atom.gather(Entries(np.array([5, 0, 0]), np.array([5, 1, 1]),
+                                  np.broadcast_to([3.0, 1.5, 1.5], batch + (3,))))
+    cases = [op, op - op, unbatched, tie]
+    assert all(case.outside.rows.size for case in cases)
+    wants = [_old_worst_entries(case, trusted) for case in cases]
+
+    def no_entry_list(self):
+        raise AssertionError("Blocked.entries was called")
+
+    monkeypatch.setattr(Blocked, "entries", no_entry_list)
+    for case, want in zip(cases, wants):
+        assert _reports(case, trusted) == want
+        assert repr(_tmax(case, trusted)) == repr(max(float(value) for value, _ in want))
+    assert {location for _, location in wants[-1]} == {(0, 0, 0, 1)}
+
+
 def _coupling_split(n: int, space: FockSpace = SPACE) -> BlockSplit:
     return block_split(2**n, space, coupling_entries(n, space))
 
@@ -348,8 +381,10 @@ def test_coherent_state_is_bitwise_the_level_by_level_loop(cutoff, kind):
     try:
         want = _old_coherent_state(alpha, space)
     except ConfigError as exc:
-        # exp(-|alpha|^2 / 2) underflows near the limit at cutoff 20000: both refuse alike
-        with pytest.raises(ConfigError, match=re.escape(str(exc))):
+        # exp(-|alpha|^2 / 2) underflows near the limit at cutoff 20000: both refuse, and
+        # build_state names the underflow before it runs the loop
+        match = "underflows past" if abs(alpha) ** 2 > COHERENT_MEAN_MAX else re.escape(str(exc))
+        with pytest.raises(ConfigError, match=match):
             build_state(spec, space)
         return
     assert build_state(spec, space).tobytes() == want.tobytes()
@@ -486,8 +521,8 @@ def test_tmax_is_nan_when_any_batch_index_holds_a_nan(nan_at, outside):
     assert math.isnan(_tmax(op)) and math.isnan(_tmax(op, trusted=False))
 
 
-@pytest.mark.parametrize("mean, builds", [(1400.0, True), (1450.0, False), (1482.25, True),
-                                         (1487.0, True), (1505.44, False)])
+@pytest.mark.parametrize("mean, builds", [(1400.0, True), (1450.0, False), (1452.0, False),
+                                         (1482.25, False), (1487.0, False), (1505.44, False)])
 def test_coherent_state_past_the_normal_floats_builds_or_names_the_underflow(mean, builds):
     space = FockSpace(8000)
     alpha = complex(math.sqrt(mean))
@@ -495,8 +530,6 @@ def test_coherent_state_past_the_normal_floats_builds_or_names_the_underflow(mea
     if builds:
         assert build_state(spec, space).tobytes() == _old_coherent_state(alpha, space).tobytes()
         return
-    # past the normal floats the loop loses weight to the underflow; the message says so
-    with pytest.raises(ConfigError, match="loses weight"):
-        _old_coherent_state(alpha, space)
+    # past the normal floats every state is refused, whether or not the old loop lost weight
     with pytest.raises(ConfigError, match="underflows past"):
         build_state(spec, space)

@@ -134,9 +134,10 @@ def test_evolve_rejects_wide_coherent_state(capsys):
     assert "alpha" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("alpha", ["38.8", "38.1", "20+35i"])
+@pytest.mark.parametrize("alpha", ["38.8", "38.1", "20+35i", "38.5"])
 def test_evolve_refuses_weight_lost_to_underflow_as_such(capsys, alpha):
-    # |alpha|^2 = 1505.4, 1451.6 and 1625: exp(-|alpha|^2 / 2) is 0 or subnormal
+    # |alpha|^2 = 1505.4, 1451.6, 1625 and 1482.25: exp(-|alpha|^2 / 2) is 0 or subnormal,
+    # so the state is refused before it is built, whatever weight the recurrence would keep
     rc = main(["evolve", "--atoms", "1", "--cutoff", "8000", "--steps", "1",
                "--initial", f"e:coherent({alpha})"])
     assert rc == 2
@@ -146,12 +147,14 @@ def test_evolve_refuses_weight_lost_to_underflow_as_such(capsys, alpha):
     assert "raise the cutoff" not in err
 
 
-def test_evolve_builds_a_coherent_state_past_the_normal_floats_when_no_weight_is_lost(capsys):
-    # |alpha|^2 = 1482.25: exp(-|alpha|^2 / 2) is subnormal, yet the kept weight passes
-    rc = main(["evolve", "--atoms", "1", "--cutoff", "8000", "--steps", "1",
-               "--initial", "e:coherent(38.5)"])
-    assert rc == 0
-    assert capsys.readouterr().out.count("\n") == 3
+def test_evolve_names_the_underflow_before_any_cutoff_advice(capsys):
+    # at cutoff 100 |alpha|^2 = 1600 also exceeds the trusted band, but no cutoff would help
+    rc = main(["evolve", "--atoms", "1", "--cutoff", "100", "--steps", "1",
+               "--initial", "e:coherent(40)"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "no cutoff can fix this" in err and "raise the cutoff" not in err
 
 
 @pytest.mark.parametrize(

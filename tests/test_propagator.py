@@ -504,7 +504,8 @@ def test_windowed_table_holds_the_full_rows_of_its_window(n, window):
 
 
 # windows from level 0 reach the bottom two-atom row at m = 0, whose branch d = 2(2m - 1)
-# would be -2 there: cosz(-2 (t g)^2) is cosh(sqrt(2) t g), which overflows near t g = 503
+# would be -2 there: cosz refuses -2 (t g)^2, whose series is cosh(sqrt(2) t g) and overflows
+# near t g = 503
 CLAMP_TIMES = np.array([0.0, 0.37, 12.5, 503.0, 1e3, 1e4, 1e5, 1e6])
 
 
