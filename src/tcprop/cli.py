@@ -3,7 +3,8 @@
 Subcommands: verify (invariant suite), evolve (state trajectory to CSV),
 decompose (triangular factorization report), relation-search (diagonal
 relation fit).  Exit codes: 0 success, 1 check or singularity failure,
-2 invalid configuration or arguments.
+2 invalid configuration or arguments; the console script exits 141 when
+its reader closes stdout.
 
 Options may come from a config file of ``key = value`` lines (``#``
 comments allowed); explicit command line flags win over the file, the file
@@ -17,6 +18,7 @@ import argparse
 import contextlib
 import functools
 import math
+import os
 import re
 import sys
 from collections import Counter
@@ -40,13 +42,15 @@ COHERENT_MEAN_MAX = -2 * math.log(sys.float_info.min)
 # O(2**atoms * cutoff * EVOLVE_CHUNK) for any step count
 EVOLVE_CHUNK = 64
 # bytes per Fock level of (command, atoms): the peak-RSS slope between cutoffs 1e4 and 2e4,
-# rounded up (for verify, 1.05 times it, up to the next 1000); a run whose estimate passes
-# MEMORY_BUDGET is refused before it builds anything
+# rounded up (for verify and relation-search, 1.05 times it, up to the next 1000); a run
+# whose estimate passes MEMORY_BUDGET is refused before it builds anything
 BYTES_PER_LEVEL = {("verify", 1): 7_000, ("verify", 2): 25_000, ("verify", 3): 7_000,
                    ("evolve", 1): 6_000, ("evolve", 2): 10_000, ("decompose", 1): 2_000,
-                   ("relation-search", 1): 2_000, ("relation-search", 2): 5_000,
-                   ("relation-search", 3): 11_000}
+                   ("relation-search", 1): 1_000, ("relation-search", 2): 2_000,
+                   ("relation-search", 3): 7_000}
 MEMORY_BUDGET = 2 * 2**30
+# the status a shell reports for a process ended by SIGPIPE (128 + 13)
+EXIT_BROKEN_PIPE = 141
 
 
 class ConfigError(ValueError):
@@ -419,4 +423,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: :func:`main` on the process's arguments, as the exit status.
+
+    A reader that closes stdout early (``tcprop evolve ... | head``) ends
+    the run with status 141, as a shell reports a process a closed pipe
+    ended (128 + SIGPIPE), and nothing on stderr.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here if the output fit the buffer
+    except BrokenPipeError:
+        # stdout's unwritten bytes go to devnull, so the interpreter's final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

@@ -18,6 +18,17 @@ diagonal, so :func:`block_eigh` may lay them out on the coupling's split
 instead of finding the same blocks again.  It does so only after checking
 that every entry fits that split, and then factors them with their own
 ``eigh``; an entry between its blocks is refused, never dropped.
+
+The relation search (:func:`relation_fits`) runs in float64.  The
+coupling's entries are real (1 and sqrt(m)), so it refuses a coupling with
+any nonzero imaginary part and reads the real part of each gathered block.
+The powers then have the bits the complex128 route gave, at the cost of
+real products.  The row fits sum their real products in another order, so
+a three-atom fitted value may move by an ulp, and the sector spectra come
+from a real ``eigvalsh``.  The exponential route stays complex128:
+exp(-i s M) is complex, and a real eigensolver for the generator would
+round its eigenvectors differently and move the deviations ``verify``
+prints.
 """
 
 from __future__ import annotations
@@ -380,13 +391,15 @@ class RelationFitReport:
 def _trusted_powers(split: BlockSplit, entries: Entries) -> np.ndarray:
     """Trusted row i of A, A^2, A^3 and A^5 = A^3 A^2 over the trusted columns of its block.
 
+    The entries must be real (held in any dtype); the powers are float64.
     Shape (4, trusted rows, n_blocks); only trusted rows are ever stored, and
     the powers of the blocks are freed on return.
     """
     keep = trusted_mask(split.n_blocks, split.space)
     row_of = np.cumsum(keep) - 1  # the trusted row of each trusted composite index
-    rows = np.zeros((4, row_of[-1] + 1, split.n_blocks), dtype=complex)
-    for idx, p1 in zip(split.groups, split.gather(entries).blocks):
+    rows = np.zeros((4, row_of[-1] + 1, split.n_blocks))
+    for idx, block in zip(split.groups, split.gather(entries).blocks):
+        p1 = block.real
         trusted = keep[idx]
         at = row_of[idx[trusted]]
         columns = np.broadcast_to(trusted[:, None, :], p1.shape)[trusted]
@@ -405,19 +418,22 @@ def relation_fits(
     """:func:`relation_fit` for each of ``powers``, in order, from one A.
 
     Each block of A is raised to the powers, guard levels included, before
-    rows and columns are restricted to the trusted band.
+    rows and columns are restricted to the trusted band.  Everything runs
+    in float64; a coupling entry with a nonzero imaginary part is refused.
     """
     for power in powers:
         if power not in (3, 5):
             raise ValueError(f"power must be 3 or 5, got {power!r}")
     entries = coupling_entries(n, space)
+    if np.any(entries.values.imag):
+        raise ValueError("relation search needs a real coupling")
     dim = 2**n * space.cutoff
     label = _labels(entries, dim)
     split = BlockSplit(2**n, space, _blocks(label, np.arange(dim)))
     a_pow = dict(zip((1, 2, 3, 5), _trusted_powers(split, entries)))
     degrees = dict(sorted(
         (e, d) for excitations, _, mats in _sectors(n, space, entries, label)
-        for e, d in zip(excitations.tolist(), _min_poly_degrees(mats).tolist())
+        for e, d in zip(excitations.tolist(), _min_poly_degrees(mats.real).tolist())
     ))
     reports = []
     for power in powers:

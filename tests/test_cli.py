@@ -328,7 +328,7 @@ def test_verify_refuses_a_cutoff_near_a_million_up_front(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["evolve", "--atoms", "2", "--cutoff", "300000", "--initial", "gg:fock(0)"],
     ["evolve", "--atoms", "1", "--cutoff", "100000000", "--initial", "g:fock(0)"],
-    ["relation-search", "--atoms", "3", "--cutoff", "200000"],
+    ["relation-search", "--atoms", "3", "--cutoff", "400000"],
     ["decompose", "--cutoff", "100000000"],
 ], ids=["evolve-2", "evolve-1", "relation-search-3", "decompose-1"])
 def test_large_cutoffs_are_refused_up_front(capsys, monkeypatch, argv):
@@ -634,3 +634,18 @@ def test_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr():
+    # about 200 KB of CSV, more than a pipe holds, so the run is still writing when the
+    # reader leaves after the header
+    src = str(Path(tcprop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "tcprop", "evolve", "--atoms", "2", "--cutoff", "40",
+            "--steps", "2000", "--initial", "eg:coherent(1.5)"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"t,P_ee,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        rc = proc.wait(timeout=60)
+    assert (rc, err) == (141, b"")

@@ -13,6 +13,7 @@ import pytest
 
 import tcprop.oracle
 from tcprop import (
+    BlockSplit,
     CompositeOperator,
     Entries,
     FockSpace,
@@ -38,6 +39,7 @@ from tcprop import (
     trusted_mask,
     worst_entries,
 )
+from tcprop.oracle import _blocks, _labels, _trusted_powers
 
 SPACE = FockSpace(24, 4)
 
@@ -376,6 +378,37 @@ def test_relation_fits_run_one_eigvalsh_per_block_size(monkeypatch):
     relation_fits(3, space, (3, 5))
     assert len(stacks) <= len(sizes)
     assert len({shape[-1] for shape in stacks}) == len(stacks)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_relation_route_runs_in_float64(monkeypatch, n):
+    space = FockSpace(24)
+    entries = coupling_entries(n, space)
+    dim = 2**n * space.cutoff
+    split = BlockSplit(2**n, space, _blocks(_labels(entries, dim), np.arange(dim)))
+    assert _trusted_powers(split, entries).dtype == np.float64
+    dtypes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(tcprop.oracle.np.linalg, "eigvalsh", recording)
+    relation_fits(n, space, (3, 5))
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+
+def test_relation_fits_refuse_a_complex_coupling(monkeypatch):
+    def tilted(n, space):
+        rows, cols, values = coupling_entries(n, space)
+        values = values.copy()
+        values[0] += 1e-300j
+        return Entries(rows, cols, values)
+
+    monkeypatch.setattr(tcprop.oracle, "coupling_entries", tilted)
+    with pytest.raises(ValueError, match="relation search needs a real coupling"):
+        relation_fits(2, FockSpace(24), (3, 5))
 
 
 def _sectors_by_excitation(n: int, space: FockSpace) -> list[tuple[float, list[int]]]:

@@ -19,6 +19,10 @@ and the exit code (an argparse exit included).  The list holds:
   every singular point, as the benchmark draws them, plus one t0 on the
   singular point of a mid level;
 * ``relation-search`` at 1-3 atoms, max power 3 and 5;
+* ``relation-search`` on the shapes the ``relation-search`` benchmark
+  sends (three atoms at cutoffs 60, 100 and 140, one atom at 140, two at
+  60 and 140; max power 5), each with the default guard plus 0, 1 and 2,
+  and three atoms at cutoff 2000;
 * every ``evolve`` case pinned in ``tests/data/evolve/cases.json``, with
   its CSV on stdout;
 * a few refusals.
@@ -72,6 +76,13 @@ def commands(config_dir: Path) -> list[list[str]]:
         for cutoff, power in ((24, 3), (140, 5)):
             out.append(["relation-search", "--atoms", str(atoms), "--cutoff", str(cutoff),
                         "--max-power", str(power)])
+    # the (atoms, cutoff) shapes of the relation-search benchmark, at each guard it draws
+    # (cutoff 140 at the default guard is listed above)
+    for atoms, cutoff in ((3, 60), (3, 100), (3, 140), (1, 140), (2, 60), (2, 140)):
+        out += [["relation-search", "--atoms", str(atoms), "--cutoff", str(cutoff), "--guard",
+                 str(_default_guard(cutoff) + extra), "--max-power", "5"]
+                for extra in (0, 1, 2) if (cutoff, extra) != (140, 0)]
+    out.append(["relation-search", "--atoms", "3", "--cutoff", "2000", "--max-power", "5"])
     for name, case in sorted(json.loads(CASES.read_text(encoding="utf-8")).items()):
         argv = ["evolve", *case["argv"]]
         if "config" in case:
