@@ -44,7 +44,7 @@ EVOLVE_CHUNK = 64
 # bytes per Fock level of (command, atoms): the peak-RSS slope between cutoffs 1e4 and 2e4,
 # rounded up (for verify and relation-search, 1.05 times it, up to the next 1000); a run
 # whose estimate passes MEMORY_BUDGET is refused before it builds anything
-BYTES_PER_LEVEL = {("verify", 1): 7_000, ("verify", 2): 25_000, ("verify", 3): 7_000,
+BYTES_PER_LEVEL = {("verify", 1): 4_000, ("verify", 2): 15_000, ("verify", 3): 7_000,
                    ("evolve", 1): 6_000, ("evolve", 2): 10_000, ("decompose", 1): 2_000,
                    ("relation-search", 1): 1_000, ("relation-search", 2): 2_000,
                    ("relation-search", 3): 7_000}
@@ -291,22 +291,29 @@ def cmd_evolve(cfg: RunConfig) -> int:
     times = [cfg.t0 + (cfg.t1 - cfg.t0) * i / cfg.steps for i in range(cfg.steps + 1)]
 
     row = ",".join(["%.17g"] * (len(labels) + 3)) + "\n"  # the format of _fmt
-    with (
-        open(cfg.out, "w", encoding="utf-8", newline="")
-        if cfg.out is not None
-        else contextlib.nullcontext(sys.stdout)
-    ) as fh:
-        fh.write(",".join(["t", *[f"P_{lab}" for lab in labels], "mean_photon", "norm"]) + "\n")
-        for start in range(0, len(times), EVOLVE_CHUNK):
-            chunk = times[start : start + EVOLVE_CHUNK]
-            states = evolve_states(cfg.atoms, space, np.array(chunk), cfg.omega, cfg.g, psi0)
-            # one pass per chunk; each sum runs over the same row, in the same order, as per time
-            probs = np.abs(states.reshape(len(chunk), len(labels), cfg.cutoff)) ** 2
-            per_label = probs.sum(axis=2)
-            mean_photon = (probs * m_values).reshape(len(chunk), -1).sum(axis=1)
-            norm = np.sqrt(per_label.sum(axis=1))
-            fh.writelines(row % (t, *p, mean, nrm) for t, p, mean, nrm in
-                          zip(chunk, per_label.tolist(), mean_photon.tolist(), norm.tolist()))
+    try:
+        with (
+            open(cfg.out, "w", encoding="utf-8", newline="")
+            if cfg.out is not None
+            else contextlib.nullcontext(sys.stdout)
+        ) as fh:
+            fh.write(",".join(["t", *[f"P_{lab}" for lab in labels], "mean_photon", "norm"])
+                     + "\n")
+            for start in range(0, len(times), EVOLVE_CHUNK):
+                chunk = times[start : start + EVOLVE_CHUNK]
+                states = evolve_states(cfg.atoms, space, np.array(chunk), cfg.omega, cfg.g, psi0)
+                # one pass per chunk; each sum runs over the same row in the same order as per time
+                probs = np.abs(states.reshape(len(chunk), len(labels), cfg.cutoff)) ** 2
+                per_label = probs.sum(axis=2)
+                mean_photon = (probs * m_values).reshape(len(chunk), -1).sum(axis=1)
+                norm = np.sqrt(per_label.sum(axis=1))
+                fh.writelines(row % (t, *p, mean, nrm) for t, p, mean, nrm in
+                              zip(chunk, per_label.tolist(), mean_photon.tolist(), norm.tolist()))
+    except OSError as exc:
+        # stdout's own errors (a closed pipe) are the console script's to handle
+        if cfg.out is None:
+            raise
+        raise ConfigError(f"cannot write {cfg.out}: {exc.strerror or exc}") from exc
     return 0
 
 

@@ -429,6 +429,17 @@ class Blocked:
         blocks = tuple(x - y for x, y in zip(self.blocks, other.blocks))
         return Blocked(self.split, blocks, _join_outside(self.outside, -other.outside))
 
+    def __isub__(self, other: "Blocked") -> "Blocked":
+        """``self - other`` written into ``self``'s blocks, which its caller must own.
+
+        The result shares those blocks; ``outside`` is joined as :meth:`__sub__` joins it.
+        """
+        if other.split is not self.split:
+            raise ValueError("operands live on different block splits")
+        for x, y in zip(self.blocks, other.blocks):
+            x -= y
+        return Blocked(self.split, self.blocks, _join_outside(self.outside, -other.outside))
+
     def transpose(self) -> "Blocked":
         return Blocked(self.split, tuple(x.swapaxes(-1, -2) for x in self.blocks),
                        self.outside.transpose())

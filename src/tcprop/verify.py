@@ -17,8 +17,12 @@ bare value where no location is printed.  That function alone decides
 how an entry between blocks counts: in full.
 The oracle splits the coupling once, lays the Hamiltonian out on the same
 blocks, factors each generator once and exponentiates a whole grid of
-scales in one batched product.  Every closed form the checks read comes
-from one table of t g scales at g = 1, sliced grid by grid.
+scales in one batched product.  The closed forms depend on t and g only
+through t g, so the checks read them from tables of distinct t g scales at
+g = 1, built in two phases, the second after the first is released:
+:data:`PHASE_ONE` for the oracle and unitarity grids, then
+:func:`_phase_two_scales` for the rest.  A comparison writes its difference
+into the operand the check just made, never into a table.
 """
 
 from __future__ import annotations
@@ -28,7 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace
-from .oracle import block_eigh, block_magnitudes, block_split, compare_blocks
+from .oracle import (
+    BlockEigen,
+    ComparisonReport,
+    block_eigh,
+    block_magnitudes,
+    block_split,
+    worst_entries,
+)
 from .propagator import (
     SpectralTable,
     closed_form_table,
@@ -57,11 +68,40 @@ ORACLE_G = (0.5, 1.0, 2.0)
 ORACLE_GRID = tuple((t, g) for t in ORACLE_T for g in ORACLE_G)
 ORACLE_TG = tuple(t * g for t, g in ORACLE_GRID)
 UNITARITY_T = (0.1, 1.0, 5.0, 20.0)
+UNITARITY_TG = tuple(t * g for t in UNITARITY_T for g in ORACLE_G)
 # U(t) with the free phase at t = 0.7 and the four points of the central differences
 FULL_STEP = 1e-4
 FULL_TIMES = (0.7, 0.7 + FULL_STEP, 0.7 - FULL_STEP, 0.7 + FULL_STEP / 2, 0.7 - FULL_STEP / 2)
 GROUP_LAW = (0.4, 0.9, 1.3)  # t1, t2, g
 RECONSTRUCTION = (0.9, 0.8)  # t, g of the spin-1 reduction's rebuilt propagator
+GAUSS = (0.3, 1.0)  # t, g of the one-atom triangular factorization
+
+
+def _distinct_scales() -> tuple[tuple[float, ...], slice, slice, tuple[int, ...]]:
+    """The distinct scales of ORACLE_TG and UNITARITY_TG, each grid one slice of them.
+
+    They run oracle-only, shared, unitarity-only.  Returns the scales, the
+    two slices and the position of each ORACLE_TG point.  Equal floats have
+    equal bits, so a shared scale gives both grids the same closed form.
+    """
+    oracle, unitarity = dict.fromkeys(ORACLE_TG), dict.fromkeys(UNITARITY_TG)
+    scales = ([s for s in oracle if s not in unitarity] + [s for s in oracle if s in unitarity]
+              + [s for s in unitarity if s not in oracle])
+    return (tuple(scales), slice(0, len(oracle)), slice(len(scales) - len(unitarity), None),
+            tuple(scales.index(s) for s in ORACLE_TG))
+
+
+PHASE_ONE, ORACLE_SCALES, UNITARITY_SCALES, ORACLE_AT = _distinct_scales()
+
+
+def _phase_two_scales(n: int) -> tuple[float, ...]:
+    """FULL_TIMES, the t1, t2 and t1 + t2 of GROUP_LAW, then the t g of RECONSTRUCTION or GAUSS.
+
+    The last is RECONSTRUCTION for two atoms and GAUSS for one.
+    """
+    t1, t2, g_law = GROUP_LAW
+    t, g = RECONSTRUCTION if n == 2 else GAUSS
+    return (*FULL_TIMES, t1 * g_law, t2 * g_law, (t1 + t2) * g_law, t * g)
 
 
 @dataclass(frozen=True)
@@ -122,24 +162,39 @@ def _tmax(op: Blocked, trusted: bool = True) -> float:
     return float(block_magnitudes(op, trusted)[0].max())
 
 
+def _compare_into(own: Blocked, other: Blocked) -> list[ComparisonReport]:
+    """:func:`~tcprop.oracle.compare_blocks` of ``own`` and ``other``, written into ``own``.
+
+    ``own``'s blocks must be the caller's, read no more after this; a
+    difference and its negation have the same magnitude, bit for bit.
+    """
+    own -= other
+    return worst_entries(own)
+
+
 def gauss_deviations(
-    space: FockSpace, t: float, g: float, split: BlockSplit | None = None
+    space: FockSpace,
+    t: float,
+    g: float,
+    split: BlockSplit | None = None,
+    closed: Blocked | None = None,
 ) -> tuple[float, float]:
     """One-atom triangular factorization at (t, g): (product deviation, max|lower - upper^T|).
 
     Both run on ``split``, the blocks of the one-atom coupling (found here
     if not given).  The first is the trusted deviation of
-    lower @ diagonal @ upper from the closed form; the second checks the
-    shift identity f(N) a+ = a+ f(N+1) over every entry, guard levels included.
+    lower @ diagonal @ upper from ``closed``, the closed form at (t, g) on
+    ``split`` (built here if not given); the second checks the shift
+    identity f(N) a+ = a+ f(N+1) over every entry, guard levels included.
     """
     tables = gauss_tables(space, t, g)
     if split is None:
         split = block_split(2, space, coupling_entries(1, space))
     lower, diagonal, upper = (table.blocked(split) for table in tables)
-    product = lower @ diagonal @ upper
-    closed = one_atom_table(space, t, g).blocked(split)
+    if closed is None:
+        closed = one_atom_table(space, t, g).blocked(split)
     variant = _tmax(lower - upper.transpose(), trusted=False)
-    return compare_blocks(product, closed)[0].max_abs_deviation, variant
+    return _compare_into(lower @ diagonal @ upper, closed)[0].max_abs_deviation, variant
 
 
 def _reduction_checks(
@@ -164,7 +219,7 @@ def _reduction_checks(
     results.append(_result("spin1-pattern", entry_deviation(b, -b_ref), 0.0))
     inner = reduced_table(space, *RECONSTRUCTION).blocked(split, back)
     recon = sim.dagger() @ inner @ sim
-    recon_dev = compare_blocks(recon, closed)[0]
+    recon_dev = _compare_into(recon, closed)[0]
     results.append(_result("reduction-reconstruction", recon_dev.max_abs_deviation, 1e-10))
     u_two = two_atom_table(space, 0.7, 1.3).entries().at(0)
 
@@ -188,27 +243,43 @@ def _reduction_checks(
     return results
 
 
-def _closed_forms(n: int, space: FockSpace, split: BlockSplit) -> list[Blocked]:
-    """Every closed form a propagator check reads, on ``split``, sliced from one table at g = 1.
+def _key_relations(n: int, space: FockSpace, a_op: Blocked, e: np.ndarray) -> list[CheckResult]:
+    """A^2 against its displayed blocks, and for two atoms A^3 = D A; E is the excitation."""
+    sq_ref = SpectralTable.from_rows(space, _square_rows(n, space)).blocked(a_op.split)
+    a_sq = a_op @ a_op
+    results = [_result("key-relation-squared", _tmax(a_sq - sq_ref), _four_ulps(_tmax(sq_ref)))]
+    if n == 2:
+        # A^3 = D A with D = 2(2E + 1) = diag(2(2N+3), 2(2N+1), 2(2N+1), 2(2N-1))
+        cube_ref = a_op.scale_rows(2 * (2 * e + 1))
+        cube_dev = _tmax(a_sq @ a_op - cube_ref)
+        results.append(_result("key-relation-cubed", cube_dev, _four_ulps(_tmax(cube_ref))))
+    return results
 
-    One batch per grid: ORACLE_TG, FULL_TIMES, UNITARITY_T x ORACLE_G, the
-    t1, t2 and t1 + t2 of GROUP_LAW, and RECONSTRUCTION (two atoms only,
-    empty for one).  The closed forms depend on t and g only through t g,
-    which the table forms as (t g) * 1.0, so each batch has the bits of its
-    own table at g.
+
+def _phase_one_checks(
+    n: int, space: FockSpace, oracle: BlockEigen, tol: float
+) -> tuple[CheckResult, CheckResult]:
+    """closed-vs-oracle and unitarity, both read from one table of :data:`PHASE_ONE`.
+
+    The oracle exponentiates each distinct scale once; each ORACLE_GRID
+    point reads the report of its scale, and unitarity, a maximum, is taken
+    over the distinct scales of its grid.
     """
-    t1, t2, g_law = GROUP_LAW
-    grids = [
-        ORACLE_TG,
-        FULL_TIMES,
-        [t * g for t in UNITARITY_T for g in ORACLE_G],
-        [t1 * g_law, t2 * g_law, (t1 + t2) * g_law],
-        [RECONSTRUCTION[0] * RECONSTRUCTION[1]] if n == 2 else [],
-    ]
-    scales = [scale for grid in grids for scale in grid]
-    table = closed_form_table(n, space, scales, 1.0).blocked(split)
-    stops = np.cumsum([len(grid) for grid in grids]).tolist()
-    return [table[lo:hi] for lo, hi in zip([0, *stops], stops)]
+    split = oracle.split
+    table = closed_form_table(n, space, PHASE_ONE, 1.0).blocked(split)
+    distinct = _compare_into(oracle.expm(PHASE_ONE[ORACLE_SCALES]), table[ORACLE_SCALES])
+    reports = [distinct[j] for j in ORACLE_AT]
+    # a NaN deviation is picked over every number, as worst_entries picks a NaN entry
+    i = int(np.argmax([report.max_abs_deviation for report in reports]))
+    (t_val, g_val), worst = ORACLE_GRID[i], reports[i]
+    block_row, block_col, photon_row, photon_col = worst.location
+    note = (f"worst at t={t_val:g} g={g_val:g}, blocks ({block_row}, {block_col}), "
+            f"photons ({photon_row}, {photon_col})")
+    u = table[UNITARITY_SCALES]
+    gram = u.dagger() @ u
+    gram -= Blocked.identity(split)
+    return (_result("closed-vs-oracle", worst.max_abs_deviation, tol, note=note),
+            _result("unitarity", _tmax(gram), 1e-10))
 
 
 def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult], list[str]]:
@@ -240,41 +311,26 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
     oracle = block_eigh(2**n, space, a)
     split = oracle.split
     a_op = oracle.generator
-    sq_ref = SpectralTable.from_rows(space, _square_rows(n, space)).blocked(split)
-    a_sq = a_op @ a_op
-    results.append(
-        _result("key-relation-squared", _tmax(a_sq - sq_ref), _four_ulps(_tmax(sq_ref)))
-    )
-    if n == 2:
-        # A^3 = D A with D = 2(2E + 1) = diag(2(2N+3), 2(2N+1), 2(2N+1), 2(2N-1))
-        cube_ref = a_op.scale_rows(2 * (2 * e + 1))
-        cube_dev = _tmax(a_sq @ a_op - cube_ref)
-        results.append(_result("key-relation-cubed", cube_dev, _four_ulps(_tmax(cube_ref))))
+    results += _key_relations(n, space, a_op, e)
+    closed_vs_oracle, unitarity = _phase_one_checks(n, space, oracle, tol)
+    results.append(closed_vs_oracle)
 
-    closed, full, u, law, recon = _closed_forms(n, space, split)
-    reports = compare_blocks(closed, oracle.expm(ORACLE_TG))
-    # a NaN deviation is picked over every number, as worst_entries picks a NaN entry
-    i = int(np.argmax([report.max_abs_deviation for report in reports]))
-    (t_val, g_val), worst = ORACLE_GRID[i], reports[i]
-    block_row, block_col, photon_row, photon_col = worst.location
-    note = (f"worst at t={t_val:g} g={g_val:g}, blocks ({block_row}, {block_col}), "
-            f"photons ({photon_row}, {photon_col})")
-    results.append(_result("closed-vs-oracle", worst.max_abs_deviation, tol, note=note))
-
+    table = closed_form_table(n, space, _phase_two_scales(n), 1.0).blocked(split)
+    full, law, point = table[:5], table[5:8], table[8:]
     # H is A plus a diagonal: its entries fit A's blocks, and it is factored on them
     h = hamiltonian_entries(n, space, 1.0, 1.0, 1.0)
     h_oracle = block_eigh(2**n, space, h, split)
     full = full.scale_rows(free_phase(n, space, FULL_TIMES, 1.0))
-    full_dev = compare_blocks(full[0], h_oracle.expm(FULL_TIMES[0])[0])[0].max_abs_deviation
+    full_dev = _compare_into(h_oracle.expm(FULL_TIMES[0])[0], full[0])[0].max_abs_deviation
     results.append(_result("full-vs-oracle", full_dev, tol))
 
     if n == 1:
-        product_dev, variant_dev = gauss_deviations(space, 0.3, 1.0, split)
+        product_dev, variant_dev = gauss_deviations(space, *GAUSS, split, point)
         results.append(_result("gauss-product", product_dev, tol))
         results.append(_result("gauss-variants", variant_dev, 1e-12))
 
     if n == 2:
-        results += _reduction_checks(space, split, a_op, recon[0])
+        results += _reduction_checks(space, split, a_op, point[0])
 
     # central-difference residual of i dU/dt = H U at U(0.7), step 1e-4 over step 5e-5
     h_mid = h_oracle.generator @ full[0]
@@ -287,7 +343,7 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
         _result("schrodinger-residual-ratio", abs(ratio - 4.0), 0.5, note=f"ratio {ratio:.4f}")
     )
 
-    results.append(_result("unitarity", _tmax(u.dagger() @ u - Blocked.identity(split)), 1e-10))
+    results.append(unitarity)
     results.append(_result("group-law", _tmax(law[0] @ law[1] - law[2]), 1e-9))
 
     return results, notes

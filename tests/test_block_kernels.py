@@ -44,7 +44,7 @@ from tcprop.cli import (
     build_state,
 )
 from tcprop.oracle import _blocks, _labels, _trusted_powers
-from tcprop.verify import _closed_forms, _tmax, gauss_deviations, run_checks
+from tcprop.verify import _tmax, gauss_deviations, run_checks
 
 SPACE = FockSpace(20, 4)
 TIMES = [0.3, 1.7, 9.0]
@@ -185,6 +185,21 @@ def test_gathered_blocks_are_views_of_one_buffer():
     base = op.blocks[0].base
     assert all(x.base is base for x in op.blocks)
     assert split.offsets[-1] == sum(x.size for x in op.blocks)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_in_place_difference_is_the_difference_in_the_left_blocks(batch):
+    rng = np.random.default_rng(11 + len(batch))
+    split = _random_split(rng, 2, SPACE, 7)
+    a, b = (split.gather(_random_entries(rng, split, 60, batch)) for _ in range(2))
+    assert a.outside.rows.size and b.outside.rows.size
+    want, b_blocks, own = a - b, [x.copy() for x in b.blocks], a.blocks
+    a -= b
+    assert all(x is y for x, y in zip(a.blocks, own))
+    _assert_same_blocked(a, want.blocks, want.outside)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(b.blocks, b_blocks))
+    with pytest.raises(ValueError, match="different block splits"):
+        a -= _random_split(rng, 2, SPACE).gather(Entries.none(batch))
 
 
 def _random_blocked(rng, split: BlockSplit, batch=()) -> Blocked:
@@ -329,6 +344,11 @@ def test_trusted_powers_equal_the_full_width_rows(n, cutoff):
 def test_gauss_deviations_on_the_coupling_split_it_is_given():
     split = _coupling_split(1)
     assert gauss_deviations(SPACE, 0.3, 1.0, split) == gauss_deviations(SPACE, 0.3, 1.0)
+    # the closed form read from a table at g = 1, as verify passes it, and left unwritten
+    closed = closed_form_table(1, SPACE, [0.3], 1.0).blocked(split)
+    before = [x.copy() for x in closed.blocks]
+    assert gauss_deviations(SPACE, 0.3, 1.0, split, closed) == gauss_deviations(SPACE, 0.3, 1.0)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(closed.blocks, before))
 
 
 def test_gauss_variant_on_the_blocks_is_the_entry_list_deviation(monkeypatch):
@@ -410,14 +430,34 @@ def _old_closed_forms(n: int, space: FockSpace, split: BlockSplit) -> list[Block
 @pytest.mark.parametrize("cutoff", [24, 120])
 @pytest.mark.parametrize("n", [1, 2])
 def test_one_table_sliced_by_grid_equals_one_table_per_grid(n, cutoff):
+    # each phase of run_checks reads one table, sliced grid by grid
     space = FockSpace(cutoff)
     split = _coupling_split(n, space)
-    got = _closed_forms(n, space, split)
-    want = _old_closed_forms(n, space, split)
-    assert len(want) == 4 + (n == 2)
-    assert [x.blocks[0].shape[0] for x in got] == [12, 5, 12, 3, n - 1]
-    for x, y in zip(got, want):
-        _assert_same_blocked(x, y.blocks, y.outside)
+    verify = tcprop.verify
+    one = closed_form_table(n, space, verify.PHASE_ONE, 1.0).blocked(split)
+    two = closed_form_table(n, space, verify._phase_two_scales(n), 1.0).blocked(split)
+    oracle, full, unitarity, law, *recon = _old_closed_forms(n, space, split)
+    assert len(verify.PHASE_ONE) == 15 and len(set(verify.PHASE_ONE)) == 15
+    assert two.blocks[0].shape[0] == 9
+    # each grid point reads the distinct scale equal to its t g, inside its grid's slice
+    for grid, scales, where in ((oracle, verify.ORACLE_TG, verify.ORACLE_SCALES),
+                                (unitarity, verify.UNITARITY_TG, verify.UNITARITY_SCALES)):
+        assert set(verify.PHASE_ONE[where]) == set(scales)
+        for i, scale in enumerate(scales):
+            j = verify.PHASE_ONE.index(scale)
+            assert verify.PHASE_ONE[j] == scale and j in range(15)[where]
+            _assert_same_blocked(one[j], grid[i].blocks, grid[i].outside)
+    assert verify.ORACLE_AT == tuple(verify.PHASE_ONE.index(s) for s in verify.ORACLE_TG)
+    _assert_same_blocked(two[:5], full.blocks, full.outside)
+    _assert_same_blocked(two[5:8], law.blocks, law.outside)
+    last = recon[0] if n == 2 else one_atom_table(space, 0.3, 1.0).blocked(split)
+    _assert_same_blocked(two[8:], last.blocks, last.outside)
+    # the oracle exponentiates each scale on its own, so the distinct ones carry the grid's bits
+    eigen = block_eigh(2**n, space, coupling_entries(n, space), split)
+    distinct = eigen.expm(verify.PHASE_ONE[verify.ORACLE_SCALES])
+    grid = eigen.expm(verify.ORACLE_TG)
+    for i, j in enumerate(verify.ORACLE_AT):
+        _assert_same_blocked(distinct[j], grid[i].blocks, grid[i].outside)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, CSV layout, config handling."""
 
 import csv
+import errno
 import math
 import os
 import subprocess
@@ -325,6 +326,22 @@ def test_verify_refuses_a_cutoff_near_a_million_up_front(capsys, monkeypatch):
     assert "GiB" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("atoms, cutoff, accepted", [
+    (2, 89_478, True),  # refused at 25 KB per level, while one table held every closed form
+    (1, 357_913, True),  # refused at 7 KB per level
+    (3, 306_784, False),  # three atoms build no closed form and keep 7 KB per level
+])
+def test_verify_budget_follows_the_two_phase_figures(atoms, cutoff, accepted):
+    # configuration only: nothing is built at these cutoffs
+    args = cli._build_parser().parse_args(["verify", "--atoms", str(atoms),
+                                           "--cutoff", str(cutoff)])
+    if accepted:
+        assert cli.build_config(args).cutoff == cutoff
+    else:
+        with pytest.raises(cli.ConfigError, match="GiB memory budget"):
+            cli.build_config(args)
+
+
 @pytest.mark.parametrize("argv", [
     ["evolve", "--atoms", "2", "--cutoff", "300000", "--initial", "gg:fock(0)"],
     ["evolve", "--atoms", "1", "--cutoff", "100000000", "--initial", "g:fock(0)"],
@@ -612,6 +629,22 @@ def test_overflowing_time_grid_is_refused(tmp_path, capsys, span):
     assert stdout == ""
     assert not out.exists()
     assert "error: (t1 - t0) * steps overflows" in err
+
+
+@pytest.mark.parametrize("where, code", [("missing-directory", errno.ENOENT),
+                                         ("full-device", errno.ENOSPC)],
+                         ids=["missing-directory", "full-device"])
+def test_an_out_file_that_cannot_be_written_exits_2_with_one_error_line(tmp_path, capsys,
+                                                                        where, code):
+    # the directory is missing at open; /dev/full refuses the rows when they are flushed
+    path = tmp_path / "missing" / "x.csv" if where == "missing-directory" else Path("/dev/full")
+    if where == "full-device" and not path.exists():
+        pytest.skip("no /dev/full on this platform")
+    argv = ["evolve", "--atoms", "1", *FAST, "--steps", "4", "--initial", "e:fock(0)"]
+    assert main([*argv, "--out", str(path)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == f"error: cannot write {path}: {os.strerror(code)}\n"
 
 
 def test_wide_finite_time_grid_still_evolves(capsys):

@@ -94,29 +94,53 @@ def test_perturbed_closed_form_fails_its_checks(monkeypatch, capsys, n):
         assert f"FAIL {name} " in out
 
 
-def _nan_at(index: int):
-    """closed_form_table with a NaN coefficient on a trusted entry at batch index ``index``."""
+def _nan_at(scale: float):
+    """closed_form_table with a NaN coefficient on a trusted entry at every time equal to ``scale``.
+
+    run_checks builds its tables at g = 1, so their times are the t g scales.
+    """
 
     def table(n, space, t, g):
         table = closed_form_table(n, space, t, g)
         (row, col, k, coef), *rest = table.terms
         coef = coef.copy()
-        coef[index, 0] = np.nan
+        coef[np.atleast_1d(t) == scale, 0] = np.nan
         return SpectralTable(table.n_blocks, space, ((row, col, k, coef), *rest))
 
     return table
 
 
-# run_checks reads one table: 12 closed-vs-oracle scales, 5 full-vs-oracle times, then unitarity
+# the t g of every point of the closed-vs-oracle, full-vs-oracle and unitarity grids, in order
+GRID_POINTS = (*verify.ORACLE_TG, *verify.FULL_TIMES, *verify.UNITARITY_TG)
+# run_checks builds the 15 distinct scales of the closed-vs-oracle and unitarity grids into one
+# table: oracle-only (batch 0-3), shared (4-10), then unitarity-only (11-14).  Points 0 and
+# 17 (t g = 0.05) share batch 4; point 5 (1.4) is oracle-only at 2; point 20 (0.5) is
+# unitarity-only at 11.
+PHASE_ONE_BATCH = {0: 4, 5: 2, 17: 4, 20: 11}
+
+
 @pytest.mark.parametrize("index, check", [(0, "closed-vs-oracle"), (5, "closed-vs-oracle"),
                                           (17, "unitarity"), (20, "unitarity")])
 @pytest.mark.parametrize("n", [1, 2])
 def test_a_nan_at_any_grid_point_fails_its_check(monkeypatch, capsys, n, index, check):
-    monkeypatch.setattr(verify, "closed_form_table", _nan_at(index))
-    result = _by_name(n)[check]
-    assert np.isnan(result.deviation) and not result.passed
+    scale = GRID_POINTS[index]
+    assert verify.PHASE_ONE.index(scale) == PHASE_ONE_BATCH[index]
+    monkeypatch.setattr(verify, "closed_form_table", _nan_at(scale))
+    results = _by_name(n)
+    # a shared scale fails both checks, any other only its own
+    failing = [name for name, grid in (("closed-vs-oracle", verify.ORACLE_TG),
+                                       ("unitarity", verify.UNITARITY_TG)) if scale in grid]
+    assert check in failing
+    for name in ("closed-vs-oracle", "unitarity"):
+        assert np.isnan(results[name].deviation) == (name in failing)
+        assert results[name].passed == (name not in failing)
+    if "closed-vs-oracle" in failing:
+        t, g = verify.ORACLE_GRID[verify.ORACLE_TG.index(scale)]
+        assert results["closed-vs-oracle"].note.startswith(f"worst at t={t:g} g={g:g}, ")
     assert main(["verify", "--atoms", str(n), *FAST]) == 1
-    assert f"FAIL {check:28s} deviation nan" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    for name in failing:
+        assert f"FAIL {name:28s} deviation nan" in out
 
 
 def test_cubic_diagonal_shifted_one_level_fails(monkeypatch):
@@ -334,6 +358,20 @@ def test_two_atom_checks_at_cutoff_3000_stay_small():
         tracemalloc.stop()
     assert all(res.passed for res in results)
     assert peak < 200e6
+
+
+@pytest.mark.parametrize("n, bound", [(1, 4_000), (2, 15_000)])
+def test_checks_at_cutoff_2000_hold_a_bounded_peak_per_level(n, bound):
+    # the closed forms come in two tables of distinct scales, the first released before the second
+    run_checks(n, SPACE, 1e-9)  # first-call allocations stay out of the trace
+    tracemalloc.start()
+    try:
+        results, _ = run_checks(n, FockSpace(2000), 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(res.passed for res in results)
+    assert peak / 2000 < bound
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -13,6 +13,7 @@ and the exit code (an argparse exit included).  The list holds:
   tolerance makes checks fail;
 * ``verify`` at 1-2 atoms and cutoffs 40 and 80 with the default guard
   plus 1 and plus 2, the shapes the ``validation`` benchmark sends;
+* ``verify`` at 1-2 atoms and cutoff 2000, as the CI smoke step runs it;
 * ``decompose`` at t0 = 0.3, 12 and pi/2 + 1e-7, the last 1e-7 from the
   level-1 singular point;
 * ``decompose`` at cutoffs 40, 80 and 120 with a coupling g and a t0 below
@@ -27,8 +28,8 @@ and the exit code (an argparse exit included).  The list holds:
   its CSV on stdout;
 * a few refusals.
 
-One line per command says ``same`` or which streams differ; the exit code
-is 1 if any command differs, else 0.
+That is 95 commands.  One line per command says ``same`` or which streams
+differ; the exit code is 1 if any command differs, else 0.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ def commands(config_dir: Path) -> list[list[str]]:
         for cutoff in (40, 80):
             out += [["verify", "--atoms", str(atoms), "--cutoff", str(cutoff),
                      "--guard", str(_default_guard(cutoff) + extra)] for extra in (1, 2)]
+    out += [["verify", "--atoms", str(atoms), "--cutoff", "2000"] for atoms in (1, 2)]
     for cutoff in (60, 400):
         for t0 in (0.3, 12.0, math.pi / 2 + 1e-7):
             out.append(["decompose", "--cutoff", str(cutoff), "--t0", repr(t0)])
