@@ -44,7 +44,7 @@ EVOLVE_CHUNK = 64
 # bytes per Fock level of (command, atoms): the peak-RSS slope between cutoffs 1e4 and 2e4,
 # rounded up (for verify and relation-search, 1.05 times it, up to the next 1000); a run
 # whose estimate passes MEMORY_BUDGET is refused before it builds anything
-BYTES_PER_LEVEL = {("verify", 1): 4_000, ("verify", 2): 15_000, ("verify", 3): 7_000,
+BYTES_PER_LEVEL = {("verify", 1): 4_000, ("verify", 2): 10_000, ("verify", 3): 7_000,
                    ("evolve", 1): 6_000, ("evolve", 2): 10_000, ("decompose", 1): 2_000,
                    ("relation-search", 1): 1_000, ("relation-search", 2): 2_000,
                    ("relation-search", 3): 7_000}
@@ -266,6 +266,17 @@ def _refuse_overflow(cfg: RunConfig, times, free_phase: bool = True) -> None:
             raise ConfigError(f"|t*omega| * {top:g} overflows at t={t:g}, omega={cfg.omega:g}")
 
 
+def _refuse_narrow_guard(command: str, cfg: RunConfig) -> None:
+    """Refuse a propagator run whose guard band is narrower than the atom count.
+
+    The excitation sector of a trusted level reaches ``atoms`` levels above
+    it, so with fewer guard levels the cut falls inside a trusted sector.
+    """
+    if cfg.atoms < 3 and cfg.guard < cfg.atoms:
+        raise ConfigError(f"{command} with atoms={cfg.atoms} needs guard >= {cfg.atoms} "
+                          f"(and cutoff >= {cfg.atoms + 2}), got guard={cfg.guard}")
+
+
 def cmd_evolve(cfg: RunConfig) -> int:
     if cfg.t1 < cfg.t0:
         raise ConfigError(f"t1 must be >= t0, got t0={cfg.t0}, t1={cfg.t1}")
@@ -277,6 +288,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
         )
     if cfg.initial is None:
         raise ConfigError("evolve requires --initial (or initial= in the config file)")
+    _refuse_narrow_guard("evolve", cfg)
     _refuse_overflow(cfg, (cfg.t0, cfg.t1))
     # every time below is formed through (t1 - t0) * i with i <= steps
     if not math.isfinite((cfg.t1 - cfg.t0) * cfg.steps):
@@ -318,10 +330,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    # the excitation sector of a trusted level reaches `atoms` levels above it
-    if cfg.atoms < 3 and cfg.guard < cfg.atoms:
-        raise ConfigError(f"verify with atoms={cfg.atoms} needs guard >= {cfg.atoms} "
-                          f"(and cutoff >= {cfg.atoms + 2}), got guard={cfg.guard}")
+    _refuse_narrow_guard("verify", cfg)
     space = FockSpace(cfg.cutoff, cfg.guard)
     results, notes = run_checks(cfg.atoms, space, cfg.tol)
     for res in results:

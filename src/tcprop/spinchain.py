@@ -448,11 +448,17 @@ class Blocked:
         return Blocked(self.split, tuple(x.conj().swapaxes(-1, -2) for x in self.blocks),
                        self.outside.dagger())
 
-    def scale_rows(self, vec: np.ndarray) -> "Blocked":
-        """diag(vec) times the operator; ``vec`` is (..., dim) over composite indices."""
+    def scale_rows(self, vec: np.ndarray, in_place: bool = False) -> "Blocked":
+        """diag(vec) times the operator; ``vec`` is (..., dim) over composite indices.
+
+        ``in_place`` writes the product into ``self``'s blocks, which its
+        caller must own and which must already have the product's shape; the
+        result shares them.  ``outside`` is scaled into a new list either way.
+        """
         out = self.outside
         blocks = tuple(
-            vec[..., idx][..., None] * x for idx, x in zip(self.split.groups, self.blocks)
+            np.multiply(vec[..., idx][..., None], x, out=x if in_place else None)
+            for idx, x in zip(self.split.groups, self.blocks)
         )
         return Blocked(self.split, blocks,
                        Entries(out.rows, out.cols, vec[..., out.rows] * out.values))

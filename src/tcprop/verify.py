@@ -16,13 +16,18 @@ reduces the blocks through :func:`~tcprop.oracle.block_magnitudes`, to a
 bare value where no location is printed.  That function alone decides
 how an entry between blocks counts: in full.
 The oracle splits the coupling once, lays the Hamiltonian out on the same
-blocks, factors each generator once and exponentiates a whole grid of
-scales in one batched product.  The closed forms depend on t and g only
-through t g, so the checks read them from tables of distinct t g scales at
-g = 1, built in two phases, the second after the first is released:
+blocks, factors each generator once and exponentiates several scales in
+one batched product.  The closed forms depend on t and g only through t g,
+so the checks read them from tables of distinct t g scales at g = 1, built
+in two phases, the second after the first is released:
 :data:`PHASE_ONE` for the oracle and unitarity grids, then
-:func:`_phase_two_scales` for the rest.  A comparison writes its difference
-into the operand the check just made, never into a table.
+:func:`_phase_two_scales` for the rest.  Phase 1 holds its one table while
+the oracle's exponentials, their comparison and the unitarity Gram product
+run over it in passes of at most :data:`SCALES_PER_PASS` scales, so its
+peak follows the table and one pass, not the whole grid.  A comparison
+writes its difference into the operand the check just made, never into a
+table; the one table write is the free phase, scaled in place into the
+phase-2 rows of :data:`FULL_TIMES`, which nothing reads unscaled.
 """
 
 from __future__ import annotations
@@ -92,6 +97,9 @@ def _distinct_scales() -> tuple[tuple[float, ...], slice, slice, tuple[int, ...]
 
 
 PHASE_ONE, ORACLE_SCALES, UNITARITY_SCALES, ORACLE_AT = _distinct_scales()
+# scales of PHASE_ONE exponentiated, compared or squared together; bounds the oracle side and
+# the Gram product of phase 1 at O(2**n * cutoff * SCALES_PER_PASS) for any grid
+SCALES_PER_PASS = 4
 
 
 def _phase_two_scales(n: int) -> tuple[float, ...]:
@@ -256,6 +264,12 @@ def _key_relations(n: int, space: FockSpace, a_op: Blocked, e: np.ndarray) -> li
     return results
 
 
+def _passes(grid: slice) -> list[slice]:
+    """``grid``, a slice of :data:`PHASE_ONE`, cut into runs of at most SCALES_PER_PASS scales."""
+    start, stop, _ = grid.indices(len(PHASE_ONE))
+    return [slice(i, min(i + SCALES_PER_PASS, stop)) for i in range(start, stop, SCALES_PER_PASS)]
+
+
 def _phase_one_checks(
     n: int, space: FockSpace, oracle: BlockEigen, tol: float
 ) -> tuple[CheckResult, CheckResult]:
@@ -263,11 +277,14 @@ def _phase_one_checks(
 
     The oracle exponentiates each distinct scale once; each ORACLE_GRID
     point reads the report of its scale, and unitarity, a maximum, is taken
-    over the distinct scales of its grid.
+    over the distinct scales of its grid.  Both run in passes of at most
+    SCALES_PER_PASS scales, so only one pass's exponentials, magnitudes and
+    Gram product are held at a time.
     """
     split = oracle.split
     table = closed_form_table(n, space, PHASE_ONE, 1.0).blocked(split)
-    distinct = _compare_into(oracle.expm(PHASE_ONE[ORACLE_SCALES]), table[ORACLE_SCALES])
+    distinct = [report for part in _passes(ORACLE_SCALES)
+                for report in _compare_into(oracle.expm(PHASE_ONE[part]), table[part])]
     reports = [distinct[j] for j in ORACLE_AT]
     # a NaN deviation is picked over every number, as worst_entries picks a NaN entry
     i = int(np.argmax([report.max_abs_deviation for report in reports]))
@@ -275,11 +292,17 @@ def _phase_one_checks(
     block_row, block_col, photon_row, photon_col = worst.location
     note = (f"worst at t={t_val:g} g={g_val:g}, blocks ({block_row}, {block_col}), "
             f"photons ({photon_row}, {photon_col})")
-    u = table[UNITARITY_SCALES]
-    gram = u.dagger() @ u
-    gram -= Blocked.identity(split)
+    identity = Blocked.identity(split)
+
+    def gram_deviation(u: Blocked) -> float:
+        gram = u.dagger() @ u
+        gram -= identity
+        return _tmax(gram)
+
+    # np.max, unlike Python's max, keeps a NaN in any place
+    unitarity = np.max([gram_deviation(table[part]) for part in _passes(UNITARITY_SCALES)])
     return (_result("closed-vs-oracle", worst.max_abs_deviation, tol, note=note),
-            _result("unitarity", _tmax(gram), 1e-10))
+            _result("unitarity", unitarity, 1e-10))
 
 
 def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult], list[str]]:
@@ -320,7 +343,8 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
     # H is A plus a diagonal: its entries fit A's blocks, and it is factored on them
     h = hamiltonian_entries(n, space, 1.0, 1.0, 1.0)
     h_oracle = block_eigh(2**n, space, h, split)
-    full = full.scale_rows(free_phase(n, space, FULL_TIMES, 1.0))
+    # nothing reads the FULL_TIMES rows unscaled, so the free phase is written into them
+    full = full.scale_rows(free_phase(n, space, FULL_TIMES, 1.0), in_place=True)
     full_dev = _compare_into(h_oracle.expm(FULL_TIMES[0])[0], full[0])[0].max_abs_deviation
     results.append(_result("full-vs-oracle", full_dev, tol))
 

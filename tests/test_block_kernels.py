@@ -202,6 +202,22 @@ def test_in_place_difference_is_the_difference_in_the_left_blocks(batch):
         a -= _random_split(rng, 2, SPACE).gather(Entries.none(batch))
 
 
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_in_place_row_scaling_is_the_row_scaling_in_the_own_blocks(batch):
+    rng = np.random.default_rng(21 + len(batch))
+    split = _random_split(rng, 2, SPACE, 7)
+    a = split.gather(_random_entries(rng, split, 60, batch))
+    assert a.outside.rows.size
+    dim = split.n_blocks * SPACE.cutoff
+    vec = rng.normal(size=batch + (dim,)) + 1j * rng.normal(size=batch + (dim,))
+    want, own, outside = a.scale_rows(vec), a.blocks, a.outside.values.copy()
+    scaled = a.scale_rows(vec, in_place=True)
+    assert all(x is y for x, y in zip(scaled.blocks, own))
+    # the scaled entries between blocks count as scale_rows counts them
+    _assert_same_blocked(scaled, want.blocks, want.outside)
+    assert a.outside.values.tobytes() == outside.tobytes()
+
+
 def _random_blocked(rng, split: BlockSplit, batch=()) -> Blocked:
     blocks = tuple(rng.normal(size=batch + idx.shape + idx.shape[1:])
                    + 1j * rng.normal(size=batch + idx.shape + idx.shape[1:])

@@ -283,6 +283,37 @@ def test_verify_passes_at_a_guard_of_the_atom_count(capsys, atoms, flags):
     assert "FAIL" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("atoms, initial", [(1, "e:fock(8)"), (2, "ee:fock(7)")])
+def test_evolve_refuses_a_guard_below_the_atom_count(tmp_path, capsys, monkeypatch, atoms,
+                                                     initial):
+    # the excitation sector of level m reaches m + atoms: a narrower guard cuts trusted
+    # sectors, and the printed norm collapses
+    out = tmp_path / "run.csv"
+    argv = ["evolve", "--atoms", str(atoms), "--cutoff", "10", "--steps", "4",
+            "--initial", initial, "--out", str(out)]
+    with monkeypatch.context() as patch:
+        for name in _WORK["evolve"]:
+            patch.setattr(cli, name, _no_checks)
+        assert main([*argv, "--guard", str(atoms - 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert f"evolve with atoms={atoms} needs guard >= {atoms}" in captured.err
+    assert main([*argv, "--guard", str(atoms)]) == 0
+    _, rows = _read_csv(out)
+    assert len(rows) == 5
+    for row in rows:
+        assert abs(row[-1] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("atoms, cutoff", [("1", "2"), ("2", "3")])
+def test_evolve_refuses_the_default_guard_of_the_smallest_cutoffs(capsys, atoms, cutoff):
+    # default guards 0 and 1
+    assert main(["evolve", "--atoms", atoms, "--cutoff", cutoff, "--steps", "2",
+                 "--initial", "e" * int(atoms) + ":fock(0)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"needs guard >= {atoms}" in captured.err
+
+
 def _no_checks(*args):
     raise AssertionError("run_checks reached: the refusal must come before any allocation")
 
@@ -330,6 +361,9 @@ def test_verify_refuses_a_cutoff_near_a_million_up_front(capsys, monkeypatch):
     (2, 89_478, True),  # refused at 25 KB per level, while one table held every closed form
     (1, 357_913, True),  # refused at 7 KB per level
     (3, 306_784, False),  # three atoms build no closed form and keep 7 KB per level
+    (2, 150_000, True),  # refused at 15 KB per level, before phase 1 ran in passes of scales
+    (2, 2**31 // 10_000, True),  # the last cutoff within the budget at 10 KB per level
+    (2, 2**31 // 10_000 + 1, False),
 ])
 def test_verify_budget_follows_the_two_phase_figures(atoms, cutoff, accepted):
     # configuration only: nothing is built at these cutoffs

@@ -360,7 +360,8 @@ def test_two_atom_checks_at_cutoff_3000_stay_small():
     assert peak < 200e6
 
 
-@pytest.mark.parametrize("n, bound", [(1, 4_000), (2, 15_000)])
+# 9 500 at two atoms: phase 1 exponentiates, compares and squares SCALES_PER_PASS scales at a time
+@pytest.mark.parametrize("n, bound", [(1, 4_000), (2, 15_000), (2, 9_500)])
 def test_checks_at_cutoff_2000_hold_a_bounded_peak_per_level(n, bound):
     # the closed forms come in two tables of distinct scales, the first released before the second
     run_checks(n, SPACE, 1e-9)  # first-call allocations stay out of the trace
@@ -372,6 +373,19 @@ def test_checks_at_cutoff_2000_hold_a_bounded_peak_per_level(n, bound):
         tracemalloc.stop()
     assert all(res.passed for res in results)
     assert peak / 2000 < bound
+
+
+@pytest.mark.parametrize("cutoff", [24, 120])
+@pytest.mark.parametrize("n", [1, 2])
+def test_results_do_not_depend_on_the_pass_size(monkeypatch, n, cutoff):
+    # each scale is exponentiated, compared and squared on its own rows of one table
+    space = FockSpace(cutoff)
+    results = []
+    for size in (1, 4, len(verify.PHASE_ONE)):
+        monkeypatch.setattr(verify, "SCALES_PER_PASS", size)
+        results.append(run_checks(n, space, 1e-9))
+    assert results[0] == results[1] == results[2]
+    assert len(verify._passes(verify.UNITARITY_SCALES)) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2])

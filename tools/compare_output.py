@@ -11,8 +11,8 @@ and the exit code (an argparse exit included).  The list holds:
 * ``verify`` at 1-3 atoms and cutoffs 24, 120 and 400, each at the default
   guard, a wider one and the narrowest accepted, plus one run whose
   tolerance makes checks fail;
-* ``verify`` at 1-2 atoms and cutoffs 40 and 80 with the default guard
-  plus 1 and plus 2, the shapes the ``validation`` benchmark sends;
+* ``verify`` at 1-2 atoms and cutoffs 40, 80 and 120 with the default
+  guard plus 1 and plus 2, the shapes the ``validation`` benchmark sends;
 * ``verify`` at 1-2 atoms and cutoff 2000, as the CI smoke step runs it;
 * ``decompose`` at t0 = 0.3, 12 and pi/2 + 1e-7, the last 1e-7 from the
   level-1 singular point;
@@ -28,7 +28,7 @@ and the exit code (an argparse exit included).  The list holds:
   its CSV on stdout;
 * a few refusals.
 
-That is 95 commands.  One line per command says ``same`` or which streams
+That is 99 commands.  One line per command says ``same`` or which streams
 differ; the exit code is 1 if any command differs, else 0.
 """
 
@@ -60,7 +60,7 @@ def commands(config_dir: Path) -> list[list[str]]:
                      "--guard", str(guard)] for guard in sorted(guards)]
     out.append(["verify", "--atoms", "2", "--cutoff", "120", "--tol", "1e-15"])
     for atoms in (1, 2):
-        for cutoff in (40, 80):
+        for cutoff in (40, 80, 120):
             out += [["verify", "--atoms", str(atoms), "--cutoff", str(cutoff),
                      "--guard", str(_default_guard(cutoff) + extra)] for extra in (1, 2)]
     out += [["verify", "--atoms", str(atoms), "--cutoff", "2000"] for atoms in (1, 2)]
