@@ -28,7 +28,7 @@ import numpy as np
 
 from .fock import FockSpace
 from .oracle import relation_fits
-from .propagator import GaussSingularityError, evolve_states
+from .propagator import GaussSingularityError, evolve_states, largest_branch
 from .spinchain import atomic_labels
 from .verify import gauss_deviations, run_checks
 
@@ -256,7 +256,7 @@ def _fmt(x: float) -> str:
 
 def _refuse_overflow(cfg: RunConfig, times, free_phase: bool = True) -> None:
     """Refuse times whose largest spectral argument or free phase is not a finite float."""
-    branch = cfg.cutoff if cfg.atoms == 1 else 4 * cfg.cutoff + 2
+    branch = largest_branch(cfg.atoms, cfg.cutoff)
     top = cfg.cutoff - 1 + cfg.atoms / 2
     for t in times:
         tg = t * cfg.g
@@ -300,7 +300,6 @@ def cmd_evolve(cfg: RunConfig) -> int:
     psi0 = build_state(spec, space)
     labels = atomic_labels(cfg.atoms)
     m_values = np.arange(cfg.cutoff, dtype=float)
-    times = [cfg.t0 + (cfg.t1 - cfg.t0) * i / cfg.steps for i in range(cfg.steps + 1)]
 
     row = ",".join(["%.17g"] * (len(labels) + 3)) + "\n"  # the format of _fmt
     try:
@@ -311,8 +310,9 @@ def cmd_evolve(cfg: RunConfig) -> int:
         ) as fh:
             fh.write(",".join(["t", *[f"P_{lab}" for lab in labels], "mean_photon", "norm"])
                      + "\n")
-            for start in range(0, len(times), EVOLVE_CHUNK):
-                chunk = times[start : start + EVOLVE_CHUNK]
+            for start in range(0, cfg.steps + 1, EVOLVE_CHUNK):
+                stop = min(start + EVOLVE_CHUNK, cfg.steps + 1)
+                chunk = [cfg.t0 + (cfg.t1 - cfg.t0) * i / cfg.steps for i in range(start, stop)]
                 states = evolve_states(cfg.atoms, space, np.array(chunk), cfg.omega, cfg.g, psi0)
                 # one pass per chunk; each sum runs over the same row in the same order as per time
                 probs = np.abs(states.reshape(len(chunk), len(labels), cfg.cutoff)) ** 2

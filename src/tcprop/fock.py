@@ -1,11 +1,11 @@
 """Truncated single-mode Fock space and its operator calculus.
 
-The ladder and number operators here are dense complex matrices, and the
-annihilator's entries also come as a list, the field factor of the
-entry-built coupling and Hamiltonian; closed forms and check
-references are instead coefficient vectors over the levels, f(N) a^k terms
-of a :class:`tcprop.propagator.SpectralTable`.  Row and column indices are
-photon numbers, so the annihilator has entries ``a[m-1, m] = sqrt(m)``.
+The annihilator comes as a list of its nonzero entries, the field factor of
+the entry-built coupling and Hamiltonian; closed forms and check references
+are coefficient vectors over the levels, f(N) a^k terms of a
+:class:`tcprop.propagator.SpectralTable`.  Only :func:`spectral_fn` builds
+a dense matrix, the diagonal f(N).  Row and column indices are photon
+numbers, so the annihilator has entries ``a[m-1, m] = sqrt(m)``.
 
 Truncation corrupts operator products near the top of the ladder (the
 canonical commutator picks up a rank-one artifact at the last level), so a
@@ -23,10 +23,7 @@ import numpy as np
 __all__ = [
     "FockSpace",
     "default_guard",
-    "annihilator",
     "annihilator_entries",
-    "creator",
-    "number",
     "spectral_fn",
     "cosz",
     "sincz",
@@ -73,30 +70,6 @@ def annihilator_entries(space: FockSpace) -> tuple[np.ndarray, np.ndarray, np.nd
     """Nonzero entries of the annihilator as (rows, cols, values): sqrt(m) at (m-1, m)."""
     m = np.arange(1, space.cutoff)
     return m - 1, m, np.sqrt(m).astype(complex)
-
-
-def annihilator(space: FockSpace) -> np.ndarray:
-    """Truncated annihilation operator, a|m> = sqrt(m)|m-1>."""
-    a = np.zeros((space.cutoff, space.cutoff), dtype=complex)
-    rows, cols, values = annihilator_entries(space)
-    a[rows, cols] = values
-    return a
-
-
-def creator(space: FockSpace) -> np.ndarray:
-    """Truncated creation operator, the conjugate transpose of the annihilator."""
-    return annihilator(space).conj().T
-
-
-def number(space: FockSpace) -> np.ndarray:
-    """Photon number operator diag(0, 1, ..., cutoff-1).
-
-    creator(space) @ annihilator(space) reproduces it to a few ulp (the
-    square of a rounded sqrt(m) is not exactly m); the product
-    annihilator @ creator is the one with the truncation artifact at the
-    top level.
-    """
-    return np.diag(np.arange(space.cutoff, dtype=complex))
 
 
 def spectral_fn(space: FockSpace, f: Callable[[int], complex]) -> np.ndarray:

@@ -59,7 +59,6 @@ __all__ = [
     "block_eigh",
     "expm_hermitian",
     "compare",
-    "compare_blocks",
     "block_magnitudes",
     "worst_entries",
     "fit_left_diagonal",
@@ -198,13 +197,11 @@ class ComparisonReport:
     """Entrywise deviation over the trusted subspace.
 
     ``location`` is (block_row, block_col, photon_row, photon_col) of the
-    largest deviation; ``trusted_dim`` is the dimension of the compared
-    subspace (n_blocks times trusted levels).
+    largest deviation.
     """
 
     max_abs_deviation: float
     location: tuple[int, int, int, int]
-    trusted_dim: int
 
 
 def compare(closed: CompositeOperator, reference: CompositeOperator) -> ComparisonReport:
@@ -219,11 +216,7 @@ def compare(closed: CompositeOperator, reference: CompositeOperator) -> Comparis
     flat = int(np.argmax(sub))
     row, col = divmod(flat, sub.shape[1])
     loc = (row // tr, col // tr, row % tr, col % tr)
-    return ComparisonReport(
-        max_abs_deviation=float(sub[row, col]),
-        location=loc,
-        trusted_dim=closed.n_blocks * tr,
-    )
+    return ComparisonReport(max_abs_deviation=float(sub[row, col]), location=loc)
 
 
 def block_magnitudes(op: Blocked, trusted: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -259,20 +252,14 @@ def worst_entries(op: Blocked, trusted: bool = True) -> list[ComparisonReport]:
     beats every number.
     """
     split = op.split
-    c, tr = split.space.cutoff, split.space.trusted
+    c = split.space.cutoff
     dim = split.n_blocks * c
     values, key = block_magnitudes(op, trusted)
     # columns in row-major order: the first hit is the earliest
     best = values.max(axis=1)
     row, col = np.divmod(key[np.argmax((values == best[:, None]) | np.isnan(values), axis=1)], dim)
     locations = zip(*(x.tolist() for x in (row // c, col // c, row % c, col % c)))
-    return [ComparisonReport(value, location, split.n_blocks * tr)
-            for value, location in zip(best.tolist(), locations)]
-
-
-def compare_blocks(closed: Blocked, reference: Blocked) -> list[ComparisonReport]:
-    """:func:`compare` for operands on one block split, one report per batch index."""
-    return worst_entries(closed - reference)
+    return [ComparisonReport(value, location) for value, location in zip(best.tolist(), locations)]
 
 
 def _fit_rows(target: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
@@ -375,17 +362,10 @@ class RelationFitReport:
     which bounds the degree any annihilating relation must reach.
     """
 
-    n_atoms: int
     target_power: int
     best_fit_values: np.ndarray
     relative_residual: float
     sector_min_poly_degrees: dict[float, int]
-
-    @property
-    def unconstrained(self) -> list[tuple[int, int]]:
-        """(block, photon level) pairs where the fit row was identically zero."""
-        bad = np.argwhere(np.isnan(self.best_fit_values))
-        return [(int(k), int(m)) for k, m in bad]
 
 
 def _trusted_powers(split: BlockSplit, entries: Entries) -> np.ndarray:
@@ -440,7 +420,6 @@ def relation_fits(
         values, residual = _fit_rows(a_pow[power], a_pow[power - 2])
         reports.append(
             RelationFitReport(
-                n_atoms=n,
                 target_power=power,
                 best_fit_values=values.reshape(2**n, space.trusted),
                 relative_residual=residual,

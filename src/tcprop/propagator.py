@@ -39,7 +39,6 @@ from .spinchain import (
 )
 
 __all__ = [
-    "GaussFactors",
     "GaussSingularityError",
     "SpectralTable",
     "closed_form_table",
@@ -55,7 +54,6 @@ __all__ = [
     "evolve_full",
     "evolve_states",
     "gauss_decompose_one_atom",
-    "reduction_transform",
     "reconstruct_two_atoms",
     "apply",
 ]
@@ -203,6 +201,11 @@ def _branch(t, g: float, d: np.ndarray) -> Iterator[np.ndarray]:
     yield tg * sincz(u * d)
 
 
+def largest_branch(n: int, cutoff: int) -> int:
+    """Largest d of :func:`_branch` for n atoms: d = m or 2(2m + 1), m up to the cutoff."""
+    return cutoff if n == 1 else 4 * cutoff + 2
+
+
 def one_atom_table(space: FockSpace, t, g: float, window=None) -> SpectralTable:
     """Closed-form exp(-i t g A) for one atom at the time(s) t, on the rows of ``window``.
 
@@ -307,23 +310,6 @@ class GaussSingularityError(ValueError):
         )
 
 
-@dataclass(frozen=True, eq=False)
-class GaussFactors:
-    """Lower-unitriangular, diagonal and upper-unitriangular factors.
-
-    exp(-i t g A) is complex symmetric, and so is its factorization:
-    ``lower`` is the transpose of ``upper``, which is the shifting identity
-    f(N) a+ = a+ f(N+1) in matrix form.
-    """
-
-    lower: CompositeOperator
-    diagonal: CompositeOperator
-    upper: CompositeOperator
-
-    def product(self) -> CompositeOperator:
-        return self.lower @ self.diagonal @ self.upper
-
-
 def gauss_tables(
     space: FockSpace, t: float, g: float
 ) -> tuple[SpectralTable, SpectralTable, SpectralTable]:
@@ -354,19 +340,24 @@ def gauss_tables(
     )
 
 
-def gauss_decompose_one_atom(space: FockSpace, t: float, g: float) -> GaussFactors:
-    """Triangular factorization of the one-atom propagator.
+def gauss_decompose_one_atom(
+    space: FockSpace, t: float, g: float
+) -> tuple[CompositeOperator, CompositeOperator, CompositeOperator]:
+    """Triangular factorization (lower, diagonal, upper) of the one-atom propagator.
 
         exp(-i t g A) = lower @ diagonal @ upper
 
     with lower = [[1, 0], [-i tan(tg sqrt(N))/sqrt(N) a+, 1]],
     diagonal = [[cos(tg sqrt(N+1)), 0], [0, 1/cos(tg sqrt(N))]] and
     upper = [[1, -i tan(tg sqrt(N+1))/sqrt(N+1) a], [0, 1]].
+    exp(-i t g A) is complex symmetric, and so is its factorization:
+    ``lower`` is the transpose of ``upper``, which is the shifting identity
+    f(N) a+ = a+ f(N+1) in matrix form.
 
     Refuses with :class:`GaussSingularityError` when |cos(tg sqrt(m))| falls
     below :data:`GAUSS_TAU_SING` for any level m in 0..cutoff-1.
     """
-    return GaussFactors(*(table.to_dense() for table in gauss_tables(space, t, g)))
+    return tuple(table.to_dense() for table in gauss_tables(space, t, g))
 
 
 def closed_form_table(n: int, space: FockSpace, t, g: float, window=None) -> SpectralTable:
@@ -418,8 +409,16 @@ def evolve_states(
 
 
 def reduction_entries(space: FockSpace) -> tuple[Entries, Entries, np.ndarray]:
-    """The entries of :func:`reduction_transform`'s (ST kron 1, B), and S as an index map.
+    """The similarity ST kron 1 and the spin-1 coupling B as entries, and S as an index map.
 
+    ST kron 1 block-diagonalizes the two-atom coupling A.  T rotates the
+    one-excitation pair into antisymmetric/symmetric combinations, S swaps
+    the antisymmetric state to the front, and
+
+        (ST kron 1) A (ST kron 1)+ = blockdiag(0, B),
+        B = [[0, sqrt(2) a, 0], [sqrt(2) a+, 0, sqrt(2) a], [0, sqrt(2) a+, 0]].
+
+    The singlet decouples; B is the spin-1 coupling operator on 3 blocks.
     ST acts on the atomic index alone; S is a permutation, which the
     returned order gives: S moves atomic state j to position order[j].
     """
@@ -439,23 +438,6 @@ def reduction_entries(space: FockSpace) -> tuple[Entries, Entries, np.ndarray]:
     return similarity, b, np.argmax(s_mat.real, axis=0)
 
 
-def reduction_transform(space: FockSpace) -> tuple[CompositeOperator, CompositeOperator]:
-    """Similarity that block-diagonalizes the two-atom coupling operator.
-
-    Returns (ST kron 1, B) where T rotates the one-excitation pair into
-    antisymmetric/symmetric combinations, S swaps the antisymmetric state to
-    the front, and
-
-        (ST kron 1) A (ST kron 1)+ = blockdiag(0, B),
-        B = [[0, sqrt(2) a, 0], [sqrt(2) a+, 0, sqrt(2) a], [0, sqrt(2) a+, 0]].
-
-    The singlet decouples; B is the spin-1 coupling operator on 3 blocks.
-    """
-    similarity, b, _ = reduction_entries(space)
-    return (CompositeOperator.from_entries(4, space, similarity),
-            CompositeOperator.from_entries(3, space, b))
-
-
 def reduced_table(space: FockSpace, t, g: float) -> SpectralTable:
     """blockdiag(1, exp(-i t g B)) on the reduced basis (singlet first) at the time(s) t."""
     spin1 = spin_one_table(space, t, g)
@@ -470,7 +452,7 @@ def reconstruct_two_atoms(space: FockSpace, t: float, g: float) -> CompositeOper
     (ST)+ blockdiag(1, exp(-i t g B)) (ST); must agree with
     :func:`evolve_two_atoms` on the trusted subspace.
     """
-    similarity, _ = reduction_transform(space)
+    similarity = CompositeOperator.from_entries(4, space, reduction_entries(space)[0])
     inner = reduced_table(space, t, g).to_dense()
     return similarity.dagger() @ inner @ similarity
 

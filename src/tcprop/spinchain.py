@@ -121,10 +121,6 @@ class CompositeOperator:
         return cls(n_blocks, space, mat)
 
     @classmethod
-    def identity(cls, n_blocks: int, space: FockSpace) -> "CompositeOperator":
-        return cls(n_blocks, space, np.eye(n_blocks * space.cutoff, dtype=complex))
-
-    @classmethod
     def from_blocks(cls, space: FockSpace, blocks: Sequence[Sequence]) -> "CompositeOperator":
         """Assemble from an L x L nested sequence of blocks.
 
@@ -160,28 +156,12 @@ class CompositeOperator:
     def dagger(self) -> "CompositeOperator":
         return CompositeOperator(self.n_blocks, self.space, self.matrix.conj().T)
 
-    def _check_compatible(self, other: "CompositeOperator") -> None:
+    def __matmul__(self, other: "CompositeOperator") -> "CompositeOperator":
         if not isinstance(other, CompositeOperator):
             raise TypeError(f"expected CompositeOperator, got {type(other).__name__}")
         if self.n_blocks != other.n_blocks or self.space != other.space:
             raise ValueError("operands live on different composite spaces")
-
-    def __matmul__(self, other: "CompositeOperator") -> "CompositeOperator":
-        self._check_compatible(other)
         return CompositeOperator(self.n_blocks, self.space, self.matrix @ other.matrix)
-
-    def __add__(self, other: "CompositeOperator") -> "CompositeOperator":
-        self._check_compatible(other)
-        return CompositeOperator(self.n_blocks, self.space, self.matrix + other.matrix)
-
-    def __sub__(self, other: "CompositeOperator") -> "CompositeOperator":
-        self._check_compatible(other)
-        return CompositeOperator(self.n_blocks, self.space, self.matrix - other.matrix)
-
-    def __mul__(self, scalar) -> "CompositeOperator":
-        return CompositeOperator(self.n_blocks, self.space, self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
 
 
 class Entries(NamedTuple):
@@ -506,9 +486,10 @@ def hamiltonian(n: int, space: FockSpace, omega: float, delta: float, g: float) 
     resonance (delta = omega) the free part is omega times the excitation
     operator and commutes with the interaction.
     """
-    free = CompositeOperator.from_entries(2**n, space, _free_entries(n, space, omega, delta))
-    interaction = g * coupling_operator(n, space)
-    return Hamiltonian(free + interaction, free, interaction)
+    a = coupling_entries(n, space)
+    parts = (hamiltonian_entries(n, space, omega, delta, g), _free_entries(n, space, omega, delta),
+             Entries(a.rows, a.cols, a.values * complex(g)))
+    return Hamiltonian(*(CompositeOperator.from_entries(2**n, space, x) for x in parts))
 
 
 def _free_entries(n: int, space: FockSpace, omega: float, delta: float) -> Entries:

@@ -171,7 +171,7 @@ def _tmax(op: Blocked, trusted: bool = True) -> float:
 
 
 def _compare_into(own: Blocked, other: Blocked) -> list[ComparisonReport]:
-    """:func:`~tcprop.oracle.compare_blocks` of ``own`` and ``other``, written into ``own``.
+    """:func:`~tcprop.oracle.worst_entries` of ``own - other``, written into ``own``.
 
     ``own``'s blocks must be the caller's, read no more after this; a
     difference and its negation have the same magnitude, bit for bit.

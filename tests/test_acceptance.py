@@ -24,7 +24,7 @@ from tcprop import (
     gauss_decompose_one_atom,
     hamiltonian,
     reconstruct_two_atoms,
-    reduction_transform,
+    reduction_entries,
     relation_fit,
     spectral_fn,
     trusted_mask,
@@ -104,9 +104,10 @@ def test_criterion_3_operator_relations():
 
 
 def test_criterion_4_triangular_factorization():
-    factors = gauss_decompose_one_atom(SPACE, 0.3, 1.0)
-    product_dev = compare(factors.product(), evolve_one_atom(SPACE, 0.3, 1.0)).max_abs_deviation
-    variant_dev = float(np.abs(factors.lower.matrix - factors.upper.matrix.T).max())
+    lower, diagonal, upper = gauss_decompose_one_atom(SPACE, 0.3, 1.0)
+    product_dev = compare(lower @ diagonal @ upper,
+                          evolve_one_atom(SPACE, 0.3, 1.0)).max_abs_deviation
+    variant_dev = float(np.abs(lower.matrix - upper.matrix.T).max())
     try:
         gauss_decompose_one_atom(SPACE, math.pi / 2, 1.0)
         refused, named = False, False
@@ -119,7 +120,9 @@ def test_criterion_4_triangular_factorization():
 
 
 def test_criterion_5_reduction_and_reconstruction():
-    similarity, reduced = reduction_transform(SPACE)
+    similarity, b, _ = reduction_entries(SPACE)
+    similarity = CompositeOperator.from_entries(4, SPACE, similarity)
+    reduced = CompositeOperator.from_entries(3, SPACE, b)
     a_op = coupling_operator(2, SPACE)
     conj = (similarity @ a_op @ similarity.dagger()).matrix
     c = SPACE.cutoff

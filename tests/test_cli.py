@@ -2,10 +2,12 @@
 
 import csv
 import errno
+import importlib.util
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -689,6 +691,61 @@ def test_wide_finite_time_grid_still_evolves(capsys):
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 3
     assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+EVOLVE_RUN = ["evolve", "--atoms", "1", "--cutoff", "10", "--initial", "e:fock(0)"]
+
+
+# EVOLVE_CHUNK = 64 times: one full chunk, and one time either side of it
+@pytest.mark.parametrize("steps", [62, 63, 64])
+def test_evolve_times_are_the_grid_across_chunk_boundaries(capsys, steps):
+    assert main([*EVOLVE_RUN, "--t1", "0.7", "--steps", str(steps)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.7 * i / steps for i in range(steps + 1)]
+
+
+def test_evolve_memory_does_not_grow_with_the_step_count():
+    # each chunk forms its own times, so nothing held grows with --steps
+    argv = [*EVOLVE_RUN, "--out", os.devnull, "--steps"]
+    main([*argv, "2000"])  # first-call allocations stay out of the trace
+    peaks = []
+    for steps in ("2000", "40000"):
+        tracemalloc.start()
+        try:
+            assert main([*argv, steps]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 100_000
+
+
+def _traced_objects(targets) -> list:
+    """The object each traced path names: a class attribute as stored, or a module function."""
+    found = []
+    for layer, paths in targets.items():
+        module = sys.modules[f"tcprop.{layer}"]
+        for path in paths:
+            cls_name, _, attr = path.rpartition(".")
+            found.append(vars(getattr(module, cls_name))[attr] if cls_name
+                         else getattr(module, attr))
+    return found
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # perfbench/tracing.py wraps the names in its TARGETS; a removed one fails install()
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tcprop_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec.loader.exec_module(tracing)
+    before = _traced_objects(tracing.TARGETS)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert all(x is not y for x, y in zip(_traced_objects(tracing.TARGETS), before))
+    finally:
+        tracer.uninstall()
+    assert all(x is y for x, y in zip(_traced_objects(tracing.TARGETS), before))
 
 
 def test_import_loads_no_scipy():

@@ -13,15 +13,15 @@ import pytest
 
 from tcprop import (
     CompositeOperator,
+    Entries,
     FockSpace,
     GaussSingularityError,
-    annihilator,
+    annihilator_entries,
     apply,
     closed_form_table,
     compare,
     cosz,
     coupling_operator,
-    creator,
     evolve_full,
     evolve_one_atom,
     evolve_states,
@@ -33,7 +33,7 @@ from tcprop import (
     hamiltonian,
     reconstruct_two_atoms,
     reduced_table,
-    reduction_transform,
+    reduction_entries,
     spectral_fn,
     spin_one_table,
     trusted_mask,
@@ -55,6 +55,13 @@ AMP_GG2 = -0.7597744484341714
 def _trusted_submatrix(op: CompositeOperator) -> np.ndarray:
     keep = trusted_mask(op.n_blocks, op.space)
     return op.matrix[np.ix_(keep, keep)]
+
+
+def _reduction(space: FockSpace) -> tuple[CompositeOperator, CompositeOperator]:
+    """The similarity ST kron 1 and the spin-1 coupling B, assembled from their entries."""
+    similarity, b, _ = reduction_entries(space)
+    return (CompositeOperator.from_entries(4, space, similarity),
+            CompositeOperator.from_entries(3, space, b))
 
 
 def _max_dev(x, y) -> float:
@@ -237,21 +244,21 @@ def test_group_law(builder):
 
 def test_gauss_product_matches_propagator():
     t, g = 0.3, 1.0
-    factors = gauss_decompose_one_atom(SPACE, t, g)
+    lower, diagonal, upper = gauss_decompose_one_atom(SPACE, t, g)
     direct = evolve_one_atom(SPACE, t, g)
-    assert compare(factors.product(), direct).max_abs_deviation <= 1e-9
+    assert compare(lower @ diagonal @ upper, direct).max_abs_deviation <= 1e-9
 
 
 def test_gauss_factor_shapes():
-    factors = gauss_decompose_one_atom(SPACE, 0.3, 1.0)
+    lower, diagonal, upper = gauss_decompose_one_atom(SPACE, 0.3, 1.0)
     eye = np.eye(SPACE.cutoff)
     zero = np.zeros((SPACE.cutoff, SPACE.cutoff))
-    np.testing.assert_array_equal(factors.lower.block(0, 0), eye)
-    np.testing.assert_array_equal(factors.lower.block(0, 1), zero)
-    np.testing.assert_array_equal(factors.upper.block(1, 0), zero)
-    np.testing.assert_array_equal(factors.diagonal.block(0, 1), zero)
+    np.testing.assert_array_equal(lower.block(0, 0), eye)
+    np.testing.assert_array_equal(lower.block(0, 1), zero)
+    np.testing.assert_array_equal(upper.block(1, 0), zero)
+    np.testing.assert_array_equal(diagonal.block(0, 1), zero)
     np.testing.assert_allclose(
-        np.diag(factors.diagonal.block(1, 1)),
+        np.diag(diagonal.block(1, 1)),
         [1.0 / math.cos(0.3 * math.sqrt(m)) for m in range(SPACE.cutoff)],
         rtol=1e-12,
     )
@@ -259,15 +266,16 @@ def test_gauss_factor_shapes():
 
 def test_gauss_lower_variants_agree():
     # f(N) a+ = a+ f(N+1): the lower factor is the transpose of the upper one
-    factors = gauss_decompose_one_atom(SPACE, 0.3, 1.0)
-    dev = _max_dev(factors.lower.matrix, factors.upper.matrix.T)
+    lower, _, upper = gauss_decompose_one_atom(SPACE, 0.3, 1.0)
+    dev = _max_dev(lower.matrix, upper.matrix.T)
     assert dev <= 1e-12
 
 
 def test_gauss_identity_at_zero():
     factors = gauss_decompose_one_atom(SPACE, 0.0, 1.0)
     eye = np.eye(2 * SPACE.cutoff)
-    for f in (factors.lower, factors.diagonal, factors.upper):
+    assert len(factors) == 3
+    for f in factors:
         np.testing.assert_array_equal(f.matrix, eye)
 
 
@@ -290,13 +298,13 @@ def test_gauss_threshold_is_adjustable(monkeypatch):
 
 
 def test_reduction_similarity_is_unitary():
-    similarity, _ = reduction_transform(SPACE)
+    similarity, _ = _reduction(SPACE)
     gram = (similarity.dagger() @ similarity).matrix
     assert _max_dev(gram, np.eye(4 * SPACE.cutoff)) <= 1e-15
 
 
 def test_reduction_block_diagonalizes():
-    similarity, reduced = reduction_transform(SPACE)
+    similarity, reduced = _reduction(SPACE)
     a_op = coupling_operator(2, SPACE)
     conj = (similarity @ a_op @ similarity.dagger()).matrix
     c = SPACE.cutoff
@@ -306,10 +314,10 @@ def test_reduction_block_diagonalizes():
 
 
 def test_reduced_coupling_pattern():
-    _, reduced = reduction_transform(SPACE)
+    _, reduced = _reduction(SPACE)
     root2 = math.sqrt(2.0)
-    a = annihilator(SPACE)
-    ad = creator(SPACE)
+    a = CompositeOperator.from_entries(1, SPACE, Entries(*annihilator_entries(SPACE))).matrix
+    ad = a.conj().T
     zero = np.zeros_like(a)
     expected = np.block(
         [
@@ -323,7 +331,7 @@ def test_reduced_coupling_pattern():
 
 def test_spin_one_against_oracle():
     t, g = 0.9, 0.8
-    _, reduced = reduction_transform(SPACE)
+    _, reduced = _reduction(SPACE)
     closed = spin_one_table(SPACE, t, g).to_dense()
     ref = expm_hermitian(reduced, t * g)
     assert compare(closed, ref).max_abs_deviation <= 1e-10
@@ -535,3 +543,17 @@ def test_closed_forms_pass_no_negative_argument_to_cosz_or_sincz(monkeypatch):
     at_bottom = (full.rows == bottom) & (full.cols == bottom)
     assert at_bottom.sum() == 1
     assert np.array_equal(full.values[:, at_bottom], np.ones((len(CLAMP_TIMES), 1)))
+
+
+@pytest.mark.parametrize("cutoff", [2, 5, 60])
+@pytest.mark.parametrize("n", [1, 2])
+def test_largest_branch_is_the_largest_branch_the_closed_form_reads(monkeypatch, n, cutoff):
+    seen = []
+    branch = propagator._branch
+    monkeypatch.setattr(propagator, "_branch",
+                        lambda t, g, d: seen.append(float(np.max(d))) or branch(t, g, d))
+    space = FockSpace(cutoff, 0)
+    closed_form_table(n, space, 0.3, 1.0)
+    if n == 1:
+        gauss_tables(space, 0.3, 1.0)
+    assert seen and max(seen) == propagator.largest_branch(n, cutoff)

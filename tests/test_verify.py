@@ -10,14 +10,12 @@ from tcprop import (
     Entries,
     FockSpace,
     SpectralTable,
-    annihilator,
+    annihilator_entries,
     closed_form_table,
     compare,
     coupling_operator,
-    creator,
     excitation,
     expm_hermitian,
-    number,
     oracle,
     reduction_entries,
     relation_fits,
@@ -175,10 +173,15 @@ def test_gauss_checks_report_gauss_deviations():
     assert results["gauss-variants"].deviation == variant
 
 
+def _ladder(space):
+    """The annihilator as a dense matrix, assembled from its entry list."""
+    return CompositeOperator.from_entries(1, space, Entries(*annihilator_entries(space))).matrix
+
+
 def _old_pattern_ref(n, space):
     """The coupling operator as hand-written np.block layouts, one per atom count."""
-    a = annihilator(space)
-    ad = creator(space)
+    a = _ladder(space)
+    ad = a.conj().T
     z = np.zeros_like(a)
     if n == 1:
         return np.block([[z, a], [ad, z]])
@@ -191,9 +194,9 @@ def _old_pattern_ref(n, space):
 
 def _old_square_ref(n, space):
     """A^2 assembled with from_blocks from number, a @ a and a+ @ a+."""
-    a = annihilator(space)
-    ad = creator(space)
-    n_mat = number(space)
+    a = _ladder(space)
+    ad = a.conj().T
+    n_mat = np.diag(np.arange(space.cutoff, dtype=complex))
     eye_f = np.eye(space.cutoff, dtype=complex)
     if n == 1:
         return CompositeOperator.from_blocks(space, [[n_mat + eye_f, 0], [0, n_mat]])
@@ -210,8 +213,8 @@ def _old_square_ref(n, space):
 
 
 def _old_spin1_ref(space):
-    a = annihilator(space)
-    ad = creator(space)
+    a = _ladder(space)
+    ad = a.conj().T
     z = np.zeros_like(a)
     r2 = np.sqrt(2.0)
     return np.block([[z, r2 * a, z], [r2 * ad, z, r2 * a], [z, r2 * ad, z]])
