@@ -99,11 +99,14 @@ def _blocks(label: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, ...]:
     """``indices`` grouped by component ``label``: one (k, s) array per block size s.
 
     Rows are ascending, so a block keeps the lower triangle a whole eigh reads.
+    Sizes come in ascending order.
     """
     order = indices[np.argsort(label[indices], kind="stable")]
     _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
+    # the distinct sizes, ascending; a plain np.unique would import numpy.ma (about 1.3 MB)
     return tuple(
-        order[starts[sizes == size][:, None] + np.arange(size)] for size in np.unique(sizes)
+        order[starts[sizes == size][:, None] + np.arange(size)]
+        for size in np.flatnonzero(np.bincount(sizes))
     )
 
 

@@ -760,6 +760,30 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_commands_load_no_scipy_and_no_numpy_ma():
+    # a plain np.unique imports numpy.ma (about 1.3 MB of RSS and 15 ms) on its first call
+    src = str(Path(tcprop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    commands = [
+        ["verify", "--atoms", "1", "--cutoff", "24"],
+        ["verify", "--atoms", "2", "--cutoff", "24"],
+        ["decompose", "--cutoff", "24", "--t0", "0.3"],
+        ["relation-search", "--atoms", "3", "--cutoff", "24", "--max-power", "5"],
+        ["evolve", "--atoms", "2", "--cutoff", "24", "--initial", "eg:coherent(1.5)",
+         "--steps", "20"],
+    ]
+    code = ("import contextlib, io, sys\n"
+            "from tcprop.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.split("\n") == ["[]", "[]", ""]
+
+
 def test_a_closed_stdout_exits_141_with_nothing_on_stderr():
     # about 200 KB of CSV, more than a pipe holds, so the run is still writing when the
     # reader leaves after the header

@@ -37,7 +37,7 @@ from tcprop import (
     trusted_mask,
     worst_entries,
 )
-from tcprop.oracle import _blocks, _labels, _trusted_powers
+from tcprop.oracle import _blocks, _labels, _sectors, _trusted_powers
 
 SPACE = FockSpace(24, 4)
 
@@ -552,6 +552,41 @@ def test_entry_built_blocks_equal_the_dense_ones(n, cutoff):
         assert gathered.outside.rows.size == 0
         for got, want in zip(gathered.blocks, _dense_blocks(dense, split)):
             np.testing.assert_array_equal(got, want)
+
+
+def _assert_groups_ascend(groups, indices):
+    # one group per block size, sizes strictly ascending, every index in exactly one block
+    sizes = [idx.shape[1] for idx in groups]
+    assert sizes == sorted(set(sizes))
+    found = np.sort(np.concatenate([idx.ravel() for idx in groups]))
+    np.testing.assert_array_equal(found, indices)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_split_groups_ascend_in_block_size(n):
+    # _sectors, relation_fits and the zips over split.groups rely on this order
+    space = FockSpace(24)
+    entries = coupling_entries(n, space)
+    dim = 2**n * space.cutoff
+    split = block_split(2**n, space, entries)
+    assert len(split.groups) == n + 1  # size 2**n, and n smaller sizes at the edges
+    _assert_groups_ascend(split.groups, np.arange(dim))
+    sectors = _sectors(n, space, entries, _labels(entries, dim))
+    _assert_groups_ascend([idx for _, idx, _ in sectors],
+                          np.flatnonzero(trusted_mask(2**n, space)))
+
+
+def test_split_of_no_nonzero_entry_is_all_singletons():
+    space = FockSpace(24)
+    entries = coupling_entries(2, space)
+    split = block_split(4, space, entries._replace(values=np.zeros_like(entries.values)))
+    (group,) = split.groups
+    assert group.shape == (4 * space.cutoff, 1)
+    _assert_groups_ascend(split.groups, np.arange(4 * space.cutoff))
+
+
+def test_split_of_no_index_has_no_groups():
+    assert _blocks(np.arange(10), np.array([], dtype=np.intp)) == ()
 
 
 @pytest.mark.parametrize("n", [1, 2])

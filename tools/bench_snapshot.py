@@ -17,7 +17,14 @@ whose warm-up takes over 2 s (``SLOW_S``) runs once.  The file records:
   coupling), read by wrapping ``tcprop.verify._result``;
 * ``scale``: this checkout alone at cutoffs the parent cannot reach, with
   the peak resident memory of a process that runs just that command;
-* ``machine``: cores, Python, numpy, BLAS, best-of count and both commits.
+* ``one_shot``: what one CLI call pays on a cold start: for each cutoff-60
+  command, the wall time (interpreter start included) and peak resident
+  memory of a fresh process that imports ``tcprop.cli`` from the tree and
+  runs that command once, median of 5 (``STARTS``) starts that alternate
+  between the trees;
+* ``machine``: cores, Python, numpy, BLAS, best-of count, whether
+  ``PYTHONDONTWRITEBYTECODE`` is set (then every start also compiles
+  ``src/``) and both commits.
 
 This measures; it gates nothing.  The machine's drift between runs is
 not removed, so compare two snapshots taken on one machine.
@@ -29,15 +36,18 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CUTOFFS = (60, 200, 400)
 SLOW_S = 2.0
 REPEAT = 3
+STARTS = 5
 
 
 def cli_cases() -> list[list[str]]:
@@ -122,6 +132,37 @@ def measure(src: Path, job: dict) -> dict:
     return json.loads(proc.stdout)
 
 
+# A cold start: argv[1] is the tree's src/, the rest the command.
+ONE_SHOT = ("import sys; sys.path.insert(0, sys.argv[1]); import tcprop.cli; "
+            "sys.exit(tcprop.cli.main(sys.argv[2:]))")
+
+
+def start_once(src: Path, argv: list[str]) -> tuple[float, float, int]:
+    """Wall seconds, peak RSS in MB and exit code of one fresh process running ``argv``."""
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-c", ONE_SHOT, str(src), *argv],
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    seconds = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return seconds, usage.ru_maxrss / 1024, proc.returncode
+
+
+def one_shot(trees: dict[str, Path]) -> dict:
+    """Medians of ``STARTS`` cold starts per cutoff-60 command, the trees taking turns first."""
+    cases = [argv for argv in cli_cases() if argv[argv.index("--cutoff") + 1] == "60"]
+    runs = {name: {" ".join(argv): [] for argv in cases} for name in trees}
+    for i in range(STARTS):
+        for argv in cases:
+            for name in (trees if i % 2 == 0 else reversed(list(trees))):
+                runs[name][" ".join(argv)].append(start_once(trees[name], argv))
+    return {name: {key: {"wall_s": round(statistics.median(r[0] for r in starts), 4),
+                         "peak_rss_mb": round(statistics.median(r[1] for r in starts), 1),
+                         "exit_codes": sorted({r[2] for r in starts})}
+                   for key, starts in cmds.items()}
+            for name, cmds in runs.items()}
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, text=True, capture_output=True,
                           check=True).stdout.strip()
@@ -139,6 +180,8 @@ def machine() -> dict:
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "best_of": REPEAT,
         "slow_runs_once_above_s": SLOW_S,
+        "one_shot_starts": STARTS,
+        "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
     }
 
 
@@ -162,7 +205,8 @@ def main() -> int:
                                  check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         snapshot["parent"] = measure(Path(tmp) / "src", job)
-    snapshot["change"] = measure(ROOT / "src", job)
+        snapshot["change"] = measure(ROOT / "src", job)
+        snapshot["one_shot"] = one_shot({"parent": Path(tmp) / "src", "change": ROOT / "src"})
     snapshot["scale"] = {
         " ".join(argv): measure(ROOT / "src", dict(job, cli=[argv], stages=[], slow_s=0.0))
         for argv in SCALE_CASES
