@@ -5,9 +5,9 @@ polynomial relation (A^2 is diagonal for one atom, A^3 = D A for two), so
 exp(-i t g A) collapses to a few terms f(N) a^k on atomic blocks, f built
 from the entire functions cosz and sincz of (t g)^2 d(m), all evaluated by
 one kernel.  Each closed form is one :class:`SpectralTable` of such terms,
-evaluated for a vector of times at once; it lists its entries, assembles
-the dense operator or acts on a state directly, at O(terms x levels) work
-per time point.  The lowest two-atom branch d(m) = 2(2m - 1) is negative
+evaluated for a vector of times at once, that lists or assembles them; on a
+state, :func:`evolve_states` applies exp(-i t g A) = 1 + F(D) A^2 - i G(D) A
+instead, at O(2^n x levels) work per time point.  The lowest two-atom branch d(m) = 2(2m - 1) is negative
 at m = 0, which cosz refuses (a cosh that overflows for large |t g|); it is
 clamped to 0 there, where only a diagonal coefficient that is exactly 1
 at any branch value is read, so no argument is ever negative.
@@ -32,10 +32,12 @@ from .spinchain import (
     BlockSplit,
     CompositeOperator,
     Entries,
+    collective,
     excitation,
     join_entries,
     join_values,
     kron_entries,
+    _ground_bits,
 )
 
 __all__ = [
@@ -69,30 +71,24 @@ class SpectralTable:
 
     Each term is (atomic row, atomic col, ladder shift k, coefficients):
     block (row, col) carries f(N) a^k, a negative k meaning (a+)^-k, and
-    the coefficients of shape (times, hi - lo) hold f(m) at the row levels
-    m of ``window`` = (lo, hi), by default all; no entry lies outside it.
+    the coefficients of shape (times, cutoff) hold f(m) at every row level m.
     """
 
     n_blocks: int
     space: FockSpace
     terms: tuple[tuple[int, int, int, np.ndarray], ...]
-    window: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "window", self.window or (0, self.space.cutoff))
 
     @classmethod
-    def from_rows(cls, space: FockSpace, rows, window=None) -> "SpectralTable":
+    def from_rows(cls, space: FockSpace, rows) -> "SpectralTable":
         """Build from the block layout: rows of (k, coefficients) pairs, None for a zero block."""
         terms = tuple(
             (i, j, *blk) for i, row in enumerate(rows) for j, blk in enumerate(row) if blk is not None
         )
-        return cls(len(rows), space, terms, window)
+        return cls(len(rows), space, terms)
 
     def _span(self, k: int) -> tuple[int, int]:
-        """Row levels [m0, m1) of the window where f(N) a^k has entries."""
-        m0 = max(self.window[0], -k)
-        return m0, max(m0, min(self.window[1], self.space.cutoff - max(0, k)))
+        """Row levels [m0, m1) where f(N) a^k has entries."""
+        return max(0, -k), self.space.cutoff - max(0, k)
 
     def _term_values(self, coef: np.ndarray, k: int) -> np.ndarray:
         """Entries of f(N) a^k (a negative k means (a+)^-k) on the rows of :meth:`_span`.
@@ -101,7 +97,7 @@ class SpectralTable:
         the entries round as that product does.
         """
         m0, m1 = self._span(k)
-        out = coef[..., m0 - self.window[0] : m1 - self.window[0]]
+        out = coef[..., m0:m1]
         for j in range(abs(k)):
             shift = j + 1 if k > 0 else -j
             out = out * self._roots[m0 + shift : m1 + shift]  # sqrt(m + shift) on the rows
@@ -149,40 +145,6 @@ class SpectralTable:
         """The dense operator at the i-th time of the table."""
         return CompositeOperator.from_entries(self.n_blocks, self.space, self.entries().at(i))
 
-    def apply(self, state: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        """diag(phase) U state at every time of the table, without forming U.
-
-        ``phase`` has shape (times, n_blocks * (hi - lo)), the result (times,
-        n_blocks * cutoff).  Each term is a shifted-slice product; real and
-        imaginary cross products are summed separately in column order, as
-        OpenBLAS sums a complex matrix-vector product, so the result matches
-        the dense one to the last bit.  Terms on a zero slice of the state are
-        skipped, which can flip only the sign of a zero.
-        """
-        c = self.space.cutoff
-        lo, hi = self.window
-        vec = np.asarray(state, dtype=complex)
-        if vec.shape != (self.n_blocks * c,):
-            raise ValueError(f"state has shape {vec.shape}, operator expects ({self.n_blocks * c},)")
-        psi = vec.reshape(self.n_blocks, c)
-        n_times = phase.shape[0]
-        phase = phase.reshape(n_times, self.n_blocks, hi - lo)
-        out = np.zeros((n_times, self.n_blocks, c), dtype=complex)
-        re_u = out[..., lo:hi]  # sum re(U) psi and sum im(U) psi per output entry
-        im_u = np.zeros_like(re_u)
-        for row, col, k, coef in self.terms:
-            m0, m1 = self._span(k)
-            x = psi[col, m0 + k : m1 + k]
-            if not x.any():
-                continue
-            rows = slice(m0 - lo, m1 - lo)
-            entries = phase[:, row, rows] * self._term_values(coef, k)
-            re_u[:, row, rows] += entries.real * x
-            im_u[:, row, rows] += entries.imag * x
-        re_u.real -= im_u.imag
-        re_u.imag += im_u.real
-        return out.reshape(n_times, -1)
-
 
 def _column(t) -> np.ndarray:
     """The time(s) t as a column."""
@@ -206,8 +168,8 @@ def largest_branch(n: int, cutoff: int) -> int:
     return cutoff if n == 1 else 4 * cutoff + 2
 
 
-def one_atom_table(space: FockSpace, t, g: float, window=None) -> SpectralTable:
-    """Closed-form exp(-i t g A) for one atom at the time(s) t, on the rows of ``window``.
+def one_atom_table(space: FockSpace, t, g: float) -> SpectralTable:
+    """Closed-form exp(-i t g A) for one atom at the time(s) t.
 
     Blocks (atomic order e, g):
 
@@ -216,25 +178,23 @@ def one_atom_table(space: FockSpace, t, g: float, window=None) -> SpectralTable:
 
     written with cosz/sincz so every factor is total.
     """
-    lo, hi = window or (0, space.cutoff)
-    cos_l, sin_l = _branch(t, g, np.arange(lo, hi + 1, dtype=float))
+    cos_l, sin_l = _branch(t, g, np.arange(space.cutoff + 1, dtype=float))
     return SpectralTable.from_rows(space, [
         [(0, cos_l[:, 1:]), (1, -1j * sin_l[:, 1:])],
         [(-1, -1j * sin_l[:, :-1]), (0, cos_l[:, :-1])],
-    ], (lo, hi))
+    ])
 
 
-def _two_atom_spectral(space: FockSpace, t, g: float, window=None) -> dict[str, np.ndarray]:
-    """The distinct spectral functions of the two-atom closed form, on the rows of ``window``.
+def _two_atom_spectral(space: FockSpace, t, g: float) -> dict[str, np.ndarray]:
+    """The distinct spectral functions of the two-atom closed form.
 
     All branches are d_j = 2(2j+1): the top, middle and bottom atomic rows
     at level m use j = m+1, m and m-1.  At m = 0 the bottom row's j = -1
     is clamped to d = 0 (cosz refuses d = -2, a cosh that overflows for large |t g|);
     only its diagonal, (0 - 1 + 0 cosz(d)) / (-1) = 1 at any d, is read.
     """
-    lo, hi = window or (0, space.cutoff)
-    m = np.arange(lo, hi, dtype=float)
-    cos_d, sin_d = _branch(t, g, np.maximum(4.0 * np.arange(lo - 1, hi + 1) + 2, 0))
+    m = np.arange(space.cutoff, dtype=float)
+    cos_d, sin_d = _branch(t, g, np.maximum(4.0 * np.arange(-1, space.cutoff + 1) + 2, 0))
     top, mid, bot = cos_d[:, 2:], cos_d[:, 1:-1], cos_d[:, :-2]
     return {
         "top_diag": (m + 2 + (m + 1) * top) / (2 * m + 3),
@@ -250,15 +210,15 @@ def _two_atom_spectral(space: FockSpace, t, g: float, window=None) -> dict[str, 
     }
 
 
-def two_atom_table(space: FockSpace, t, g: float, window=None) -> SpectralTable:
-    """Closed-form exp(-i t g A) for two atoms (ee, eg, ge, gg), time(s) t, rows of ``window``.
+def two_atom_table(space: FockSpace, t, g: float) -> SpectralTable:
+    """Closed-form exp(-i t g A) for two atoms (ee, eg, ge, gg) at the time(s) t.
 
     Follows from exp(-i t g A) = 1 + D^-1 (cos(tg sqrt(D)) - 1) A^2
     - i D^-1/2 sin(tg sqrt(D)) A with the cubic relation A^3 = D A,
     D = diag(2(2N+3), 2(2N+1), 2(2N+1), 2(2N-1)).  The (1,3)/(2,3) blocks
     mirror (0,1)/(1,0): -i sin(tg sqrt(2(2N+1)))/sqrt(2(2N+1)) times a.
     """
-    f = _two_atom_spectral(space, t, g, window)
+    f = _two_atom_spectral(space, t, g)
     top, mid, bot = (-1j * f[k] for k in ("top_sin", "mid_sin", "bot_sin"))
     plus, minus = (0, f["mid_plus"]), (0, f["mid_minus"])
     return SpectralTable.from_rows(space, [
@@ -266,7 +226,7 @@ def two_atom_table(space: FockSpace, t, g: float, window=None) -> SpectralTable:
         [(-1, mid), plus, minus, (1, mid)],
         [(-1, mid), minus, plus, (1, mid)],
         [(-2, f["bot_two"]), (-1, bot), (-1, bot), (0, f["bot_diag"])],
-    ], window)
+    ])
 
 
 def spin_one_table(space: FockSpace, t, g: float) -> SpectralTable:
@@ -360,22 +320,21 @@ def gauss_decompose_one_atom(
     return tuple(table.to_dense() for table in gauss_tables(space, t, g))
 
 
-def closed_form_table(n: int, space: FockSpace, t, g: float, window=None) -> SpectralTable:
-    """Closed-form exp(-i t g A) for n = 1 or 2 atoms at the time(s) t, on the rows of ``window``.
+def closed_form_table(n: int, space: FockSpace, t, g: float) -> SpectralTable:
+    """Closed-form exp(-i t g A) for n = 1 or 2 atoms at the time(s) t.
 
     The coefficients depend on t and g only through t*g.
     """
     if n not in (1, 2):
         raise ValueError(f"closed-form propagator exists for 1 or 2 atoms, got n={n!r}")
-    return (one_atom_table if n == 1 else two_atom_table)(space, t, g, window)
+    return (one_atom_table if n == 1 else two_atom_table)(space, t, g)
 
 
-def free_phase(n: int, space: FockSpace, t, omega: float, window=None) -> np.ndarray:
-    """exp(-i t omega (S_3 + N)) on the composite basis, levels of ``window``, one row per time."""
-    lo, hi = window or (0, space.cutoff)
-    e = excitation(n, space).reshape(2**n, space.cutoff)[:, lo:hi].ravel() - (lo - n / 2)
-    # exp once per excitation value lo - n/2, lo - n/2 + 1, ..., then gathered
-    phase = np.exp(-1j * _column(t) * omega * (lo - n / 2 + np.arange(hi - lo + n)))
+def free_phase(n: int, space: FockSpace, t, omega: float) -> np.ndarray:
+    """exp(-i t omega (S_3 + N)) on the composite basis, one row per time."""
+    e = excitation(n, space) + n / 2
+    # exp once per excitation value -n/2, 1 - n/2, ..., then gathered
+    phase = np.exp(-1j * _column(t) * omega * (np.arange(space.cutoff + n) - n / 2))
     return phase[:, e.astype(int)]
 
 
@@ -391,21 +350,61 @@ def evolve_full(n: int, space: FockSpace, t: float, omega: float, g: float) -> C
     return CompositeOperator(interaction.n_blocks, space, phase[:, None] * interaction.matrix)
 
 
+# S_+ of n atoms as a real matrix, and the number of excited atoms of each atomic row
+_LADDERS = {n: (collective(n)[0].real, n - _ground_bits(n).sum(axis=1)) for n in (1, 2)}
+
+
+def _couple(x: np.ndarray, root: np.ndarray, s_plus: np.ndarray) -> np.ndarray:
+    """A x with no cut at the cutoff, on all but the end levels m of x; root = sqrt(max(m, 0))."""
+    out = np.einsum("hl,...lm->...hm", s_plus, x[..., 2:]) * root[2:]  # S_+ a
+    out += np.einsum("lh,...lm->...hm", s_plus, x[..., :-2]) * root[1:-1]  # S_- a+
+    return out
+
+
 def evolve_states(
-    n: int, space: FockSpace, times, omega: float, g: float, state: np.ndarray
+    n: int, space: FockSpace, times, omega: float, g: float, state: np.ndarray, window=None
 ) -> np.ndarray:
     """U(t) state for every t in ``times``, matrix-free; shape (len(times), 2**n * cutoff).
 
-    Equals apply(evolve_full(n, space, t, omega, g), state) up to the sign
-    of zero amplitudes.  The coupling conserves S_3 + N and shifts N by at
-    most n, so only the levels within n of the state's support are
-    evaluated.  Memory grows with len(times): pass long trajectories in chunks.
+    Applies the paper's identity U(t) psi = phase(E) [psi + F(D) A^2 psi - i G(D) A psi],
+    F = (cos(tg sqrt(D)) - 1)/D (0 where D = 0, where A psi = 0), G = sin(tg sqrt(D))/sqrt(D),
+    phase = exp(-i t omega E), each taken once per value of the excitation E = S_3 + N, of
+    which D = E + 1/2 (one atom) or 2(2E + 1) (two) is a function.  A^2 psi is A applied
+    twice with no cut at the cutoff (a a+ = N + 1), as the closed-form table holds it.
+    Only the levels of ``window`` = (lo, hi), by default all, are evaluated and read: A
+    shifts N by at most n, so the state's support widened by n loses nothing.  Real float
+    arithmetic gives each amplitude the same bits in any window that holds its level.
     """
-    levels = np.flatnonzero(state) % space.cutoff  # none for a zero state: an empty window
-    lo, hi = (int(levels.min()) - n, int(levels.max()) + 1 + n) if levels.size else (0, 0)
-    window = (max(0, lo), min(space.cutoff, hi))
-    table = closed_form_table(n, space, times, g, window)
-    return table.apply(state, free_phase(n, space, times, omega, window))
+    if n not in _LADDERS:
+        raise ValueError(f"closed-form propagator exists for 1 or 2 atoms, got n={n!r}")
+    c = space.cutoff
+    vec = np.asarray(state, dtype=complex)
+    if vec.shape != (2**n * c,):
+        raise ValueError(f"state has shape {vec.shape}, operator expects ({2**n * c},)")
+    lo, hi = window or (0, c)
+    n_times = _column(times).shape[0]
+    out = np.zeros((n_times, 2**n, c), dtype=complex)
+    # the state on levels lo - 2 .. hi + 1 as (re/im, row, level) floats, zero off the window
+    psi = np.zeros((2, 2**n, hi - lo + 4))
+    psi[..., 2:-2] = np.stack((vec.real, vec.imag)).reshape(2, 2**n, c)[..., lo:hi]
+    root = np.sqrt(np.maximum(np.arange(lo - 2, hi + 2), 0))
+    s_plus, excited = _LADDERS[n]
+    a_psi = _couple(psi, root, s_plus)  # levels lo - 1 .. hi
+    a2_psi = _couple(a_psi, root[1:-1], s_plus)
+    # F, G and the phase per excitation index k = E + n/2 = m + (excited atoms), lo .. hi + n - 1
+    k = np.arange(lo, hi + n, dtype=float)
+    d = k if n == 1 else np.maximum(4 * k - 2, 0)  # the m = 0 bottom two-atom row: 0, not -2
+    cos_d, sin_d = _branch(times, g, d)
+    f = np.divide(cos_d - 1, d, out=np.zeros_like(cos_d), where=d > 0)
+    angle = _column(times) * omega * (k - n / 2)  # the phase is exp(-i angle)
+    at_k = excited[:, None] + np.arange(hi - lo)  # (row, level) -> k - lo
+    z = a2_psi * f[:, at_k][:, None]  # (time, re/im, row, level)
+    z += psi[..., 2:-2]
+    z += a_psi[::-1, :, 1:-1] * (np.array([1.0, -1.0])[:, None, None] * sin_d[:, at_k][:, None])
+    cos_p, sin_p = np.cos(angle)[:, at_k], np.sin(angle)[:, at_k]
+    np.add(cos_p * z[:, 0], sin_p * z[:, 1], out=out[..., lo:hi].real)
+    np.subtract(cos_p * z[:, 1], sin_p * z[:, 0], out=out[..., lo:hi].imag)
+    return out.reshape(n_times, -1)
 
 
 def reduction_entries(space: FockSpace) -> tuple[Entries, Entries, np.ndarray]:

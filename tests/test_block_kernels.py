@@ -307,9 +307,6 @@ def _builders():
     singletons = BlockSplit(2, SPACE, (np.arange(2 * c)[:, None],))
     yield "one-atom", one_atom_table(SPACE, TIMES, 1.1), _coupling_split(1)
     yield "two-atom", two_atom_table(SPACE, TIMES, 0.7), _coupling_split(2)
-    for n in (1, 2):
-        table = closed_form_table(n, SPACE, TIMES, 1.3, (5, 13))
-        yield f"windowed-{n}", table, _coupling_split(n)
     yield "spin-1", spin_one_table(SPACE, TIMES, 0.9), spin1
     yield "reduced", reduced_table(SPACE, TIMES, 0.9), reduced
     for name, table in zip(("lower", "diagonal", "upper"), gauss_tables(SPACE, 0.3, 1.2)):

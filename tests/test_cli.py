@@ -1,8 +1,11 @@
 """Command line behavior: exit codes, CSV layout, config handling."""
 
+import cmath
+import contextlib
 import csv
 import errno
 import importlib.util
+import io
 import math
 import os
 import subprocess
@@ -13,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tcprop
 from tcprop import cli
@@ -110,6 +115,37 @@ def test_evolve_coherent_initial(tmp_path):
     # truncated coherent state is renormalized before evolving
     assert abs(rows[0][4] - 1.0) <= 1e-12
     assert abs(rows[0][3] - 1.44) <= 1e-6  # initial mean photon ~ |alpha|^2
+
+
+def _run(argv):
+    """main(argv) with stdout captured: (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+# evolve propagates only the levels of the state's eps-support, widened by the atom count;
+# dropping the smaller amplitudes must leave every printed byte as the exact support gives it
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(atoms=st.sampled_from([1, 2]), cutoff=st.integers(20, 400), label=st.integers(0, 3),
+       share=st.floats(0.0, 0.999), phase=st.floats(0.0, 2 * math.pi),
+       t1=st.floats(0.5, 60.0))
+def test_evolve_prints_the_same_bytes_on_the_eps_support_as_on_the_exact_support(
+        atoms, cutoff, label, share, phase, t1):
+    # |alpha|^2 up to a quarter of the top trusted level, the largest evolve accepts
+    mean = share * (FockSpace(cutoff).trusted - 1) / 4
+    alpha = cmath.rect(math.sqrt(mean), phase)
+    atomic = atomic_labels(atoms)[label % 2**atoms]
+    argv = ["evolve", "--atoms", str(atoms), "--cutoff", str(cutoff), "--steps", "12",
+            "--t1", repr(t1), "--initial", f"{atomic}:coherent({alpha.real!r}{alpha.imag:+}i)"]
+    eps_support = _run(argv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "EVOLVE_EPS", 0.0)  # every nonzero amplitude
+        exact_support = _run(argv)
+    assert eps_support == exact_support
+    # a state that loses weight past a small cutoff is refused, the same way in both
+    assert eps_support[0] == 0 or cutoff < 40
 
 
 def test_evolve_rejects_three_atoms(capsys):
@@ -379,7 +415,7 @@ def test_verify_budget_follows_the_two_phase_figures(atoms, cutoff, accepted):
 
 
 @pytest.mark.parametrize("argv", [
-    ["evolve", "--atoms", "2", "--cutoff", "300000", "--initial", "gg:fock(0)"],
+    ["evolve", "--atoms", "2", "--cutoff", "310000", "--initial", "gg:fock(0)"],
     ["evolve", "--atoms", "1", "--cutoff", "100000000", "--initial", "g:fock(0)"],
     ["relation-search", "--atoms", "3", "--cutoff", "400000"],
     ["decompose", "--cutoff", "100000000"],

@@ -384,8 +384,9 @@ def test_apply_rejects_wrong_shape():
         apply(u, np.zeros(3))
 
 
-# Matrix-free batched evolution against the dense route.  Both use the same
-# closed-form entries and differ only in how the products are summed, so on
+# Matrix-free batched evolution against the dense route.  Both read the same
+# cosz/sincz values and differ only in how they are combined with the state
+# (the identity 1 + F A^2 - i G A against the table's entries), so on
 # unit-norm states they agree to a few ulp at any t g.  BATCH_TOL is that
 # agreement with ample margin; it stays below the 1e-12 (1 + |t g|) the
 # benchmark's output check allows at t g = 0.
@@ -434,15 +435,6 @@ def test_batched_two_atom_bottom_branch_at_zero_photons(g):
     assert np.all(np.isfinite(got))
 
 
-def test_spectral_table_apply_matches_its_dense_form():
-    # with a unit phase, apply is the table's own dense operator times the state
-    psi0 = _spread_state(3, SMALL, seed=3)
-    table = spin_one_table(SMALL, BATCH_TIMES, 1.6)
-    got = table.apply(psi0, np.ones((len(BATCH_TIMES), psi0.size)))
-    for i in range(len(BATCH_TIMES)):
-        assert _max_dev(got[i], table.to_dense(i).matrix @ psi0) <= BATCH_TOL
-
-
 def test_batched_coefficients_match_single_time():
     table = two_atom_table(SPACE, BATCH_TIMES, 1.6)
     for i, t in enumerate(BATCH_TIMES):
@@ -454,8 +446,8 @@ def test_batched_states_reject_wrong_shape():
         evolve_states(1, SMALL, BATCH_TIMES, 1.0, 1.0, np.zeros(3))
 
 
-# evolve_states evaluates the closed form only on the levels within n of the
-# state's support (the window); the full-window table is the reference.
+# evolve_states evaluates only the levels of a window; a window that holds the state's
+# support widened by n loses nothing, so the whole level range is the reference.
 def _fock(n: int, space: FockSpace, block: int, level: int) -> np.ndarray:
     psi = np.zeros(2**n * space.cutoff, dtype=complex)
     psi[block * space.cutoff + level] = 1.0
@@ -472,15 +464,42 @@ def _window_cases(n: int, space: FockSpace):
     yield "coherent", build_state(InitialStateSpec("e" * n, "coherent", alpha=1.2 - 0.7j), space)
 
 
+def _support_window(n: int, psi: np.ndarray) -> tuple[int, int]:
+    """The levels of the state's support, widened by n and cut to the level range."""
+    c = psi.size // 2**n
+    levels = np.flatnonzero(psi) % c
+    return max(0, int(levels.min()) - n), min(c, int(levels.max()) + 1 + n)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("g", [1.6, -0.9])
 def test_windowed_evolution_equals_the_full_window(n, g):
     omega = 0.8
-    full = closed_form_table(n, SMALL, BATCH_TIMES, g)
-    phase = free_phase(n, SMALL, BATCH_TIMES, omega)
     for name, psi0 in _window_cases(n, SMALL):
-        got = evolve_states(n, SMALL, BATCH_TIMES, omega, g, psi0)
-        assert np.array_equal(got, full.apply(psi0, phase)), name
+        got = evolve_states(n, SMALL, BATCH_TIMES, omega, g, psi0, _support_window(n, psi0))
+        full = evolve_states(n, SMALL, BATCH_TIMES, omega, g, psi0, (0, SMALL.cutoff))
+        assert np.array_equal(got, full), name
+
+
+# the identity route against the dense closed-form table times the state, per amplitude
+IDENTITY_ULPS = 4
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("g", [1.6, -0.9])
+def test_identity_route_matches_the_dense_table_route(n, g):
+    omega = 0.8
+    eps = np.finfo(float).eps
+    table = closed_form_table(n, SMALL, BATCH_TIMES, g)
+    phase = free_phase(n, SMALL, BATCH_TIMES, omega)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, psi0 in _window_cases(n, SMALL):
+            got = evolve_states(n, SMALL, BATCH_TIMES, omega, g, psi0, _support_window(n, psi0))
+            for i, t in enumerate(BATCH_TIMES):
+                want = phase[i] * (table.to_dense(i).matrix @ psi0)
+                bound = IDENTITY_ULPS * eps * (1 + abs(t * g))
+                assert _max_dev(got[i], want) <= bound, f"{name}, t = {t}"
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -493,22 +512,21 @@ def test_zero_state_evolves_to_zeros(n):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("window", [(0, 5), (1, 9), (7, 19), (33, 40)])
 def test_windowed_table_holds_the_full_rows_of_its_window(n, window):
-    # BATCH_TIMES reach t g = 1e3: the bottom branch at m = 0 would overflow unclamped
+    # a state on every level of the window, its edges included: the window's rows are those
+    # of the whole level range bit for bit, and the rows outside it stay zero.  BATCH_TIMES
+    # reach t g = 1e3: the bottom branch at m = 0 would overflow unclamped
     lo, hi = window
     inside = np.zeros((2**n, SMALL.cutoff), dtype=bool)
     inside[:, lo:hi] = True
     inside = inside.ravel()
+    psi0 = np.where(inside, _spread_state(2**n, SMALL, seed=lo), 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        part = closed_form_table(n, SMALL, BATCH_TIMES, 1.6, window)
-        whole = closed_form_table(n, SMALL, BATCH_TIMES, 1.6)
-        for i in range(len(BATCH_TIMES)):
-            dense = part.to_dense(i).matrix
-            assert np.array_equal(dense[inside], whole.to_dense(i).matrix[inside])
-            assert not dense[~inside].any()
-        phase = free_phase(n, SMALL, BATCH_TIMES, 0.8)
-        phase_part = free_phase(n, SMALL, BATCH_TIMES, 0.8, window)
-    assert np.array_equal(phase_part, phase[:, inside])
+        part = evolve_states(n, SMALL, BATCH_TIMES, 0.8, 1.6, psi0, window)
+        whole = evolve_states(n, SMALL, BATCH_TIMES, 0.8, 1.6, psi0)
+    assert np.array_equal(part[:, inside], whole[:, inside])
+    assert not part[:, ~inside].any()
+    assert whole[:, ~inside].any()  # the coupling reaches past the window
 
 
 # windows from level 0 reach the bottom two-atom row at m = 0, whose branch d = 2(2m - 1)
@@ -528,8 +546,10 @@ def test_closed_forms_pass_no_negative_argument_to_cosz_or_sincz(monkeypatch):
     state[bottom] = 1.0
     with np.errstate(all="raise"):
         for n in (1, 2):
-            for window in ((0, 1), (0, 5), None):
-                closed_form_table(n, SMALL, CLAMP_TIMES, 1.0, window).entries()
+            closed_form_table(n, SMALL, CLAMP_TIMES, 1.0).entries()
+            ground = _fock(n, SMALL, 2**n - 1, 0)  # the all-g row at m = 0, where D = 0
+            for window in ((0, 1), (0, 5)):
+                evolve_states(n, SMALL, CLAMP_TIMES, 0.8, 1.0, ground, window)
         spin_one_table(SMALL, CLAMP_TIMES, 1.0).entries()
         reduced_table(SMALL, CLAMP_TIMES, 1.0).entries()
         for tg in (0.3, 12.0, 1e6):
@@ -537,8 +557,8 @@ def test_closed_forms_pass_no_negative_argument_to_cosz_or_sincz(monkeypatch):
                 table.entries()
         evolve_states(2, SMALL, CLAMP_TIMES, 0.8, 1.0, state)
         full = two_atom_table(SMALL, CLAMP_TIMES, 1.0).entries()
-    # 13 builder calls (6 closed forms, spin-1, reduced, 3 Gauss, evolve, full), each one
-    # cosz and one sincz
+    # 13 builder calls (2 closed forms, 4 windowed evolutions, spin-1, reduced, 3 Gauss,
+    # evolve, full), each one cosz and one sincz
     assert len(smallest) == 2 * 13 and min(smallest) >= 0.0
     at_bottom = (full.rows == bottom) & (full.cols == bottom)
     assert at_bottom.sum() == 1

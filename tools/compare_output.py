@@ -29,7 +29,10 @@ and the exit code (an argparse exit included).  The list holds:
 * a few refusals.
 
 That is 99 commands.  One line per command says ``same`` or which streams
-differ; the exit code is 1 if any command differs, else 0.
+differ; the exit code is 1 if any command differs, else 0.  When both
+stdouts of a differing command are CSV tables of one shape, the line also
+gives the largest cell difference relative to max(1, |cell|) of the
+parent's cell, with its row and column.
 """
 
 from __future__ import annotations
@@ -125,6 +128,33 @@ def run(src: Path, argvs: list[list[str]]) -> list[dict]:
     return json.loads(proc.stdout)
 
 
+def _cells(text: str) -> tuple[list[str], list[list[float]]] | None:
+    """A CSV stdout as (header, float rows), or None if it is not one."""
+    lines = text.splitlines()
+    if len(lines) < 2:
+        return None
+    header = lines[0].split(",")
+    try:
+        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    except ValueError:
+        return None
+    return (header, rows) if all(len(row) == len(header) for row in rows) else None
+
+
+def csv_difference(old: str, new: str) -> str | None:
+    """The largest relative cell difference of two CSV stdouts of one shape, as text."""
+    parsed = _cells(old), _cells(new)
+    if None in parsed or parsed[0][0] != parsed[1][0] or len(parsed[0][1]) != len(parsed[1][1]):
+        return None
+    (header, old_rows), (_, new_rows) = parsed
+    worst, row, col = max(
+        (abs(x - y) / max(1.0, abs(x)), i, j)
+        for i, (old_row, new_row) in enumerate(zip(old_rows, new_rows), start=1)
+        for j, (x, y) in enumerate(zip(old_row, new_row))
+    )
+    return f"largest cell difference {worst:.3e} relative, row {row}, column {header[col]}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -144,7 +174,9 @@ def main() -> int:
     for argv, old, new in zip(argvs, parent, change):
         streams = [key for key in ("stdout", "stderr", "rc") if old[key] != new[key]]
         differ += bool(streams)
-        print(f"{'DIFF ' + '/'.join(streams) if streams else 'same'}: {' '.join(argv)}")
+        cells = "stdout" in streams and csv_difference(old["stdout"], new["stdout"])
+        print(f"{'DIFF ' + '/'.join(streams) if streams else 'same'}: {' '.join(argv)}"
+              + (f" ({cells})" if cells else ""))
     print(f"{differ} of {len(argvs)} commands differ from {args.parent}")
     return 1 if differ else 0
 
