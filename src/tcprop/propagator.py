@@ -1,20 +1,16 @@
 """Closed-form interaction propagators exp(-i t g A) and the full evolution.
 
-The coupling operator A of one or two atoms satisfies a low-degree
-polynomial relation (A^2 is diagonal for one atom, A^3 = D A for two), so
-exp(-i t g A) collapses to a few terms f(N) a^k on atomic blocks, f built
-from the entire functions cosz and sincz of (t g)^2 d(m), all evaluated by
-one kernel.  Each closed form is one :class:`SpectralTable` of such terms,
-evaluated for a vector of times at once, that lists or assembles them; on a
-state, :func:`evolve_states` applies exp(-i t g A) = 1 + F(D) A^2 - i G(D) A
-instead, at O(2^n x levels) work per time point.  The lowest two-atom branch d(m) = 2(2m - 1) is negative
-at m = 0, which cosz refuses (a cosh that overflows for large |t g|); it is
-clamped to 0 there, where only a diagonal coefficient that is exactly 1
-at any branch value is read, so no argument is ever negative.
-
-With the resonant full Hamiltonian the free part commutes with the
-coupling, so the full propagator is the free phase times the interaction
-propagator.
+The coupling operator A of one or two atoms, and the spin-1 block B of the
+two-atom reduction, satisfy A^3 = D A, D a function of the excitation, so
+exp(-i t g A) = 1 + F(D) A^2 - i G(D) A with F = (cos(tg sqrt(D)) - 1)/D and
+G = sin(tg sqrt(D))/sqrt(D), from the entire functions cosz and sincz of
+(t g)^2 D, all evaluated by one kernel from one rule for D.  One builder
+writes each closed form from the displayed rows of A and A^2 as a
+:class:`SpectralTable` of terms f(N) a^k, for a vector of times at once; on
+a state, :func:`evolve_states` applies the identity at O(2^n x levels) work
+per time point.  The two-atom D = 2(2m - 1) of the bottom row is clamped
+to 0 at m = 0, where F(D) A^2 is taken as 0, so cosz and sincz never see a
+negative argument.
 """
 
 from __future__ import annotations
@@ -44,8 +40,6 @@ __all__ = [
     "GaussSingularityError",
     "SpectralTable",
     "closed_form_table",
-    "one_atom_table",
-    "two_atom_table",
     "spin_one_table",
     "reduced_table",
     "gauss_tables",
@@ -158,100 +152,129 @@ def _branch(t, g: float, d: np.ndarray) -> Iterator[np.ndarray]:
     first, so a caller that refuses on it can stop before the sine.
     """
     tg = _column(t) * g
-    u = tg * tg
-    yield cosz(u * d)
-    yield tg * sincz(u * d)
+    ud = tg * tg * d
+    yield cosz(ud)
+    yield tg * sincz(ud)
+
+
+def _excitation_branch(n: int, k):
+    """D of A^3 = D A at excitation index k = m + (excited atoms): k (one atom), 2(2k - 1) (two).
+
+    The two-atom k = 0 (the bottom row at m = 0, where A vanishes) is clamped
+    to D = 0, as cosz refuses -2, a cosh that overflows for large |t g|.
+    """
+    return k if n == 1 else np.maximum(4 * k - 2, 0)
 
 
 def largest_branch(n: int, cutoff: int) -> int:
-    """Largest d of :func:`_branch` for n atoms: d = m or 2(2m + 1), m up to the cutoff."""
-    return cutoff if n == 1 else 4 * cutoff + 2
+    """Largest D of :func:`_branch` for n atoms: the one at the top excitation index."""
+    return int(_excitation_branch(n, cutoff + n - 1))
 
 
-def one_atom_table(space: FockSpace, t, g: float) -> SpectralTable:
-    """Closed-form exp(-i t g A) for one atom at the time(s) t.
+# S_+ of n atoms as a real matrix, and the number of excited atoms of each atomic row
+_LADDERS = {n: (collective(n)[0].real, n - _ground_bits(n).sum(axis=1)) for n in (1, 2)}
 
-    Blocks (atomic order e, g):
 
-        [[ cos(tg sqrt(N+1)),            -i sin(tg sqrt(N+1))/sqrt(N+1) a ],
-         [ -i sin(tg sqrt(N))/sqrt(N) a+, cos(tg sqrt(N))                 ]]
+def _pattern_rows(n: int, space: FockSpace) -> list:
+    """Coupling operator as displayed: A_k = [[A_(k-1), a 1], [a+ 1, A_(k-1)]] from A_0 = 0."""
+    ones = np.ones((1, space.cutoff))
+    rows = [[None]]
+    for _ in range(n):
+        eye = range(len(rows))
+        up = [[(1, ones) if i == j else None for j in eye] for i in eye]
+        down = [[(-1, ones) if i == j else None for j in eye] for i in eye]
+        rows = [row + u for row, u in zip(rows, up)] + [d + row for d, row in zip(down, rows)]
+    return rows
 
-    written with cosz/sincz so every factor is total.
+
+def _square_rows(n: int, space: FockSpace) -> list:
+    """A^2 as displayed: f(N) on the diagonal blocks, plus 2 a^2 and 2 a+^2 for two atoms."""
+    m = np.arange(space.cutoff, dtype=float)[None, :]
+    if n == 1:
+        return [[(0, m + 1), None], [None, (0, m)]]
+    two = np.full_like(m, 2.0)
+    mid = (0, 2 * m + 1)
+    return [
+        [(0, 2 * (m + 1)), None, None, (2, two)],
+        [None, mid, mid, None],
+        [None, mid, mid, None],
+        [(-2, two), None, None, (0, 2 * m)],
+    ]
+
+
+def _spin1_rows(space: FockSpace) -> list:
+    """Spin-1 block B as displayed: sqrt(2) a above the diagonal, sqrt(2) a+ below."""
+    r2 = np.full((1, space.cutoff), np.sqrt(2.0))
+    return [[None, (1, r2), None], [(-1, r2), None, (1, r2)], [None, (-1, r2), None]]
+
+
+def _spin1_square_rows(space: FockSpace) -> list:
+    """B^2 as displayed: the outer rows of the two-atom A^2, its middle pair merged to 2(2N+1)."""
+    top, (_, (k, mid), _, _), _, bottom = _square_rows(2, space)
+    return [[top[0], None, top[3]], [None, (k, 2 * mid), None], [bottom[0], None, bottom[3]]]
+
+
+def _closed_form(n: int, space: FockSpace, t, g: float, offsets, a_rows, sq_rows) -> SpectralTable:
+    """1 + F(D) A^2 - i G(D) A from the displayed rows of A and A^2, D at k = m + offsets[row].
+
+    The positions of 1 and A^2 carry (delta - r) + r cos(tg sqrt(D)), exact
+    where r = (A^2 entry)/D is 0, 1/2 or 1, and r = 0 where D = 0; the
+    positions of A carry -i G(D) times A's entry.  A^2 has every diagonal block.
     """
-    cos_l, sin_l = _branch(t, g, np.arange(space.cutoff + 1, dtype=float))
-    return SpectralTable.from_rows(space, [
-        [(0, cos_l[:, 1:]), (1, -1j * sin_l[:, 1:])],
-        [(-1, -1j * sin_l[:, :-1]), (0, cos_l[:, :-1])],
-    ])
+    c, offsets = space.cutoff, np.asarray(offsets)
+    d = _excitation_branch(n, np.arange(c + offsets.max(), dtype=float))
+    cos_d, sin_d = _branch(t, g, d)
+    # all A^2 terms at once; r and delta - r hang on the layout alone
+    sq = [(i, j, *blk) for i, row in enumerate(sq_rows) for j, blk in enumerate(row) if blk]
+    at = offsets[[i for i, *_ in sq]][:, None] + np.arange(c)
+    d_at = d[at]
+    entry = np.concatenate([coef for *_, coef in sq])
+    r = np.divide(entry, d_at, out=np.zeros_like(entry), where=d_at > 0)
+    values = cos_d[:, at]
+    values *= r
+    values += np.array([[i == j and k == 0] for i, j, k, _ in sq]) - r
+    rows = [[None] * len(row) for row in a_rows]
+    for s, (i, j, k, _) in enumerate(sq):
+        rows[i][j] = (k, values[:, s])
+    a_terms = [(i, j, *blk) for i, row in enumerate(a_rows) for j, blk in enumerate(row) if blk]
+    # A's entries are all 1 but for spin-1's sqrt(2); then each A term is a view of one -i G(D)
+    unit = np.all(np.concatenate([coef for *_, coef in a_terms]) == 1)
+    minus_ig = -1j * sin_d
+    for i, j, k, coef in a_terms:
+        mig = minus_ig[:, offsets[i] : offsets[i] + c]
+        rows[i][j] = (k, mig if unit else mig * coef)
+    return SpectralTable.from_rows(space, rows)
 
 
-def _two_atom_spectral(space: FockSpace, t, g: float) -> dict[str, np.ndarray]:
-    """The distinct spectral functions of the two-atom closed form.
+def closed_form_table(n: int, space: FockSpace, t, g: float) -> SpectralTable:
+    """Closed-form exp(-i t g A) for n = 1 or 2 atoms at the time(s) t; see :func:`_closed_form`.
 
-    All branches are d_j = 2(2j+1): the top, middle and bottom atomic rows
-    at level m use j = m+1, m and m-1.  At m = 0 the bottom row's j = -1
-    is clamped to d = 0 (cosz refuses d = -2, a cosh that overflows for large |t g|);
-    only its diagonal, (0 - 1 + 0 cosz(d)) / (-1) = 1 at any d, is read.
+    D is N + 1 and N on the one-atom rows (e, g), and 2(2N+3), 2(2N+1),
+    2(2N+1) and 2(2N-1) on the two-atom rows (ee, eg, ge, gg).  The
+    coefficients depend on t and g only through t*g.
     """
-    m = np.arange(space.cutoff, dtype=float)
-    cos_d, sin_d = _branch(t, g, np.maximum(4.0 * np.arange(-1, space.cutoff + 1) + 2, 0))
-    top, mid, bot = cos_d[:, 2:], cos_d[:, 1:-1], cos_d[:, :-2]
-    return {
-        "top_diag": (m + 2 + (m + 1) * top) / (2 * m + 3),
-        "top_sin": sin_d[:, 2:],
-        "top_two": (top - 1) / (2 * m + 3),
-        "mid_sin": sin_d[:, 1:-1],
-        "mid_plus": (1 + mid) / 2,
-        "mid_minus": (mid - 1) / 2,
-        "mid_cos": mid,
-        "bot_two": (bot - 1) / (2 * m - 1),
-        "bot_sin": sin_d[:, :-2],
-        "bot_diag": (m - 1 + m * bot) / (2 * m - 1),
-    }
-
-
-def two_atom_table(space: FockSpace, t, g: float) -> SpectralTable:
-    """Closed-form exp(-i t g A) for two atoms (ee, eg, ge, gg) at the time(s) t.
-
-    Follows from exp(-i t g A) = 1 + D^-1 (cos(tg sqrt(D)) - 1) A^2
-    - i D^-1/2 sin(tg sqrt(D)) A with the cubic relation A^3 = D A,
-    D = diag(2(2N+3), 2(2N+1), 2(2N+1), 2(2N-1)).  The (1,3)/(2,3) blocks
-    mirror (0,1)/(1,0): -i sin(tg sqrt(2(2N+1)))/sqrt(2(2N+1)) times a.
-    """
-    f = _two_atom_spectral(space, t, g)
-    top, mid, bot = (-1j * f[k] for k in ("top_sin", "mid_sin", "bot_sin"))
-    plus, minus = (0, f["mid_plus"]), (0, f["mid_minus"])
-    return SpectralTable.from_rows(space, [
-        [(0, f["top_diag"]), (1, top), (1, top), (2, f["top_two"])],
-        [(-1, mid), plus, minus, (1, mid)],
-        [(-1, mid), minus, plus, (1, mid)],
-        [(-2, f["bot_two"]), (-1, bot), (-1, bot), (0, f["bot_diag"])],
-    ])
+    if n not in _LADDERS:
+        raise ValueError(f"closed-form propagator exists for 1 or 2 atoms, got n={n!r}")
+    return _closed_form(n, space, t, g, _LADDERS[n][1], _pattern_rows(n, space),
+                        _square_rows(n, space))
 
 
 def spin_one_table(space: FockSpace, t, g: float) -> SpectralTable:
     """Closed-form exp(-i t g B) for the spin-1 block of the reduction, at the time(s) t.
 
-    Same structure as the two-atom form with the sqrt(2) ladder factors
-    absorbed, e.g. the (1,2) block is -i sin(tg sqrt(2(2N+3)))/sqrt(2N+3) a.
+    The two-atom form on the rows of B: D = 2(2N+3), 2(2N+1) and 2(2N-1).
     """
-    f = _two_atom_spectral(space, t, g)
-    top, mid, bot = (-1j * (_SQRT2 * f[k]) for k in ("top_sin", "mid_sin", "bot_sin"))
-    return SpectralTable.from_rows(space, [
-        [(0, f["top_diag"]), (1, top), (2, f["top_two"])],
-        [(-1, mid), (0, f["mid_cos"]), (1, mid)],
-        [(-2, f["bot_two"]), (-1, bot), (0, f["bot_diag"])],
-    ])
+    return _closed_form(2, space, t, g, (2, 1, 0), _spin1_rows(space), _spin1_square_rows(space))
 
 
 def evolve_one_atom(space: FockSpace, t: float, g: float) -> CompositeOperator:
-    """Closed-form exp(-i t g A) for one atom; see :func:`one_atom_table`."""
-    return one_atom_table(space, t, g).to_dense()
+    """Closed-form exp(-i t g A) for one atom; see :func:`closed_form_table`."""
+    return closed_form_table(1, space, t, g).to_dense()
 
 
 def evolve_two_atoms(space: FockSpace, t: float, g: float) -> CompositeOperator:
-    """Closed-form exp(-i t g A) for two atoms; see :func:`two_atom_table`."""
-    return two_atom_table(space, t, g).to_dense()
+    """Closed-form exp(-i t g A) for two atoms; see :func:`closed_form_table`."""
+    return closed_form_table(2, space, t, g).to_dense()
 
 
 class GaussSingularityError(ValueError):
@@ -320,16 +343,6 @@ def gauss_decompose_one_atom(
     return tuple(table.to_dense() for table in gauss_tables(space, t, g))
 
 
-def closed_form_table(n: int, space: FockSpace, t, g: float) -> SpectralTable:
-    """Closed-form exp(-i t g A) for n = 1 or 2 atoms at the time(s) t.
-
-    The coefficients depend on t and g only through t*g.
-    """
-    if n not in (1, 2):
-        raise ValueError(f"closed-form propagator exists for 1 or 2 atoms, got n={n!r}")
-    return (one_atom_table if n == 1 else two_atom_table)(space, t, g)
-
-
 def free_phase(n: int, space: FockSpace, t, omega: float) -> np.ndarray:
     """exp(-i t omega (S_3 + N)) on the composite basis, one row per time."""
     e = excitation(n, space) + n / 2
@@ -348,10 +361,6 @@ def evolve_full(n: int, space: FockSpace, t: float, omega: float, g: float) -> C
     interaction = closed_form_table(n, space, t, g).to_dense()
     phase = free_phase(n, space, t, omega)[0]
     return CompositeOperator(interaction.n_blocks, space, phase[:, None] * interaction.matrix)
-
-
-# S_+ of n atoms as a real matrix, and the number of excited atoms of each atomic row
-_LADDERS = {n: (collective(n)[0].real, n - _ground_bits(n).sum(axis=1)) for n in (1, 2)}
 
 
 def _couple(x: np.ndarray, root: np.ndarray, s_plus: np.ndarray) -> np.ndarray:
@@ -393,7 +402,7 @@ def evolve_states(
     a2_psi = _couple(a_psi, root[1:-1], s_plus)
     # F, G and the phase per excitation index k = E + n/2 = m + (excited atoms), lo .. hi + n - 1
     k = np.arange(lo, hi + n, dtype=float)
-    d = k if n == 1 else np.maximum(4 * k - 2, 0)  # the m = 0 bottom two-atom row: 0, not -2
+    d = _excitation_branch(n, k)
     cos_d, sin_d = _branch(times, g, d)
     f = np.divide(cos_d - 1, d, out=np.zeros_like(cos_d), where=d > 0)
     angle = _column(times) * omega * (k - n / 2)  # the phase is exp(-i angle)

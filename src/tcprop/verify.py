@@ -3,8 +3,9 @@
 Grids are fixed so output depends only on atoms, cutoff, guard and tol.
 Identities the construction makes exact carry tolerance 0; those checked
 through a product carry four ulps of the largest reference entry.
-Structured references are built from their displayed block rows as a
-:class:`SpectralTable`, never from the kron sums they are checked against.
+Structured references are built as a :class:`SpectralTable` from the
+displayed block rows in :mod:`~tcprop.propagator`, from which the closed
+forms are built too, never from the kron sums they are checked against.
 
 No check forms a dense (2**n cutoff)^2 matrix.  The tolerance-0 checks
 compare entry lists.  Every other check runs on the blocks the oracle
@@ -47,13 +48,14 @@ from .oracle import (
 )
 from .propagator import (
     SpectralTable,
+    _pattern_rows,
+    _spin1_rows,
+    _square_rows,
     closed_form_table,
     free_phase,
     gauss_tables,
-    one_atom_table,
     reduced_table,
     reduction_entries,
-    two_atom_table,
 )
 from .spinchain import (
     Blocked,
@@ -127,39 +129,6 @@ def _result(name: str, dev, tol, note: str = "") -> CheckResult:
     return CheckResult(name, dev, tol, dev <= tol, note)
 
 
-def _pattern_rows(n: int, space: FockSpace) -> list:
-    """Coupling operator as displayed: A_k = [[A_(k-1), a 1], [a+ 1, A_(k-1)]] from A_0 = 0."""
-    ones = np.ones((1, space.cutoff))
-    rows = [[None]]
-    for _ in range(n):
-        eye = range(len(rows))
-        up = [[(1, ones) if i == j else None for j in eye] for i in eye]
-        down = [[(-1, ones) if i == j else None for j in eye] for i in eye]
-        rows = [row + u for row, u in zip(rows, up)] + [d + row for d, row in zip(down, rows)]
-    return rows
-
-
-def _square_rows(n: int, space: FockSpace) -> list:
-    """A^2 as displayed: f(N) on the diagonal blocks, plus 2 a^2 and 2 a+^2 for two atoms."""
-    m = np.arange(space.cutoff, dtype=float)[None, :]
-    if n == 1:
-        return [[(0, m + 1), None], [None, (0, m)]]
-    two = np.full_like(m, 2.0)
-    mid = (0, 2 * m + 1)
-    return [
-        [(0, 2 * (m + 1)), None, None, (2, two)],
-        [None, mid, mid, None],
-        [None, mid, mid, None],
-        [(-2, two), None, None, (0, 2 * m)],
-    ]
-
-
-def _spin1_rows(space: FockSpace) -> list:
-    """Spin-1 block B as displayed: sqrt(2) a above the diagonal, sqrt(2) a+ below."""
-    r2 = np.full((1, space.cutoff), np.sqrt(2.0))
-    return [[None, (1, r2), None], [(-1, r2), None, (1, r2)], [None, (-1, r2), None]]
-
-
 def _four_ulps(largest: float) -> float:
     """Bound of an exact identity checked through products: four ulps of its largest entry."""
     return 4 * np.finfo(float).eps * largest
@@ -200,7 +169,7 @@ def gauss_deviations(
         split = block_split(2, space, coupling_entries(1, space))
     lower, diagonal, upper = (table.blocked(split) for table in tables)
     if closed is None:
-        closed = one_atom_table(space, t, g).blocked(split)
+        closed = closed_form_table(1, space, t, g).blocked(split)
     variant = _tmax(lower - upper.transpose(), trusted=False)
     return _compare_into(lower @ diagonal @ upper, closed)[0].max_abs_deviation, variant
 
@@ -229,7 +198,7 @@ def _reduction_checks(
     recon = sim.dagger() @ inner @ sim
     recon_dev = _compare_into(recon, closed)[0]
     results.append(_result("reduction-reconstruction", recon_dev.max_abs_deviation, 1e-10))
-    u_two = two_atom_table(space, 0.7, 1.3).entries().at(0)
+    u_two = closed_form_table(2, space, 0.7, 1.3).entries().at(0)
 
     def block(i: int, j: int) -> Entries:
         """The (i, j) field block of the two-atom propagator, indexed by photon levels."""

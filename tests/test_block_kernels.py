@@ -28,12 +28,10 @@ from tcprop import (
     entry_deviation,
     gauss_tables,
     hamiltonian_entries,
-    one_atom_table,
     reduced_table,
     reduction_entries,
     spin_one_table,
     trusted_mask,
-    two_atom_table,
     worst_entries,
 )
 from tcprop.cli import (
@@ -305,15 +303,15 @@ def _builders():
     spin1 = block_split(3, SPACE, b)
     reduced = block_split(4, SPACE, Entries(b.rows + c, b.cols + c, b.values))
     singletons = BlockSplit(2, SPACE, (np.arange(2 * c)[:, None],))
-    yield "one-atom", one_atom_table(SPACE, TIMES, 1.1), _coupling_split(1)
-    yield "two-atom", two_atom_table(SPACE, TIMES, 0.7), _coupling_split(2)
+    yield "one-atom", closed_form_table(1, SPACE, TIMES, 1.1), _coupling_split(1)
+    yield "two-atom", closed_form_table(2, SPACE, TIMES, 0.7), _coupling_split(2)
     yield "spin-1", spin_one_table(SPACE, TIMES, 0.9), spin1
     yield "reduced", reduced_table(SPACE, TIMES, 0.9), reduced
     for name, table in zip(("lower", "diagonal", "upper"), gauss_tables(SPACE, 0.3, 1.2)):
         yield f"gauss-{name}", table, _coupling_split(1)
-    yield "entries-outside", one_atom_table(SPACE, TIMES, 1.1), singletons
+    yield "entries-outside", closed_form_table(1, SPACE, TIMES, 1.1), singletons
     # two terms on one block share every position: the second adds to the first
-    terms = one_atom_table(SPACE, TIMES, 1.1).terms
+    terms = closed_form_table(1, SPACE, TIMES, 1.1).terms
     yield "shared-positions", SpectralTable(2, SPACE, terms + terms[:2]), _coupling_split(1)
 
 
@@ -436,7 +434,7 @@ def _old_closed_forms(n: int, space: FockSpace, split: BlockSplit) -> list[Block
         closed_form_table(n, space, [0.4, 0.9, 0.4 + 0.9], 1.3),
     ]
     if n == 2:
-        tables.append(two_atom_table(space, 0.9, 0.8))
+        tables.append(closed_form_table(2, space, 0.9, 0.8))
     return [table.blocked(split) for table in tables]
 
 
@@ -463,7 +461,7 @@ def test_one_table_sliced_by_grid_equals_one_table_per_grid(n, cutoff):
     assert verify.ORACLE_AT == tuple(verify.PHASE_ONE.index(s) for s in verify.ORACLE_TG)
     _assert_same_blocked(two[:5], full.blocks, full.outside)
     _assert_same_blocked(two[5:8], law.blocks, law.outside)
-    last = recon[0] if n == 2 else one_atom_table(space, 0.3, 1.0).blocked(split)
+    last = recon[0] if n == 2 else closed_form_table(1, space, 0.3, 1.0).blocked(split)
     _assert_same_blocked(two[8:], last.blocks, last.outside)
     # the oracle exponentiates each scale on its own, so the distinct ones carry the grid's bits
     eigen = block_eigh(2**n, space, coupling_entries(n, space), split)

@@ -16,6 +16,7 @@ from tcprop import (
     Entries,
     FockSpace,
     GaussSingularityError,
+    SpectralTable,
     annihilator_entries,
     apply,
     closed_form_table,
@@ -34,10 +35,10 @@ from tcprop import (
     reconstruct_two_atoms,
     reduced_table,
     reduction_entries,
+    sincz,
     spectral_fn,
     spin_one_table,
     trusted_mask,
-    two_atom_table,
 )
 from tcprop import propagator
 from tcprop.cli import InitialStateSpec, build_state
@@ -88,6 +89,68 @@ def test_one_atom_block_structure():
     # off-diagonal blocks carry a single ladder operator each
     assert np.count_nonzero(u.block(0, 1)) == SPACE.cutoff - 1
     np.testing.assert_array_equal(u.block(1, 0), -u.block(0, 1).conj().T)
+
+
+# t g from zero to far past the trusted band's periods, for the two-atom and spin-1 pins
+PIN_TG = (0.0, 1e-8, 1e-3, 0.1, 0.7, 2.5, 10.0, 20.0, 123.4, 1e3, 1e6)
+
+
+@pytest.mark.parametrize("cutoff", [24, 400])
+def test_two_atom_middle_blocks_and_spin1_middle_are_the_cosine_bitwise(cutoff):
+    # r = (A^2 entry) / D is 1/2 on the middle two-atom blocks and 1 on the spin-1 middle
+    space = FockSpace(cutoff)
+    tg = np.array(PIN_TG)[:, None]
+    cos = cosz(tg * tg * (2 * (2 * np.arange(cutoff) + 1.0)))
+    two = {(i, j): coef for i, j, _, coef in closed_form_table(2, space, PIN_TG, 1.0).terms}
+    for i, j in ((1, 1), (2, 2)):
+        np.testing.assert_array_equal(two[i, j], (1 + cos) / 2)
+    for i, j in ((1, 2), (2, 1)):
+        np.testing.assert_array_equal(two[i, j], (cos - 1) / 2)
+    spin1 = {(i, j): coef for i, j, _, coef in spin_one_table(space, PIN_TG, 1.0).terms}
+    np.testing.assert_array_equal(spin1[1, 1], cos)
+
+
+def _displayed_two_atom_rows(space: FockSpace, tg: np.ndarray, spin1: bool) -> list:
+    """The two-atom (or spin-1) closed form with the paper's coefficients written out."""
+    m = np.arange(space.cutoff, dtype=float)
+    u = (tg * tg)[:, None]
+    d = np.maximum(4.0 * np.arange(-1, space.cutoff + 1) + 2, 0)
+    cos_d, sin_d = cosz(u * d), tg[:, None] * sincz(u * d)
+    top, mid, bot = cos_d[:, 2:], cos_d[:, 1:-1], cos_d[:, :-2]
+    top_diag = (m + 2 + (m + 1) * top) / (2 * m + 3)
+    top_two = (top - 1) / (2 * m + 3)
+    bot_two = (bot - 1) / (2 * m - 1)
+    bot_diag = (m - 1 + m * bot) / (2 * m - 1)
+    ladder = math.sqrt(2.0) if spin1 else 1.0
+    top_a, mid_a, bot_a = (-1j * (ladder * sin_d[:, s]) for s in (slice(2, None),
+                                                                 slice(1, -1), slice(None, -2)))
+    if spin1:
+        return [
+            [(0, top_diag), (1, top_a), (2, top_two)],
+            [(-1, mid_a), (0, mid), (1, mid_a)],
+            [(-2, bot_two), (-1, bot_a), (0, bot_diag)],
+        ]
+    plus, minus = (0, (1 + mid) / 2), (0, (mid - 1) / 2)
+    return [
+        [(0, top_diag), (1, top_a), (1, top_a), (2, top_two)],
+        [(-1, mid_a), plus, minus, (1, mid_a)],
+        [(-1, mid_a), minus, plus, (1, mid_a)],
+        [(-2, bot_two), (-1, bot_a), (-1, bot_a), (0, bot_diag)],
+    ]
+
+
+@pytest.mark.parametrize("cutoff", [24, 60, 120, 400])
+@pytest.mark.parametrize("spin1", [False, True])
+def test_two_atom_and_spin1_tables_are_the_displayed_forms_to_four_ulps(cutoff, spin1):
+    space = FockSpace(cutoff)
+    tg = np.array(PIN_TG)
+    want = SpectralTable.from_rows(space, _displayed_two_atom_rows(space, tg, spin1)).entries()
+    got = (spin_one_table(space, tg, 1.0) if spin1 else closed_form_table(2, space, tg, 1.0))
+    got = got.entries()
+    np.testing.assert_array_equal(got.rows, want.rows)
+    np.testing.assert_array_equal(got.cols, want.cols)
+    largest = np.abs(want.values).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got.values - want.values) <= 4 * np.finfo(float).eps * largest)
 
 
 def test_one_atom_flip_at_half_period():
@@ -436,7 +499,7 @@ def test_batched_two_atom_bottom_branch_at_zero_photons(g):
 
 
 def test_batched_coefficients_match_single_time():
-    table = two_atom_table(SPACE, BATCH_TIMES, 1.6)
+    table = closed_form_table(2, SPACE, BATCH_TIMES, 1.6)
     for i, t in enumerate(BATCH_TIMES):
         assert _max_dev(table.to_dense(i).matrix, evolve_two_atoms(SPACE, t, 1.6).matrix) <= 1e-15
 
@@ -556,7 +619,7 @@ def test_closed_forms_pass_no_negative_argument_to_cosz_or_sincz(monkeypatch):
             for table in gauss_tables(SMALL, tg, 1.0):
                 table.entries()
         evolve_states(2, SMALL, CLAMP_TIMES, 0.8, 1.0, state)
-        full = two_atom_table(SMALL, CLAMP_TIMES, 1.0).entries()
+        full = closed_form_table(2, SMALL, CLAMP_TIMES, 1.0).entries()
     # 13 builder calls (2 closed forms, 4 windowed evolutions, spin-1, reduced, 3 Gauss,
     # evolve, full), each one cosz and one sincz
     assert len(smallest) == 2 * 13 and min(smallest) >= 0.0
@@ -574,6 +637,7 @@ def test_largest_branch_is_the_largest_branch_the_closed_form_reads(monkeypatch,
                         lambda t, g, d: seen.append(float(np.max(d))) or branch(t, g, d))
     space = FockSpace(cutoff, 0)
     closed_form_table(n, space, 0.3, 1.0)
+    evolve_states(n, space, [0.3], 0.8, 1.0, np.ones(2**n * cutoff))  # every level
     if n == 1:
         gauss_tables(space, 0.3, 1.0)
     assert seen and max(seen) == propagator.largest_branch(n, cutoff)

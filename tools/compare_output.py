@@ -32,12 +32,16 @@ That is 99 commands.  One line per command says ``same`` or which streams
 differ; the exit code is 1 if any command differs, else 0.  When both
 stdouts of a differing command are CSV tables of one shape, the line also
 gives the largest cell difference relative to max(1, |cell|) of the
-parent's cell, with its row and column.
+parent's cell, with its row and column.  Otherwise each pair of stdout
+lines that differ follows it, the parent's line (``-``) before the
+change's (``+``), so a list of the moved ``verify`` digits comes straight
+from the tool.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import subprocess
@@ -155,6 +159,13 @@ def csv_difference(old: str, new: str) -> str | None:
     return f"largest cell difference {worst:.3e} relative, row {row}, column {header[col]}"
 
 
+def line_differences(old: str, new: str) -> list[str]:
+    """Each pair of differing lines of two stdouts, parent's first, a missing line as empty."""
+    pairs = itertools.zip_longest(old.splitlines(), new.splitlines(), fillvalue="")
+    return [f"    {sign} {line}" for pair in pairs if pair[0] != pair[1]
+            for sign, line in zip("-+", pair)]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -177,6 +188,8 @@ def main() -> int:
         cells = "stdout" in streams and csv_difference(old["stdout"], new["stdout"])
         print(f"{'DIFF ' + '/'.join(streams) if streams else 'same'}: {' '.join(argv)}"
               + (f" ({cells})" if cells else ""))
+        if "stdout" in streams and not cells:
+            print(*line_differences(old["stdout"], new["stdout"]), sep="\n")
     print(f"{differ} of {len(argvs)} commands differ from {args.parent}")
     return 1 if differ else 0
 
