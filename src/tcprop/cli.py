@@ -46,7 +46,7 @@ EVOLVE_EPS = 1e-17
 # bytes per Fock level of (command, atoms): the peak-RSS slope between cutoffs 1e4 and 2e4,
 # rounded up (for verify and relation-search, 1.05 times it, up to the next 1000); a run
 # whose estimate passes MEMORY_BUDGET is refused before it builds anything
-BYTES_PER_LEVEL = {("verify", 1): 4_000, ("verify", 2): 10_000, ("verify", 3): 7_000,
+BYTES_PER_LEVEL = {("verify", 1): 3_000, ("verify", 2): 10_000, ("verify", 3): 7_000,
                    ("evolve", 1): 4_000, ("evolve", 2): 7_000, ("decompose", 1): 2_000,
                    ("relation-search", 1): 1_000, ("relation-search", 2): 2_000,
                    ("relation-search", 3): 7_000}

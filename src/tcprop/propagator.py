@@ -4,19 +4,20 @@ The coupling operator A of one or two atoms, and the spin-1 block B of the
 two-atom reduction, satisfy A^3 = D A, D a function of the excitation, so
 exp(-i t g A) = 1 + F(D) A^2 - i G(D) A with F = (cos(tg sqrt(D)) - 1)/D and
 G = sin(tg sqrt(D))/sqrt(D), from the entire functions cosz and sincz of
-(t g)^2 D, all evaluated by one kernel from one rule for D.  One builder
-writes each closed form from the displayed rows of A and A^2 as a
-:class:`SpectralTable` of terms f(N) a^k, for a vector of times at once; on
-a state, :func:`evolve_states` applies the identity at O(2^n x levels) work
-per time point.  The two-atom D = 2(2m - 1) of the bottom row is clamped
-to 0 at m = 0, where F(D) A^2 is taken as 0, so cosz and sincz never see a
-negative argument.
+(t g)^2 D, all evaluated by one kernel from one rule for D.  One builder lays
+each closed form out from the displayed rows of A and A^2 as a
+:class:`ClosedForm`, all that t does not change, filled in at a vector of
+times as a :class:`SpectralTable` of terms f(N) a^k or, placed on a block
+split, straight into its blocks.  On a state, :func:`evolve_states` applies
+the identity at O(2^n x levels) work per time point.  The two-atom
+D = 2(2m - 1) of the bottom row is clamped to 0 at m = 0, where F(D) A^2 is
+taken as 0, so cosz and sincz never see a negative argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import reduce
 from math import sqrt
 from typing import Iterator
 
@@ -39,6 +40,7 @@ from .spinchain import (
 __all__ = [
     "GaussSingularityError",
     "SpectralTable",
+    "closed_form",
     "closed_form_table",
     "spin_one_table",
     "reduced_table",
@@ -57,6 +59,24 @@ __all__ = [
 _SQRT2 = sqrt(2.0)
 # the triangular factorization is refused where |cos(tg sqrt(m))| falls below this
 GAUSS_TAU_SING = 1e-8
+
+
+def _ladder(cutoff: int, keys) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """Where the terms f(N) a^k whose (row, col, k) are ``keys`` have entries, term after term.
+
+    Returns each entry's row and col, and for each term the row levels [m0, m1) it spans
+    and its ladder factors on them in product order, sqrt(m + 1), sqrt(m + 2), ... for a^k
+    and sqrt(m), sqrt(m - 1), ... for (a+)^-k, which round as f(N) @ a @ a does.
+    """
+    spans = [(max(0, -k), cutoff - max(0, k)) for *_, k in keys]
+    m = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+    count = [hi - lo for lo, hi in spans]
+    rows = np.repeat([row * cutoff for row, *_ in keys], count) + m
+    cols = np.repeat([col * cutoff + k for _, col, k in keys], count) + m
+    roots = np.sqrt(np.arange(cutoff + 1.0))
+    factors = [[roots[lo + j : hi + j] for j in (range(1, k + 1) if k > 0 else range(0, k, -1))]
+               for (*_, k), (lo, hi) in zip(keys, spans)]
+    return rows, cols, spans, factors
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,60 +100,19 @@ class SpectralTable:
         )
         return cls(len(rows), space, terms)
 
-    def _span(self, k: int) -> tuple[int, int]:
-        """Row levels [m0, m1) where f(N) a^k has entries."""
-        return max(0, -k), self.space.cutoff - max(0, k)
-
-    def _term_values(self, coef: np.ndarray, k: int) -> np.ndarray:
-        """Entries of f(N) a^k (a negative k means (a+)^-k) on the rows of :meth:`_span`.
-
-        Ladder factors are multiplied in one at a time, as in f(N) @ a @ a, so
-        the entries round as that product does.
-        """
-        m0, m1 = self._span(k)
-        out = coef[..., m0:m1]
-        for j in range(abs(k)):
-            shift = j + 1 if k > 0 else -j
-            out = out * self._roots[m0 + shift : m1 + shift]  # sqrt(m + shift) on the rows
-        return out
-
-    @cached_property
-    def _roots(self) -> np.ndarray:
-        """sqrt(m) for m = 0 .. cutoff: every ladder factor of every term."""
-        return np.sqrt(np.arange(self.space.cutoff + 1, dtype=float))
-
-    def _positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and cols of every term's entries, term after term; no term repeats a position."""
-        c = self.space.cutoff
-        spans = [self._span(k) for _, _, k, _ in self.terms]
-        m = np.concatenate([np.arange(*span) for span in spans])  # the row level of each entry
-        counts = [m1 - m0 for m0, m1 in spans]
-        rows = np.repeat([row * c for row, _, _, _ in self.terms], counts)
-        cols = np.repeat([col * c + k for _, col, k, _ in self.terms], counts)
-        rows += m
-        cols += m
-        return rows, cols
-
-    def _values(self) -> Iterator[np.ndarray]:
-        """Each term's entry values in turn, shape (times, count)."""
-        for _, _, k, coef in self.terms:
-            yield self._term_values(coef, k)
-
     def entries(self) -> Entries:
         """Every term's entries, values of shape (times, count): O(terms x levels) work."""
-        return Entries(*self._positions(), join_values(list(self._values())))
+        rows, cols, spans, factors = _ladder(self.space.cutoff, [term[:3] for term in self.terms])
+        values = [reduce(np.multiply, ladder, coef[..., lo:hi])
+                  for (*_, coef), (lo, hi), ladder in zip(self.terms, spans, factors)]
+        return Entries(rows, cols, join_values(values))
 
     def blocked(self, split: BlockSplit, relabel: np.ndarray | None = None) -> Blocked:
-        """The table as blocks of ``split``, each term written straight into them.
-
-        Equals ``split.gather(self.entries())`` bit for bit.  ``relabel`` maps
-        each composite index of the table to one of the split's.
-        """
-        rows, cols = self._positions()
+        """``split.gather`` of the entries, their composite indices mapped by ``relabel``."""
+        rows, cols, values = self.entries()
         if relabel is not None:
             rows, cols = relabel[rows], relabel[cols]
-        batch = np.broadcast_shapes(*(coef.shape[:-1] for *_, coef in self.terms))
-        return split.gather_terms(rows, cols, self._values(), batch)
+        return split.gather(Entries(rows, cols, values))
 
     def to_dense(self, i: int = 0) -> CompositeOperator:
         """The dense operator at the i-th time of the table."""
@@ -214,7 +193,82 @@ def _spin1_square_rows(space: FockSpace) -> list:
     return [[top[0], None, top[3]], [None, (k, 2 * mid), None], [bottom[0], None, bottom[3]]]
 
 
-def _closed_form(n: int, space: FockSpace, t, g: float, offsets, a_rows, sq_rows) -> SpectralTable:
+def _spectral(t, g: float, branch: np.ndarray, at, scale, shift) -> np.ndarray:
+    """trig[:, at] scale + shift, trig = [cos(tg sqrt(D)) | sin(tg sqrt(D))/sqrt(D)] at D = branch,
+    one row per time t: on the positions of 1 and A^2, (delta - r) + r cos(tg sqrt(D))."""
+    values = np.take(np.concatenate(list(_branch(t, g, branch)), axis=1), at, axis=1)
+    values *= scale
+    values += shift
+    return values
+
+
+@dataclass(frozen=True, eq=False)
+class ClosedForm:
+    """1 + F(D) A^2 - i G(D) A for any times: all of the closed form that t g does not change.
+
+    ``keys`` are the (atomic row, atomic col, k) of its terms f(N) a^k in row-major order.
+    f at each row level is :func:`_spectral` at the level's excitation index, ``at`` adding
+    the size of ``branch`` on the positions of A: (delta - r) + r cos(tg sqrt(D)),
+    r = (A^2 entry)/D, on 1 and A^2, and i times -G(D) (A's entry) + 0 on A.
+    """
+
+    n_blocks: int
+    space: FockSpace
+    branch: np.ndarray
+    keys: list[tuple[int, int, int]]
+    at: np.ndarray
+    scale: np.ndarray
+    shift: np.ndarray
+
+    def table(self, t, g: float) -> SpectralTable:
+        """The closed form at the time(s) t."""
+        values = _spectral(t, g, self.branch, self.at, self.scale, self.shift).swapaxes(0, 1)
+        sine = self.at[:, 0] >= self.branch.size
+        return SpectralTable(self.n_blocks, self.space, tuple(
+            (*key, 1j * f if on_a else f) for key, on_a, f in zip(self.keys, sine, values)))
+
+    def on(self, split: BlockSplit) -> "BlockedForm":
+        """The form placed on ``split``, which must hold each of its entries inside a block."""
+        rows, cols, spans, factors = _ladder(self.space.cutoff, self.keys)
+        flat, inside = split._place(rows, cols)
+        if not inside.all():
+            raise ValueError("a closed-form entry falls between two blocks of the split")
+        at, scale, shift = (np.concatenate([x[j, lo:hi] for j, (lo, hi) in enumerate(spans)])
+                            for x in (self.at, self.scale, self.shift))
+        # each entry's j-th ladder factor, 1 past its term's last
+        ladder = [np.concatenate([f[j] if j < len(f) else np.ones(hi - lo)
+                                  for f, (lo, hi) in zip(factors, spans)])
+                  for j in range(max(map(len, factors)))]
+        # an entry on 1 or A^2 goes into its real half, one on A into its imaginary half
+        return BlockedForm(split, self.branch, 2 * flat + (at >= self.branch.size), at, scale,
+                           shift, ladder)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockedForm:
+    """A :class:`ClosedForm` on ``split``: for each of its entries, the entry's place in the
+    flat buffer seen as floats, its ``at``, scale and shift, and its ladder factors."""
+
+    split: BlockSplit
+    branch: np.ndarray
+    where: np.ndarray
+    at: np.ndarray
+    scale: np.ndarray
+    shift: np.ndarray
+    ladder: list[np.ndarray]
+
+    def fill(self, t, g: float) -> Blocked:
+        """The form at the time(s) t as blocks of the split, in float arithmetic: O(entries),
+        and bit for bit ``ClosedForm.table(t, g).blocked(split)`` but for the sign of a NaN."""
+        values = _spectral(t, g, self.branch, self.at, self.scale, self.shift)
+        for factor in self.ladder:
+            values *= factor
+        buf = np.zeros((values.shape[0], int(self.split.offsets[-1])), dtype=complex)
+        buf.view(float)[:, self.where] = values
+        return self.split._blocked(buf, Entries.none(buf.shape[:1]))
+
+
+def _closed_form(n: int, space: FockSpace, offsets, a_rows, sq_rows) -> ClosedForm:
     """1 + F(D) A^2 - i G(D) A from the displayed rows of A and A^2, D at k = m + offsets[row].
 
     The positions of 1 and A^2 carry (delta - r) + r cos(tg sqrt(D)), exact
@@ -222,32 +276,23 @@ def _closed_form(n: int, space: FockSpace, t, g: float, offsets, a_rows, sq_rows
     positions of A carry -i G(D) times A's entry.  A^2 has every diagonal block.
     """
     c, offsets = space.cutoff, np.asarray(offsets)
-    d = _excitation_branch(n, np.arange(c + offsets.max(), dtype=float))
-    cos_d, sin_d = _branch(t, g, d)
-    # all A^2 terms at once; r and delta - r hang on the layout alone
-    sq = [(i, j, *blk) for i, row in enumerate(sq_rows) for j, blk in enumerate(row) if blk]
-    at = offsets[[i for i, *_ in sq]][:, None] + np.arange(c)
-    d_at = d[at]
-    entry = np.concatenate([coef for *_, coef in sq])
-    r = np.divide(entry, d_at, out=np.zeros_like(entry), where=d_at > 0)
-    values = cos_d[:, at]
-    values *= r
-    values += np.array([[i == j and k == 0] for i, j, k, _ in sq]) - r
-    rows = [[None] * len(row) for row in a_rows]
-    for s, (i, j, k, _) in enumerate(sq):
-        rows[i][j] = (k, values[:, s])
-    a_terms = [(i, j, *blk) for i, row in enumerate(a_rows) for j, blk in enumerate(row) if blk]
-    # A's entries are all 1 but for spin-1's sqrt(2); then each A term is a view of one -i G(D)
-    unit = np.all(np.concatenate([coef for *_, coef in a_terms]) == 1)
-    minus_ig = -1j * sin_d
-    for i, j, k, coef in a_terms:
-        mig = minus_ig[:, offsets[i] : offsets[i] + c]
-        rows[i][j] = (k, mig if unit else mig * coef)
-    return SpectralTable.from_rows(space, rows)
+    branch = _excitation_branch(n, np.arange(c + offsets.max(), dtype=float))
+    terms = sorted(((i, j, *blk, rows is a_rows) for rows in (sq_rows, a_rows)
+                    for i, row in enumerate(rows) for j, blk in enumerate(row) if blk),
+                   key=lambda term: term[:2])
+    sine = np.array([[term[4]] for term in terms])
+    level = offsets[[term[0] for term in terms]][:, None] + np.arange(c)  # the excitation index
+    entry = np.concatenate([term[3] for term in terms])
+    d = branch[level]
+    r = np.divide(entry, d, out=np.zeros_like(d), where=d > 0)
+    delta = np.array([[i == j and k == 0] for i, j, k, *_ in terms])
+    return ClosedForm(len(a_rows), space, branch, [term[:3] for term in terms],
+                      level + sine * branch.size, np.where(sine, -entry, r),
+                      np.where(sine, 0.0, delta - r))
 
 
-def closed_form_table(n: int, space: FockSpace, t, g: float) -> SpectralTable:
-    """Closed-form exp(-i t g A) for n = 1 or 2 atoms at the time(s) t; see :func:`_closed_form`.
+def closed_form(n: int, space: FockSpace) -> ClosedForm:
+    """Closed-form exp(-i t g A) for n = 1 or 2 atoms, for any times; see :func:`_closed_form`.
 
     D is N + 1 and N on the one-atom rows (e, g), and 2(2N+3), 2(2N+1),
     2(2N+1) and 2(2N-1) on the two-atom rows (ee, eg, ge, gg).  The
@@ -255,8 +300,12 @@ def closed_form_table(n: int, space: FockSpace, t, g: float) -> SpectralTable:
     """
     if n not in _LADDERS:
         raise ValueError(f"closed-form propagator exists for 1 or 2 atoms, got n={n!r}")
-    return _closed_form(n, space, t, g, _LADDERS[n][1], _pattern_rows(n, space),
-                        _square_rows(n, space))
+    return _closed_form(n, space, _LADDERS[n][1], _pattern_rows(n, space), _square_rows(n, space))
+
+
+def closed_form_table(n: int, space: FockSpace, t, g: float) -> SpectralTable:
+    """Closed-form exp(-i t g A) for n = 1 or 2 atoms at the time(s) t; see :func:`closed_form`."""
+    return closed_form(n, space).table(t, g)
 
 
 def spin_one_table(space: FockSpace, t, g: float) -> SpectralTable:
@@ -264,7 +313,8 @@ def spin_one_table(space: FockSpace, t, g: float) -> SpectralTable:
 
     The two-atom form on the rows of B: D = 2(2N+3), 2(2N+1) and 2(2N-1).
     """
-    return _closed_form(2, space, t, g, (2, 1, 0), _spin1_rows(space), _spin1_square_rows(space))
+    form = _closed_form(2, space, (2, 1, 0), _spin1_rows(space), _spin1_square_rows(space))
+    return form.table(t, g)
 
 
 def evolve_one_atom(space: FockSpace, t: float, g: float) -> CompositeOperator:

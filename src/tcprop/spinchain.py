@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -327,31 +327,6 @@ class BlockSplit:
         out = ~inside
         return self._blocked(buf, Entries(rows[out], cols[out], values[..., out]))
 
-    def gather_terms(self, rows: np.ndarray, cols: np.ndarray, terms: Iterable[np.ndarray],
-                     batch: tuple[int, ...]) -> "Blocked":
-        """:meth:`gather` of the entries at (rows, cols) whose values ``terms`` yields in turn.
-
-        Each term's values, of a batch shape that broadcasts to ``batch``,
-        cover the next stretch of ``rows`` and ``cols``, where the term lists
-        no position twice.  They are added into the flat buffer with one
-        ``+=`` on the term's positions as they come, so terms sharing a
-        position add in order, as :meth:`gather` adds them, and neither a
-        joined list nor the values of two terms are held at once.  Entries
-        outside the blocks send every term through :meth:`gather`.
-        """
-        flat, inside = self._place(rows, cols)
-        if not inside.all():
-            return self.gather(Entries(rows, cols, join_values(list(terms))))
-        size = int(self.offsets[-1])
-        buf = np.zeros(batch + (size,), dtype=complex)
-        lead = (size * np.arange(prod(batch))).reshape(batch + (1,))  # batch index b at b * size
-        out, start = buf.reshape(-1), 0
-        for values in terms:
-            stop = start + values.shape[-1]
-            out[lead + flat[start:stop]] += values
-            start = stop
-        return self._blocked(buf, Entries.none(batch))
-
 
 def _join_outside(a: Entries, b: Entries) -> Entries:
     """``join_entries(a, b)``, without a copy when both are empty and of one batch shape."""
@@ -428,18 +403,11 @@ class Blocked:
         return Blocked(self.split, tuple(x.conj().swapaxes(-1, -2) for x in self.blocks),
                        self.outside.dagger())
 
-    def scale_rows(self, vec: np.ndarray, in_place: bool = False) -> "Blocked":
-        """diag(vec) times the operator; ``vec`` is (..., dim) over composite indices.
-
-        ``in_place`` writes the product into ``self``'s blocks, which its
-        caller must own and which must already have the product's shape; the
-        result shares them.  ``outside`` is scaled into a new list either way.
-        """
+    def scale_rows(self, vec: np.ndarray) -> "Blocked":
+        """diag(vec) times the operator; ``vec`` is (..., dim) over composite indices."""
         out = self.outside
-        blocks = tuple(
-            np.multiply(vec[..., idx][..., None], x, out=x if in_place else None)
-            for idx, x in zip(self.split.groups, self.blocks)
-        )
+        blocks = tuple(vec[..., idx][..., None] * x
+                       for idx, x in zip(self.split.groups, self.blocks))
         return Blocked(self.split, blocks,
                        Entries(out.rows, out.cols, vec[..., out.rows] * out.values))
 

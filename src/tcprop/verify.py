@@ -10,25 +10,20 @@ forms are built too, never from the kron sums they are checked against.
 No check forms a dense (2**n cutoff)^2 matrix.  The tolerance-0 checks
 compare entry lists.  Every other check runs on the blocks the oracle
 finds in the generator's entries, at most 2**n levels each, held in one
-flat buffer per operator: closed forms, factors and table-built references
-are written into it term by term, other entry lists are scattered into it
-at once, every product is a stack of small ones and every comparison
-reduces the blocks through :func:`~tcprop.oracle.block_magnitudes`, to a
-bare value where no location is printed.  That function alone decides
-how an entry between blocks counts: in full.
+flat buffer per operator: closed forms are written into it from their
+placed entries, every other operator is scattered into it at once, every
+product is a stack of small ones and every comparison reduces the blocks
+through :func:`~tcprop.oracle.block_magnitudes`, to a bare value where no
+location is printed.  That function alone decides how an entry between
+blocks counts: in full.
 The oracle splits the coupling once, lays the Hamiltonian out on the same
 blocks, factors each generator once and exponentiates several scales in
-one batched product.  The closed forms depend on t and g only through t g,
-so the checks read them from tables of distinct t g scales at g = 1, built
-in two phases, the second after the first is released:
-:data:`PHASE_ONE` for the oracle and unitarity grids, then
-:func:`_phase_two_scales` for the rest.  Phase 1 holds its one table while
-the oracle's exponentials, their comparison and the unitarity Gram product
-run over it in passes of at most :data:`SCALES_PER_PASS` scales, so its
-peak follows the table and one pass, not the whole grid.  A comparison
-writes its difference into the operand the check just made, never into a
-table; the one table write is the free phase, scaled in place into the
-phase-2 rows of :data:`FULL_TIMES`, which nothing reads unscaled.
+one batched product.  The closed form is laid out and placed on those
+blocks once; each check fills it at the times of its own grid where it
+uses them, each distinct t g once.  The oracle grid and the unitarity Gram
+product run over their fill in passes of at most :data:`SCALES_PER_PASS`
+scales.  A comparison writes its difference into the operand the check
+just made, never into a fill.
 """
 
 from __future__ import annotations
@@ -47,11 +42,12 @@ from .oracle import (
     worst_entries,
 )
 from .propagator import (
+    BlockedForm,
     SpectralTable,
     _pattern_rows,
     _spin1_rows,
     _square_rows,
-    closed_form_table,
+    closed_form,
     free_phase,
     gauss_tables,
     reduced_table,
@@ -82,36 +78,9 @@ FULL_TIMES = (0.7, 0.7 + FULL_STEP, 0.7 - FULL_STEP, 0.7 + FULL_STEP / 2, 0.7 - 
 GROUP_LAW = (0.4, 0.9, 1.3)  # t1, t2, g
 RECONSTRUCTION = (0.9, 0.8)  # t, g of the spin-1 reduction's rebuilt propagator
 GAUSS = (0.3, 1.0)  # t, g of the one-atom triangular factorization
-
-
-def _distinct_scales() -> tuple[tuple[float, ...], slice, slice, tuple[int, ...]]:
-    """The distinct scales of ORACLE_TG and UNITARITY_TG, each grid one slice of them.
-
-    They run oracle-only, shared, unitarity-only.  Returns the scales, the
-    two slices and the position of each ORACLE_TG point.  Equal floats have
-    equal bits, so a shared scale gives both grids the same closed form.
-    """
-    oracle, unitarity = dict.fromkeys(ORACLE_TG), dict.fromkeys(UNITARITY_TG)
-    scales = ([s for s in oracle if s not in unitarity] + [s for s in oracle if s in unitarity]
-              + [s for s in unitarity if s not in oracle])
-    return (tuple(scales), slice(0, len(oracle)), slice(len(scales) - len(unitarity), None),
-            tuple(scales.index(s) for s in ORACLE_TG))
-
-
-PHASE_ONE, ORACLE_SCALES, UNITARITY_SCALES, ORACLE_AT = _distinct_scales()
-# scales of PHASE_ONE exponentiated, compared or squared together; bounds the oracle side and
-# the Gram product of phase 1 at O(2**n * cutoff * SCALES_PER_PASS) for any grid
+# grid scales exponentiated, compared or squared together: bounds the oracle side and the
+# Gram product at O(2**n * cutoff * SCALES_PER_PASS) for any grid
 SCALES_PER_PASS = 4
-
-
-def _phase_two_scales(n: int) -> tuple[float, ...]:
-    """FULL_TIMES, the t1, t2 and t1 + t2 of GROUP_LAW, then the t g of RECONSTRUCTION or GAUSS.
-
-    The last is RECONSTRUCTION for two atoms and GAUSS for one.
-    """
-    t1, t2, g_law = GROUP_LAW
-    t, g = RECONSTRUCTION if n == 2 else GAUSS
-    return (*FULL_TIMES, t1 * g_law, t2 * g_law, (t1 + t2) * g_law, t * g)
 
 
 @dataclass(frozen=True)
@@ -169,18 +138,15 @@ def gauss_deviations(
         split = block_split(2, space, coupling_entries(1, space))
     lower, diagonal, upper = (table.blocked(split) for table in tables)
     if closed is None:
-        closed = closed_form_table(1, space, t, g).blocked(split)
+        closed = closed_form(1, space).on(split).fill(t, g)
     variant = _tmax(lower - upper.transpose(), trusted=False)
     return _compare_into(lower @ diagonal @ upper, closed)[0].max_abs_deviation, variant
 
 
-def _reduction_checks(
-    space: FockSpace, split: BlockSplit, a_op: Blocked, closed: Blocked
-) -> list[CheckResult]:
-    """The spin-1 reduction on ``split``, S undone by an index map; T kron 1 keeps every block.
-
-    ``closed`` is the two-atom closed form at :data:`RECONSTRUCTION`, where it is rebuilt.
-    """
+def _reduction_checks(space: FockSpace, a_op: Blocked, closed: BlockedForm) -> list[CheckResult]:
+    """The spin-1 reduction on the split of ``a_op``, S undone by an index map; T kron 1 keeps
+    every block.  ``closed`` is the two-atom closed form placed on that split."""
+    split = a_op.split
     similarity, b, order = reduction_entries(space)
     c = space.cutoff
     back = (np.argsort(order)[:, None] * c + np.arange(c)).ravel()  # reduced basis -> T basis
@@ -196,9 +162,9 @@ def _reduction_checks(
     results.append(_result("spin1-pattern", entry_deviation(b, -b_ref), 0.0))
     inner = reduced_table(space, *RECONSTRUCTION).blocked(split, back)
     recon = sim.dagger() @ inner @ sim
-    recon_dev = _compare_into(recon, closed)[0]
+    recon_dev = _compare_into(recon, closed.fill(*RECONSTRUCTION))[0]
     results.append(_result("reduction-reconstruction", recon_dev.max_abs_deviation, 1e-10))
-    u_two = closed_form_table(2, space, 0.7, 1.3).entries().at(0)
+    u_two = closed.fill(0.7, 1.3).entries().at(0)
 
     def block(i: int, j: int) -> Entries:
         """The (i, j) field block of the two-atom propagator, indexed by photon levels."""
@@ -233,45 +199,44 @@ def _key_relations(n: int, space: FockSpace, a_op: Blocked, e: np.ndarray) -> li
     return results
 
 
-def _passes(grid: slice) -> list[slice]:
-    """``grid``, a slice of :data:`PHASE_ONE`, cut into runs of at most SCALES_PER_PASS scales."""
-    start, stop, _ = grid.indices(len(PHASE_ONE))
-    return [slice(i, min(i + SCALES_PER_PASS, stop)) for i in range(start, stop, SCALES_PER_PASS)]
+def _passes(scales: tuple) -> list[slice]:
+    """``scales`` cut into runs of at most SCALES_PER_PASS."""
+    return [slice(i, i + SCALES_PER_PASS) for i in range(0, len(scales), SCALES_PER_PASS)]
 
 
-def _phase_one_checks(
-    n: int, space: FockSpace, oracle: BlockEigen, tol: float
-) -> tuple[CheckResult, CheckResult]:
-    """closed-vs-oracle and unitarity, both read from one table of :data:`PHASE_ONE`.
+def _closed_vs_oracle(closed: BlockedForm, oracle: BlockEigen, tol: float) -> CheckResult:
+    """The closed form against the oracle over ORACLE_GRID, each distinct t g once, in passes.
 
-    The oracle exponentiates each distinct scale once; each ORACLE_GRID
-    point reads the report of its scale, and unitarity, a maximum, is taken
-    over the distinct scales of its grid.  Both run in passes of at most
-    SCALES_PER_PASS scales, so only one pass's exponentials, magnitudes and
-    Gram product are held at a time.
+    Only one pass's exponentials and magnitudes are held at a time.  Each
+    grid point reads the report of its t g, so the worst point named is the
+    first at the worst t g.
     """
-    split = oracle.split
-    table = closed_form_table(n, space, PHASE_ONE, 1.0).blocked(split)
-    distinct = [report for part in _passes(ORACLE_SCALES)
-                for report in _compare_into(oracle.expm(PHASE_ONE[part]), table[part])]
-    reports = [distinct[j] for j in ORACLE_AT]
+    scales = tuple(dict.fromkeys(ORACLE_TG))
+    u = closed.fill(scales, 1.0)
+    reports = [report for part in _passes(scales)
+               for report in _compare_into(oracle.expm(scales[part]), u[part])]
     # a NaN deviation is picked over every number, as worst_entries picks a NaN entry
     i = int(np.argmax([report.max_abs_deviation for report in reports]))
-    (t_val, g_val), worst = ORACLE_GRID[i], reports[i]
+    (t_val, g_val), worst = ORACLE_GRID[ORACLE_TG.index(scales[i])], reports[i]
     block_row, block_col, photon_row, photon_col = worst.location
     note = (f"worst at t={t_val:g} g={g_val:g}, blocks ({block_row}, {block_col}), "
             f"photons ({photon_row}, {photon_col})")
-    identity = Blocked.identity(split)
+    return _result("closed-vs-oracle", worst.max_abs_deviation, tol, note=note)
 
-    def gram_deviation(u: Blocked) -> float:
-        gram = u.dagger() @ u
+
+def _unitarity(closed: BlockedForm) -> float:
+    """max |U+ U - 1| over the distinct t g of UNITARITY_TG, the Gram products in passes."""
+    scales = tuple(dict.fromkeys(UNITARITY_TG))
+    u = closed.fill(scales, 1.0)
+    identity = Blocked.identity(u.split)
+
+    def gram_deviation(part: slice) -> float:
+        gram = u[part].dagger() @ u[part]
         gram -= identity
         return _tmax(gram)
 
     # np.max, unlike Python's max, keeps a NaN in any place
-    unitarity = np.max([gram_deviation(table[part]) for part in _passes(UNITARITY_SCALES)])
-    return (_result("closed-vs-oracle", worst.max_abs_deviation, tol, note=note),
-            _result("unitarity", unitarity, 1e-10))
+    return np.max([gram_deviation(part) for part in _passes(scales)])
 
 
 def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult], list[str]]:
@@ -301,29 +266,27 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
         return results, notes
 
     oracle = block_eigh(2**n, space, a)
-    split = oracle.split
-    a_op = oracle.generator
-    results += _key_relations(n, space, a_op, e)
-    closed_vs_oracle, unitarity = _phase_one_checks(n, space, oracle, tol)
-    results.append(closed_vs_oracle)
+    results += _key_relations(n, space, oracle.generator, e)
+    closed = closed_form(n, space).on(oracle.split)
+    results.append(_closed_vs_oracle(closed, oracle, tol))
+    # reported after schrodinger-residual-ratio, run before full-vs-oracle holds its operands
+    unitarity = _result("unitarity", _unitarity(closed), 1e-10)
 
-    table = closed_form_table(n, space, _phase_two_scales(n), 1.0).blocked(split)
-    full, law, point = table[:5], table[5:8], table[8:]
     # H is A plus a diagonal: its entries fit A's blocks, and it is factored on them
     h = hamiltonian_entries(n, space, 1.0, 1.0, 1.0)
-    h_oracle = block_eigh(2**n, space, h, split)
-    # nothing reads the FULL_TIMES rows unscaled, so the free phase is written into them
-    full = full.scale_rows(free_phase(n, space, FULL_TIMES, 1.0), in_place=True)
+    h_oracle = block_eigh(2**n, space, h, oracle.split)
+    full = closed.fill(FULL_TIMES, 1.0).scale_rows(free_phase(n, space, FULL_TIMES, 1.0))
     full_dev = _compare_into(h_oracle.expm(FULL_TIMES[0])[0], full[0])[0].max_abs_deviation
     results.append(_result("full-vs-oracle", full_dev, tol))
 
     if n == 1:
-        product_dev, variant_dev = gauss_deviations(space, *GAUSS, split, point)
+        product_dev, variant_dev = gauss_deviations(space, *GAUSS, oracle.split,
+                                                    closed.fill(*GAUSS))
         results.append(_result("gauss-product", product_dev, tol))
         results.append(_result("gauss-variants", variant_dev, 1e-12))
 
     if n == 2:
-        results += _reduction_checks(space, split, a_op, point[0])
+        results += _reduction_checks(space, oracle.generator, closed)
 
     # central-difference residual of i dU/dt = H U at U(0.7), step 1e-4 over step 5e-5
     h_mid = h_oracle.generator @ full[0]
@@ -337,6 +300,8 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
     )
 
     results.append(unitarity)
+    t1, t2, g_law = GROUP_LAW
+    law = closed.fill((t1, t2, t1 + t2), g_law)
     results.append(_result("group-law", _tmax(law[0] @ law[1] - law[2]), 1e-9))
 
     return results, notes

@@ -3,9 +3,9 @@
 Each kernel is checked bit for bit against a copy, kept here, of the code
 it replaced: the per-block-size 4-D ``np.add.at`` gather, the entry-list
 ``worst_entries``, the full-width relation-fit rows, the level-by-level
-coherent-state loop, the one table per grid of ``verify``, the entry-list
-Hermiticity check of ``block_eigh`` and the maximum over ``worst_entries``
-reports.
+coherent-state loop, the entry-list Hermiticity check of ``block_eigh`` and
+the maximum over ``worst_entries`` reports.  A closed form filled on a
+split is checked against its table gathered on that split.
 """
 
 import math
@@ -23,6 +23,7 @@ from tcprop import (
     SpectralTable,
     block_eigh,
     block_split,
+    closed_form,
     closed_form_table,
     coupling_entries,
     entry_deviation,
@@ -200,22 +201,6 @@ def test_in_place_difference_is_the_difference_in_the_left_blocks(batch):
         a -= _random_split(rng, 2, SPACE).gather(Entries.none(batch))
 
 
-@pytest.mark.parametrize("batch", [(), (3,)])
-def test_in_place_row_scaling_is_the_row_scaling_in_the_own_blocks(batch):
-    rng = np.random.default_rng(21 + len(batch))
-    split = _random_split(rng, 2, SPACE, 7)
-    a = split.gather(_random_entries(rng, split, 60, batch))
-    assert a.outside.rows.size
-    dim = split.n_blocks * SPACE.cutoff
-    vec = rng.normal(size=batch + (dim,)) + 1j * rng.normal(size=batch + (dim,))
-    want, own, outside = a.scale_rows(vec), a.blocks, a.outside.values.copy()
-    scaled = a.scale_rows(vec, in_place=True)
-    assert all(x is y for x, y in zip(scaled.blocks, own))
-    # the scaled entries between blocks count as scale_rows counts them
-    _assert_same_blocked(scaled, want.blocks, want.outside)
-    assert a.outside.values.tobytes() == outside.tobytes()
-
-
 def _random_blocked(rng, split: BlockSplit, batch=()) -> Blocked:
     blocks = tuple(rng.normal(size=batch + idx.shape + idx.shape[1:])
                    + 1j * rng.normal(size=batch + idx.shape + idx.shape[1:])
@@ -355,8 +340,8 @@ def test_trusted_powers_equal_the_full_width_rows(n, cutoff):
 def test_gauss_deviations_on_the_coupling_split_it_is_given():
     split = _coupling_split(1)
     assert gauss_deviations(SPACE, 0.3, 1.0, split) == gauss_deviations(SPACE, 0.3, 1.0)
-    # the closed form read from a table at g = 1, as verify passes it, and left unwritten
-    closed = closed_form_table(1, SPACE, [0.3], 1.0).blocked(split)
+    # the closed form filled on the split, as verify passes it, and left unwritten
+    closed = closed_form(1, SPACE).on(split).fill(0.3, 1.0)
     before = [x.copy() for x in closed.blocks]
     assert gauss_deviations(SPACE, 0.3, 1.0, split, closed) == gauss_deviations(SPACE, 0.3, 1.0)
     assert all(x.tobytes() == y.tobytes() for x, y in zip(closed.blocks, before))
@@ -422,53 +407,25 @@ def test_coherent_state_is_bitwise_the_level_by_level_loop(cutoff, kind):
     assert build_state(spec, space).tobytes() == want.tobytes()
 
 
-def _old_closed_forms(n: int, space: FockSpace, split: BlockSplit) -> list[Blocked]:
-    """The closed forms as run_checks built them: one table per grid, the group law at g = 1.3."""
-    t, step = 0.7, 1e-4
-    tables = [
-        closed_form_table(n, space, [t * g for t in (0.1, 0.7, 2.5, 10.0)
-                                     for g in (0.5, 1.0, 2.0)], 1.0),
-        closed_form_table(n, space, [t, t + step, t - step, t + step / 2, t - step / 2], 1.0),
-        closed_form_table(n, space, [t * g for t in (0.1, 1.0, 5.0, 20.0)
-                                     for g in (0.5, 1.0, 2.0)], 1.0),
-        closed_form_table(n, space, [0.4, 0.9, 0.4 + 0.9], 1.3),
-    ]
-    if n == 2:
-        tables.append(closed_form_table(2, space, 0.9, 0.8))
-    return [table.blocked(split) for table in tables]
+FILL_TG = (0.0, 1e-8, 1e-3, 0.1, 0.7, 2.5, 10.0, 20.0, 123.4, 1e3, 1e6, -3.3)
 
 
-@pytest.mark.parametrize("cutoff", [24, 120])
+@pytest.mark.parametrize("cutoff", [4, 24, 120, 400])
 @pytest.mark.parametrize("n", [1, 2])
-def test_one_table_sliced_by_grid_equals_one_table_per_grid(n, cutoff):
-    # each phase of run_checks reads one table, sliced grid by grid
+def test_fill_equals_the_gathered_table(n, cutoff):
+    # == treats -0 as 0 and NaN as NaN: the fill is held to the table's values, not their bytes
     space = FockSpace(cutoff)
     split = _coupling_split(n, space)
-    verify = tcprop.verify
-    one = closed_form_table(n, space, verify.PHASE_ONE, 1.0).blocked(split)
-    two = closed_form_table(n, space, verify._phase_two_scales(n), 1.0).blocked(split)
-    oracle, full, unitarity, law, *recon = _old_closed_forms(n, space, split)
-    assert len(verify.PHASE_ONE) == 15 and len(set(verify.PHASE_ONE)) == 15
-    assert two.blocks[0].shape[0] == 9
-    # each grid point reads the distinct scale equal to its t g, inside its grid's slice
-    for grid, scales, where in ((oracle, verify.ORACLE_TG, verify.ORACLE_SCALES),
-                                (unitarity, verify.UNITARITY_TG, verify.UNITARITY_SCALES)):
-        assert set(verify.PHASE_ONE[where]) == set(scales)
-        for i, scale in enumerate(scales):
-            j = verify.PHASE_ONE.index(scale)
-            assert verify.PHASE_ONE[j] == scale and j in range(15)[where]
-            _assert_same_blocked(one[j], grid[i].blocks, grid[i].outside)
-    assert verify.ORACLE_AT == tuple(verify.PHASE_ONE.index(s) for s in verify.ORACLE_TG)
-    _assert_same_blocked(two[:5], full.blocks, full.outside)
-    _assert_same_blocked(two[5:8], law.blocks, law.outside)
-    last = recon[0] if n == 2 else closed_form_table(1, space, 0.3, 1.0).blocked(split)
-    _assert_same_blocked(two[8:], last.blocks, last.outside)
-    # the oracle exponentiates each scale on its own, so the distinct ones carry the grid's bits
-    eigen = block_eigh(2**n, space, coupling_entries(n, space), split)
-    distinct = eigen.expm(verify.PHASE_ONE[verify.ORACLE_SCALES])
-    grid = eigen.expm(verify.ORACLE_TG)
-    for i, j in enumerate(verify.ORACLE_AT):
-        _assert_same_blocked(distinct[j], grid[i].blocks, grid[i].outside)
+    placed = closed_form(n, space).on(split)
+    for t, g in ((FILL_TG, 1.0), ((0.4, 0.9, 0.4 + 0.9), 1.3)):
+        got, want = placed.fill(t, g), closed_form_table(n, space, t, g).blocked(split)
+        for x, y in zip(got.blocks, want.blocks, strict=True):
+            assert x.shape == y.shape
+            np.testing.assert_array_equal(x, y)
+        assert got.outside.values.shape == want.outside.values.shape == (len(t), 0)
+    singletons = BlockSplit(2**n, space, (np.arange(2**n * cutoff)[:, None],))
+    with pytest.raises(ValueError, match="between two blocks"):
+        closed_form(n, space).on(singletons)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,6 +1,7 @@
 """Contract of the verify check suite: which checks run, and that their bounds catch faults."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,6 +75,17 @@ def test_check_names_order_and_count(n, count):
     assert notes == ([THREE_ATOM_NOTE] if n == 3 else [])
 
 
+def _filled_from(table):
+    """A stand-in for verify.closed_form whose every fill is ``table(n, space, t, g)`` gathered
+    on the split, so a fault injected into the table reaches the checks, outside entries too."""
+
+    def form(n, space):
+        return SimpleNamespace(on=lambda split: SimpleNamespace(
+            fill=lambda t, g: table(n, space, t, g).blocked(split)))
+
+    return form
+
+
 def _perturbed_table(n, space, t, g):
     """The closed form with its first term's coefficients shifted by 1e-6."""
     table = closed_form_table(n, space, t, g)
@@ -83,7 +95,7 @@ def _perturbed_table(n, space, t, g):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_perturbed_closed_form_fails_its_checks(monkeypatch, capsys, n):
-    monkeypatch.setattr(verify, "closed_form_table", _perturbed_table)
+    monkeypatch.setattr(verify, "closed_form", _filled_from(_perturbed_table))
     failed = {name for name, res in _by_name(n).items() if not res.passed}
     assert {"closed-vs-oracle", "unitarity", "group-law"} <= failed
     assert main(["verify", "--atoms", str(n), *FAST]) == 1
@@ -95,7 +107,7 @@ def test_perturbed_closed_form_fails_its_checks(monkeypatch, capsys, n):
 def _nan_at(scale: float):
     """closed_form_table with a NaN coefficient on a trusted entry at every time equal to ``scale``.
 
-    run_checks builds its tables at g = 1, so their times are the t g scales.
+    run_checks fills the oracle and unitarity grids at g = 1, so their times are the t g scales.
     """
 
     def table(n, space, t, g):
@@ -108,13 +120,10 @@ def _nan_at(scale: float):
     return table
 
 
-# the t g of every point of the closed-vs-oracle, full-vs-oracle and unitarity grids, in order
+# the t g of every point of the closed-vs-oracle, full-vs-oracle and unitarity grids, in order:
+# points 0 and 17 (t g = 0.05) are in both the oracle and the unitarity grid, point 5 (1.4)
+# only in the oracle grid and point 20 (0.5) only in the unitarity grid
 GRID_POINTS = (*verify.ORACLE_TG, *verify.FULL_TIMES, *verify.UNITARITY_TG)
-# run_checks builds the 15 distinct scales of the closed-vs-oracle and unitarity grids into one
-# table: oracle-only (batch 0-3), shared (4-10), then unitarity-only (11-14).  Points 0 and
-# 17 (t g = 0.05) share batch 4; point 5 (1.4) is oracle-only at 2; point 20 (0.5) is
-# unitarity-only at 11.
-PHASE_ONE_BATCH = {0: 4, 5: 2, 17: 4, 20: 11}
 
 
 @pytest.mark.parametrize("index, check", [(0, "closed-vs-oracle"), (5, "closed-vs-oracle"),
@@ -122,8 +131,7 @@ PHASE_ONE_BATCH = {0: 4, 5: 2, 17: 4, 20: 11}
 @pytest.mark.parametrize("n", [1, 2])
 def test_a_nan_at_any_grid_point_fails_its_check(monkeypatch, capsys, n, index, check):
     scale = GRID_POINTS[index]
-    assert verify.PHASE_ONE.index(scale) == PHASE_ONE_BATCH[index]
-    monkeypatch.setattr(verify, "closed_form_table", _nan_at(scale))
+    monkeypatch.setattr(verify, "closed_form", _filled_from(_nan_at(scale)))
     results = _by_name(n)
     # a shared scale fails both checks, any other only its own
     failing = [name for name, grid in (("closed-vs-oracle", verify.ORACLE_TG),
@@ -325,7 +333,7 @@ def _with_cross_sector_term(n, space, t, g):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_entries_between_blocks_count_in_full(monkeypatch, n):
-    monkeypatch.setattr(verify, "closed_form_table", _with_cross_sector_term)
+    monkeypatch.setattr(verify, "closed_form", _filled_from(_with_cross_sector_term))
     results = _by_name(n)
     # the largest extra entry is 1e-6 sqrt(23), on the guard row 22: never restricted or dropped
     for name in ("closed-vs-oracle", "unitarity"):
@@ -363,10 +371,11 @@ def test_two_atom_checks_at_cutoff_3000_stay_small():
     assert peak < 200e6
 
 
-# 9 500 at two atoms: phase 1 exponentiates, compares and squares SCALES_PER_PASS scales at a time
+# 9 500 at two atoms: the oracle grid and the unitarity Gram product run SCALES_PER_PASS scales
+# at a time over their fill
 @pytest.mark.parametrize("n, bound", [(1, 4_000), (2, 15_000), (2, 9_500)])
 def test_checks_at_cutoff_2000_hold_a_bounded_peak_per_level(n, bound):
-    # the closed forms come in two tables of distinct scales, the first released before the second
+    # each check fills the closed forms of its own grid where it uses them, and releases them
     run_checks(n, SPACE, 1e-9)  # first-call allocations stay out of the trace
     tracemalloc.start()
     try:
@@ -381,14 +390,13 @@ def test_checks_at_cutoff_2000_hold_a_bounded_peak_per_level(n, bound):
 @pytest.mark.parametrize("cutoff", [24, 120])
 @pytest.mark.parametrize("n", [1, 2])
 def test_results_do_not_depend_on_the_pass_size(monkeypatch, n, cutoff):
-    # each scale is exponentiated, compared and squared on its own rows of one table
+    # each scale is exponentiated, compared and squared on its own rows of its grid's fill
     space = FockSpace(cutoff)
     results = []
-    for size in (1, 4, len(verify.PHASE_ONE)):
+    for size in (1, 4, 12):
         monkeypatch.setattr(verify, "SCALES_PER_PASS", size)
         results.append(run_checks(n, space, 1e-9))
     assert results[0] == results[1] == results[2]
-    assert len(verify._passes(verify.UNITARITY_SCALES)) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -15,6 +15,10 @@ whose warm-up takes over 2 s (``SLOW_S``) runs once.  The file records:
 * ``run_checks_stages_s``: for ``verify --atoms 2``, the time up to each
   check line since the previous one (the first includes building the
   coupling), read by wrapping ``tcprop.verify._result``;
+* ``run_checks_peak_b_per_level``: the tracemalloc peak of
+  ``tcprop.verify.run_checks`` at cutoff 2000 (``PEAK_CUTOFF``), in bytes
+  per Fock level, for one and two atoms, after a warm-up call at cutoff
+  60, as ``tests/test_verify.py`` measures it, for both trees;
 * ``scale``: this checkout alone at cutoffs the parent cannot reach, with
   the peak resident memory of a process that runs just that command;
 * ``one_shot``: what one CLI call pays on a cold start: for each cutoff-60
@@ -48,6 +52,8 @@ CUTOFFS = (60, 200, 400)
 SLOW_S = 2.0
 REPEAT = 3
 STARTS = 5
+PEAK_CUTOFF = 2000
+PEAK_ATOMS = (1, 2)
 
 
 def cli_cases() -> list[list[str]]:
@@ -76,9 +82,9 @@ SCALE_CASES = [
 
 # Run in a child process: argv[1] is the tree's src/, stdin a JSON job.
 CHILD = r'''
-import contextlib, io, json, resource, sys, time
+import contextlib, io, json, resource, sys, time, tracemalloc
 sys.path.insert(0, sys.argv[1])
-import tcprop.cli, tcprop.verify
+import tcprop.cli, tcprop.fock, tcprop.verify
 job = json.load(sys.stdin)
 
 def once(argv):
@@ -120,6 +126,17 @@ for argv in job["cli"]:
 for argv in job["stages"]:
     out["run_checks_stages_s"][" ".join(argv)] = stages(argv)
 out["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+# after peak_rss_mb, which the traced runs would raise
+out["run_checks_peak_b_per_level"] = {}
+for n in job["peak_atoms"]:
+    tcprop.verify.run_checks(n, tcprop.fock.FockSpace(60), 1e-9)
+    tracemalloc.start()
+    try:
+        tcprop.verify.run_checks(n, tcprop.fock.FockSpace(job["peak_cutoff"]), 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out["run_checks_peak_b_per_level"][str(n)] = round(peak / job["peak_cutoff"], 1)
 json.dump(out, sys.stdout)
 '''
 
@@ -191,7 +208,8 @@ def main() -> int:
     parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
     args = parser.parse_args()
 
-    job = {"cli": cli_cases(), "stages": STAGE_CASES, "repeat": REPEAT, "slow_s": SLOW_S}
+    job = {"cli": cli_cases(), "stages": STAGE_CASES, "repeat": REPEAT, "slow_s": SLOW_S,
+           "peak_atoms": PEAK_ATOMS, "peak_cutoff": PEAK_CUTOFF}
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     snapshot = {
         "machine": machine(),
@@ -208,7 +226,8 @@ def main() -> int:
         snapshot["change"] = measure(ROOT / "src", job)
         snapshot["one_shot"] = one_shot({"parent": Path(tmp) / "src", "change": ROOT / "src"})
     snapshot["scale"] = {
-        " ".join(argv): measure(ROOT / "src", dict(job, cli=[argv], stages=[], slow_s=0.0))
+        " ".join(argv): measure(ROOT / "src",
+                                dict(job, cli=[argv], stages=[], peak_atoms=[], slow_s=0.0))
         for argv in SCALE_CASES
     }
     args.out.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
