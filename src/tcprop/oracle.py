@@ -223,44 +223,42 @@ def compare(closed: CompositeOperator, reference: CompositeOperator) -> Comparis
 
 
 def block_magnitudes(op: Blocked, trusted: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """|entry| of every entry of ``op``, in row-major order, one row per batch index.
+    """|entry| of every entry of ``op``, one row per batch index, and each entry's key.
 
-    Returns the values and each entry's key row * dim + col.  With
-    ``trusted`` only block entries in trusted rows and columns are listed;
-    entries outside the blocks always count.  This function alone decides
-    how: those listed at one position are added first, in listing order, as
-    in :func:`~tcprop.spinchain.entry_deviation`, and their keys merge into
-    the block keys (no outside position is a block position).
+    The key of entry (row, col) is row * dim + col.  Block entries come in
+    the split's buffer order, then one per outside position, in key order.
+    With ``trusted`` only block entries in trusted rows and columns are
+    listed; entries outside the blocks always count.  This function alone
+    decides how: those listed at one position are added first, in listing
+    order, as in :func:`~tcprop.spinchain.entry_deviation`.
     """
     split = op.split
-    order, key = split.trusted if trusted else split.row_major
-    values = join_values([np.abs(x).reshape(x.shape[:-3] + (-1,)) for x in op.blocks])[..., order]
+    at, key = split.trusted if trusted else (slice(None), split.keys)
+    values = join_values([np.abs(x).reshape(x.shape[:-3] + (-1,)) for x in op.blocks])[..., at]
     rows, cols, out = op.outside
     if rows.size:
         dim = split.n_blocks * split.space.cutoff
         out_key, inverse = np.unique(rows.astype(np.int64) * dim + cols, return_inverse=True)
         total = np.zeros(out.shape[:-1] + out_key.shape, dtype=complex)
         np.add.at(total, (..., inverse), out)
-        key = np.concatenate([key, out_key])
-        merge = np.argsort(key)
-        values, key = join_values([values, np.abs(total)])[..., merge], key[merge]
+        values, key = join_values([values, np.abs(total)]), np.concatenate([key, out_key])
     return values.reshape(-1, key.size), key
 
 
 def worst_entries(op: Blocked, trusted: bool = True) -> list[ComparisonReport]:
     """The largest |entry| of a blocked operator and where it sits, per leading batch index.
 
-    The entries are those :func:`block_magnitudes` lists.  Ties go to the
-    first entry in row-major order, as in :func:`compare`, and a NaN entry
-    beats every number.
+    The entries are those :func:`block_magnitudes` lists.  A NaN entry
+    beats every number, and a tie goes to the smallest key, the first entry
+    in row-major order, as in :func:`compare`, whatever the listing order.
     """
     split = op.split
     c = split.space.cutoff
     dim = split.n_blocks * c
     values, key = block_magnitudes(op, trusted)
-    # columns in row-major order: the first hit is the earliest
     best = values.max(axis=1)
-    row, col = np.divmod(key[np.argmax((values == best[:, None]) | np.isnan(values), axis=1)], dim)
+    hits = (values == best[:, None]) | np.isnan(values)
+    row, col = np.divmod(np.array([key[hit].min() for hit in hits]), dim)
     locations = zip(*(x.tolist() for x in (row // c, col // c, row % c, col % c)))
     return [ComparisonReport(value, location) for value, location in zip(best.tolist(), locations)]
 

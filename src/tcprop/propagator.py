@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import sqrt
-from typing import Iterator
 
 import numpy as np
 
@@ -107,13 +106,6 @@ class SpectralTable:
                   for (*_, coef), (lo, hi), ladder in zip(self.terms, spans, factors)]
         return Entries(rows, cols, join_values(values))
 
-    def blocked(self, split: BlockSplit, relabel: np.ndarray | None = None) -> Blocked:
-        """``split.gather`` of the entries, their composite indices mapped by ``relabel``."""
-        rows, cols, values = self.entries()
-        if relabel is not None:
-            rows, cols = relabel[rows], relabel[cols]
-        return split.gather(Entries(rows, cols, values))
-
     def to_dense(self, i: int = 0) -> CompositeOperator:
         """The dense operator at the i-th time of the table."""
         return CompositeOperator.from_entries(self.n_blocks, self.space, self.entries().at(i))
@@ -124,16 +116,14 @@ def _column(t) -> np.ndarray:
     return np.atleast_1d(np.asarray(t, dtype=float))[:, None]
 
 
-def _branch(t, g: float, d: np.ndarray) -> Iterator[np.ndarray]:
+def _branch(t, g: float, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cos(tg sqrt(d)) and sin(tg sqrt(d))/sqrt(d) as cosz(u d), t g sincz(u d), u = (t g)^2.
 
-    One row per time t, one column per branch value d.  Yields the cosine
-    first, so a caller that refuses on it can stop before the sine.
+    One row per time t, one column per branch value d.
     """
     tg = _column(t) * g
     ud = tg * tg * d
-    yield cosz(ud)
-    yield tg * sincz(ud)
+    return cosz(ud), tg * sincz(ud)
 
 
 def _excitation_branch(n: int, k):
@@ -196,7 +186,7 @@ def _spin1_square_rows(space: FockSpace) -> list:
 def _spectral(t, g: float, branch: np.ndarray, at, scale, shift) -> np.ndarray:
     """trig[:, at] scale + shift, trig = [cos(tg sqrt(D)) | sin(tg sqrt(D))/sqrt(D)] at D = branch,
     one row per time t: on the positions of 1 and A^2, (delta - r) + r cos(tg sqrt(D))."""
-    values = np.take(np.concatenate(list(_branch(t, g, branch)), axis=1), at, axis=1)
+    values = np.take(np.concatenate(_branch(t, g, branch), axis=1), at, axis=1)
     values *= scale
     values += shift
     return values
@@ -258,8 +248,8 @@ class BlockedForm:
     ladder: list[np.ndarray]
 
     def fill(self, t, g: float) -> Blocked:
-        """The form at the time(s) t as blocks of the split, in float arithmetic: O(entries),
-        and bit for bit ``ClosedForm.table(t, g).blocked(split)`` but for the sign of a NaN."""
+        """The form at the time(s) t as blocks of the split, in float arithmetic: O(entries), and
+        bit for bit ``split.gather(ClosedForm.table(t, g).entries())`` but for a NaN's sign."""
         values = _spectral(t, g, self.branch, self.at, self.scale, self.shift)
         for factor in self.ladder:
             values *= factor
@@ -351,13 +341,11 @@ def gauss_tables(
     Refuses with :class:`GaussSingularityError` as that function does.
     """
     c = space.cutoff
-    branch = _branch(t, g, np.arange(c + 1, dtype=float))
-    cos_l = next(branch)
+    cos_l, sin_l = _branch(t, g, np.arange(c + 1, dtype=float))
     bad = np.nonzero(np.abs(cos_l[0, :c]) < GAUSS_TAU_SING)[0]
     if bad.size:
         level = int(bad[0])
         raise GaussSingularityError(level, float(abs(cos_l[0, level])))
-    sin_l = next(branch)
 
     # -i tan(tg sqrt(m))/sqrt(m) on levels 0..cutoff-1; total because sincz(0) = cosz(0) = 1
     tan = -1j * (sin_l[:, :c] / cos_l[:, :c])

@@ -246,7 +246,9 @@ class BlockSplit:
     entry between two blocks is the direct sum of its (k, s, s) blocks, so
     any product or comparison of such operators is a stack of small ones.
     The blocks of every group lie one after another, row-major, in one flat
-    buffer: group i fills ``offsets[i]:offsets[i + 1]``.
+    buffer: group i fills ``offsets[i]:offsets[i + 1]``.  Comparisons read
+    entries in that buffer order alone, which is not row-major order across
+    groups, so a position is named by its entry's key (:attr:`keys`).
     """
 
     n_blocks: int
@@ -276,25 +278,20 @@ class BlockSplit:
         return block, start, position
 
     @cached_property
-    def row_major(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every flat buffer position in row-major order of its entry, and the entries' keys.
-
-        The key of entry (row, col) is row * dim + col.
-        """
+    def keys(self) -> np.ndarray:
+        """The key row * dim + col of the entry at each flat buffer position."""
         dim = self.n_blocks * self.space.cutoff
-        keys = np.concatenate([(idx[:, :, None].astype(np.int64) * dim + idx[:, None, :]).ravel()
+        return np.concatenate([(idx[:, :, None].astype(np.int64) * dim + idx[:, None, :]).ravel()
                                for idx in self.groups])
-        order = np.argsort(keys)
-        return order, keys[order]
 
     @cached_property
     def trusted(self) -> tuple[np.ndarray, np.ndarray]:
-        """:attr:`row_major` restricted to entries whose row and column are trusted levels."""
-        order, keys = self.row_major
+        """Flat buffer positions, in buffer order, of the entries whose row and column are
+        trusted levels, and their :attr:`keys`."""
         dim = self.n_blocks * self.space.cutoff
         levels = np.arange(dim) % self.space.cutoff < self.space.trusted
-        keep = levels[keys // dim] & levels[keys % dim]
-        return order[keep], keys[keep]
+        keep = levels[self.keys // dim] & levels[self.keys % dim]
+        return np.flatnonzero(keep), self.keys[keep]
 
     def _place(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flat buffer index of each (row, col) pair inside one block, and the mask of them."""

@@ -136,7 +136,7 @@ def gauss_deviations(
     tables = gauss_tables(space, t, g)
     if split is None:
         split = block_split(2, space, coupling_entries(1, space))
-    lower, diagonal, upper = (table.blocked(split) for table in tables)
+    lower, diagonal, upper = (split.gather(table.entries()) for table in tables)
     if closed is None:
         closed = closed_form(1, space).on(split).fill(t, g)
     variant = _tmax(lower - upper.transpose(), trusted=False)
@@ -160,7 +160,8 @@ def _reduction_checks(space: FockSpace, a_op: Blocked, closed: BlockedForm) -> l
                            _four_ulps(_tmax(ref, False))))
     b_ref = SpectralTable.from_rows(space, _spin1_rows(space)).entries().at(0)
     results.append(_result("spin1-pattern", entry_deviation(b, -b_ref), 0.0))
-    inner = reduced_table(space, *RECONSTRUCTION).blocked(split, back)
+    inner = reduced_table(space, *RECONSTRUCTION).entries()
+    inner = split.gather(Entries(back[inner.rows], back[inner.cols], inner.values))
     recon = sim.dagger() @ inner @ sim
     recon_dev = _compare_into(recon, closed.fill(*RECONSTRUCTION))[0]
     results.append(_result("reduction-reconstruction", recon_dev.max_abs_deviation, 1e-10))
@@ -188,7 +189,7 @@ def _reduction_checks(space: FockSpace, a_op: Blocked, closed: BlockedForm) -> l
 
 def _key_relations(n: int, space: FockSpace, a_op: Blocked, e: np.ndarray) -> list[CheckResult]:
     """A^2 against its displayed blocks, and for two atoms A^3 = D A; E is the excitation."""
-    sq_ref = SpectralTable.from_rows(space, _square_rows(n, space)).blocked(a_op.split)
+    sq_ref = a_op.split.gather(SpectralTable.from_rows(space, _square_rows(n, space)).entries())
     a_sq = a_op @ a_op
     results = [_result("key-relation-squared", _tmax(a_sq - sq_ref), _four_ulps(_tmax(sq_ref)))]
     if n == 2:

@@ -278,6 +278,55 @@ def test_outside_entries_reduce_without_the_joined_entry_list(monkeypatch, trust
     assert {location for _, location in wants[-1]} == {(0, 0, 0, 1)}
 
 
+def _extreme_key(split: BlockSplit, group: int, trusted: bool, pick) -> tuple:
+    """(block, i, j, key) of the entry of ``group`` whose key ``pick`` (max or min) chooses,
+    among the entries ``worst_entries`` counts."""
+    dim = split.n_blocks * split.space.cutoff
+    idx = split.groups[group]
+    keys = idx[:, :, None].astype(np.int64) * dim + idx[:, None, :]
+    level = idx % split.space.cutoff < split.space.trusted
+    counted = level[:, :, None] & level[:, None, :] if trusted else np.ones(keys.shape, bool)
+    key = pick(keys[counted])
+    return (*np.argwhere(keys == key)[0], int(key))
+
+
+def _location(split: BlockSplit, key: int) -> tuple:
+    c = split.space.cutoff
+    row, col = divmod(key, split.n_blocks * c)
+    return (row // c, col // c, row % c, col % c)
+
+
+@pytest.mark.parametrize("outside", [False, True])
+@pytest.mark.parametrize("trusted", [True, False])
+def test_ties_across_groups_go_to_the_smallest_key(trusted, outside):
+    rng = np.random.default_rng(31)
+    split = _random_split(rng, 2, SPACE, skip=5)
+    # the first group's largest key is listed ahead of the last group's smallest in buffer
+    # order, behind it in row-major order
+    *first, first_key = _extreme_key(split, 0, trusted, max)
+    *last, last_key = _extreme_key(split, -1, trusted, min)
+    assert last_key < first_key
+    op = _random_blocked(rng, split, (3,))
+    # batch 0: the two tie; batch 1: the same, and with outside entries one of a smaller key
+    # ties them too; batch 2: a NaN at each, and two NaNs tie as numbers do
+    op.blocks[0][(slice(None), *first)] = [10.0, 10.0, np.nan]
+    op.blocks[-1][(slice(None), *last)] = [-10j, -10j, np.nan]
+    want = [last_key] * 3
+    if outside:
+        # (0, col) for the columns outside composite index 0's block: between two blocks
+        home = next((row for idx in split.groups for row in idx if 0 in row), [0])
+        cols = np.setdiff1d(np.arange(6), home)
+        values = 0.1 * rng.normal(size=(3, cols.size))
+        values[1, 0] = 10.0
+        op = Blocked(split, op.blocks, Entries(np.zeros_like(cols), cols, values))
+        assert op.outside.rows.size and cols[0] < last_key
+        want[1] = int(cols[0])
+    got = _reports(op, trusted)
+    assert got == _old_worst_entries(op, trusted)
+    assert got == [(value, _location(split, key))
+                   for value, key in zip(["10.0", "10.0", "nan"], want)]
+
+
 def _coupling_split(n: int, space: FockSpace = SPACE) -> BlockSplit:
     return block_split(2**n, space, coupling_entries(n, space))
 
@@ -303,22 +352,7 @@ def _builders():
 @pytest.mark.parametrize("name, table, split", list(_builders()),
                          ids=[name for name, *_ in _builders()])
 def test_table_written_into_blocks_equals_the_gathered_entries(name, table, split):
-    got = table.blocked(split)
-    want = split.gather(table.entries())
-    _assert_same_blocked(got, want.blocks, want.outside)
-    _assert_same_blocked(got, *_old_gather(split, table.entries()))
-
-
-def test_relabelled_table_equals_the_gathered_relabelled_entries():
-    _, _, order = reduction_entries(SPACE)
-    c = SPACE.cutoff
-    back = (np.argsort(order)[:, None] * c + np.arange(c)).ravel()
-    split = _coupling_split(2)
-    table = reduced_table(SPACE, TIMES, 0.8)
-    rows, cols, values = table.entries()
-    want = split.gather(Entries(back[rows], back[cols], values))
-    got = table.blocked(split, back)
-    _assert_same_blocked(got, want.blocks, want.outside)
+    _assert_same_blocked(split.gather(table.entries()), *_old_gather(split, table.entries()))
 
 
 @pytest.mark.parametrize("n, cutoff", [(1, 24), (2, 30), (3, 24), (3, 41)])
@@ -418,7 +452,7 @@ def test_fill_equals_the_gathered_table(n, cutoff):
     split = _coupling_split(n, space)
     placed = closed_form(n, space).on(split)
     for t, g in ((FILL_TG, 1.0), ((0.4, 0.9, 0.4 + 0.9), 1.3)):
-        got, want = placed.fill(t, g), closed_form_table(n, space, t, g).blocked(split)
+        got, want = placed.fill(t, g), split.gather(closed_form_table(n, space, t, g).entries())
         for x, y in zip(got.blocks, want.blocks, strict=True):
             assert x.shape == y.shape
             np.testing.assert_array_equal(x, y)

@@ -81,7 +81,7 @@ def _filled_from(table):
 
     def form(n, space):
         return SimpleNamespace(on=lambda split: SimpleNamespace(
-            fill=lambda t, g: table(n, space, t, g).blocked(split)))
+            fill=lambda t, g: split.gather(table(n, space, t, g).entries())))
 
     return form
 

@@ -26,6 +26,8 @@ whose warm-up takes over 2 s (``SLOW_S``) runs once.  The file records:
   memory of a fresh process that imports ``tcprop.cli`` from the tree and
   runs that command once, median of 5 (``STARTS``) starts that alternate
   between the trees;
+* ``src_lines``: the line count of each ``src/tcprop/*.py`` file, as
+  ``wc -l`` counts it, and their ``total``, for both trees;
 * ``machine``: cores, Python, numpy, BLAS, best-of count, whether
   ``PYTHONDONTWRITEBYTECODE`` is set (then every start also compiles
   ``src/``) and both commits.
@@ -180,6 +182,13 @@ def one_shot(trees: dict[str, Path]) -> dict:
             for name, cmds in runs.items()}
 
 
+def src_lines(src: Path) -> dict[str, int]:
+    """Lines of each ``tcprop/*.py``, as ``wc -l`` counts them, and the total."""
+    counts = {path.name: path.read_bytes().count(b"\n")
+              for path in sorted((src / "tcprop").glob("*.py"))}
+    return dict(counts, total=sum(counts.values()))
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, text=True, capture_output=True,
                           check=True).stdout.strip()
@@ -225,6 +234,8 @@ def main() -> int:
         snapshot["parent"] = measure(Path(tmp) / "src", job)
         snapshot["change"] = measure(ROOT / "src", job)
         snapshot["one_shot"] = one_shot({"parent": Path(tmp) / "src", "change": ROOT / "src"})
+        snapshot["src_lines"] = {"parent": src_lines(Path(tmp) / "src"),
+                                 "change": src_lines(ROOT / "src")}
     snapshot["scale"] = {
         " ".join(argv): measure(ROOT / "src",
                                 dict(job, cli=[argv], stages=[], peak_atoms=[], slow_s=0.0))
