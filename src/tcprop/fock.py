@@ -2,9 +2,9 @@
 
 The annihilator comes as a list of its nonzero entries, the field factor of
 the entry-built coupling and Hamiltonian; closed forms and check references
-are coefficient vectors over the levels, f(N) a^k terms of a
-:class:`tcprop.propagator.SpectralTable`.  Only :func:`spectral_fn` builds
-a dense matrix, the diagonal f(N).  Row and column indices are photon
+are coefficient rows over the levels, of the f(N) a^k terms of a
+:class:`tcprop.propagator.Layout`.  Only :func:`spectral_fn` builds a
+dense matrix, the diagonal f(N).  Row and column indices are photon
 numbers, so the annihilator has entries ``a[m-1, m] = sqrt(m)``.
 
 Truncation corrupts operator products near the top of the ladder (the

@@ -4,12 +4,13 @@ The coupling operator A of one or two atoms, and the spin-1 block B of the
 two-atom reduction, satisfy A^3 = D A, D a function of the excitation, so
 exp(-i t g A) = 1 + F(D) A^2 - i G(D) A with F = (cos(tg sqrt(D)) - 1)/D and
 G = sin(tg sqrt(D))/sqrt(D), from the entire functions cosz and sincz of
-(t g)^2 D, all evaluated by one kernel from one rule for D.  One builder lays
-each closed form out from the displayed rows of A and A^2 as a
-:class:`ClosedForm`, all that t does not change, filled in at a vector of
-times as a :class:`SpectralTable` of terms f(N) a^k or, placed on a block
-split, straight into its blocks.  On a state, :func:`evolve_states` applies
-the identity at O(2^n x levels) work per time point.  The two-atom
+(t g)^2 D, all evaluated by one kernel from one rule for D.  Every operator
+here is a :class:`Layout` of terms f(N) a^k plus real coefficient rows,
+which become entries or, placed on a block split, its blocks.  One builder
+lays each closed form out from the displayed rows of A and A^2 as a
+:class:`ClosedForm`, the layout and the rule for its coefficients at any
+times.  On a state, :func:`evolve_states` applies the identity at
+O(2^n x levels) work per time point.  The two-atom
 D = 2(2m - 1) of the bottom row is clamped to 0 at m = 0, where F(D) A^2 is
 taken as 0, so cosz and sincz never see a negative argument.
 """
@@ -17,8 +18,8 @@ taken as 0, so cosz and sincz never see a negative argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import sqrt
+from typing import Callable
 
 import numpy as np
 
@@ -31,18 +32,15 @@ from .spinchain import (
     collective,
     excitation,
     join_entries,
-    join_values,
     kron_entries,
     _ground_bits,
 )
 
 __all__ = [
     "GaussSingularityError",
-    "SpectralTable",
+    "Layout",
     "closed_form",
-    "closed_form_table",
-    "spin_one_table",
-    "reduced_table",
+    "reduced_form",
     "gauss_tables",
     "free_phase",
     "reduction_entries",
@@ -60,55 +58,85 @@ _SQRT2 = sqrt(2.0)
 GAUSS_TAU_SING = 1e-8
 
 
-def _ladder(cutoff: int, keys) -> tuple[np.ndarray, np.ndarray, list, list]:
+def _ladder(cutoff: int, keys) -> tuple[np.ndarray, ...]:
     """Where the terms f(N) a^k whose (row, col, k) are ``keys`` have entries, term after term.
 
-    Returns each entry's row and col, and for each term the row levels [m0, m1) it spans
-    and its ladder factors on them in product order, sqrt(m + 1), sqrt(m + 2), ... for a^k
-    and sqrt(m), sqrt(m - 1), ... for (a+)^-k, which round as f(N) @ a @ a does.
+    Returns each entry's row, col, term and row level m, and its ladder factors in product
+    order, sqrt(m + 1), sqrt(m + 2), ... for a^k and sqrt(m), sqrt(m - 1), ... for (a+)^-k,
+    1 past its term's last: multiplied in one at a time, they round as f(N) @ a @ a does.
     """
     spans = [(max(0, -k), cutoff - max(0, k)) for *_, k in keys]
-    m = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
     count = [hi - lo for lo, hi in spans]
+    m = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
     rows = np.repeat([row * cutoff for row, *_ in keys], count) + m
     cols = np.repeat([col * cutoff + k for _, col, k in keys], count) + m
-    roots = np.sqrt(np.arange(cutoff + 1.0))
-    factors = [[roots[lo + j : hi + j] for j in (range(1, k + 1) if k > 0 else range(0, k, -1))]
-               for (*_, k), (lo, hi) in zip(keys, spans)]
-    return rows, cols, spans, factors
+    roots, ones = np.sqrt(np.arange(cutoff + 1.0)), np.ones(cutoff)
+    # the j-th factor: sqrt(m + 1 + j) on a^k, sqrt(m - j) on (a+)^-k while j < |k|, then 1
+    ladder = [np.concatenate([roots[lo + j + 1 : hi + j + 1] if j < k else
+                              roots[lo - j : hi - j] if j < -k else ones[: hi - lo]
+                              for (*_, k), (lo, hi) in zip(keys, spans)])
+              for j in range(max(abs(k) for *_, k in keys))]
+    return rows, cols, np.repeat(np.arange(len(keys)), count), m, ladder
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralTable:
-    """An operator on atomic blocks as a sum of terms f(N) a^k, at one or more times.
+class Layout:
+    """Terms f(N) a^k on the atomic blocks of an operator: all that their coefficients do not fix.
 
-    Each term is (atomic row, atomic col, ladder shift k, coefficients):
-    block (row, col) carries f(N) a^k, a negative k meaning (a+)^-k, and
-    the coefficients of shape (times, cutoff) hold f(m) at every row level m.
+    ``keys`` are the (atomic row, atomic col, k) of the terms: block (row, col)
+    carries f(N) a^k, a negative k meaning (a+)^-k, and i f(N) a^k for a term
+    flagged in ``imag``.  Coefficients of shape (..., terms, cutoff) hold the
+    real f(m) of each term at every row level m; leading axes index times.
     """
 
     n_blocks: int
     space: FockSpace
-    terms: tuple[tuple[int, int, int, np.ndarray], ...]
+    keys: list[tuple[int, int, int]]
+    imag: np.ndarray
 
-    @classmethod
-    def from_rows(cls, space: FockSpace, rows) -> "SpectralTable":
-        """Build from the block layout: rows of (k, coefficients) pairs, None for a zero block."""
-        terms = tuple(
-            (i, j, *blk) for i, row in enumerate(rows) for j, blk in enumerate(row) if blk is not None
-        )
-        return cls(len(rows), space, terms)
+    def entries(self, coefficients: np.ndarray) -> Entries:
+        """The terms' entries at ``coefficients``, complex if a term is imaginary: O(entries)."""
+        rows, cols, term, level, ladder = _ladder(self.space.cutoff, self.keys)
+        values = coefficients[..., term, level]
+        if self.imag.any():  # a layout with no imaginary term stays real
+            values = values * np.where(self.imag[term], 1j, 1.0)
+        for factor in ladder:
+            values *= factor
+        return Entries(rows, cols, values)
 
-    def entries(self) -> Entries:
-        """Every term's entries, values of shape (times, count): O(terms x levels) work."""
-        rows, cols, spans, factors = _ladder(self.space.cutoff, [term[:3] for term in self.terms])
-        values = [reduce(np.multiply, ladder, coef[..., lo:hi])
-                  for (*_, coef), (lo, hi), ladder in zip(self.terms, spans, factors)]
-        return Entries(rows, cols, join_values(values))
+    def on(self, split: BlockSplit, *coefficients: np.ndarray) -> tuple:
+        """A fill of the terms on ``split``, which must hold each of their entries inside a
+        block, and each of ``coefficients`` (..., terms, cutoff) at those entries.
 
-    def to_dense(self, i: int = 0) -> CompositeOperator:
-        """The dense operator at the i-th time of the table."""
-        return CompositeOperator.from_entries(self.n_blocks, self.space, self.entries().at(i))
+        The fill takes coefficients (..., entries) at the entries, multiplies their ladder
+        factors into them and writes them into blocks of the split in float arithmetic,
+        O(entries): the blocks equal ``split.gather(self.entries(...))``, entry for entry.
+        """
+        rows, cols, term, level, ladder = _ladder(self.space.cutoff, self.keys)
+        flat, inside = split._place(rows, cols)
+        if not inside.all():
+            raise ValueError("a layout entry falls between two blocks of the split")
+        # each entry's place in the flat buffer seen as floats: 2 p + 1 is the imaginary part
+        # of position p, where an imaginary term's entries go
+        where = 2 * flat + self.imag[term]
+
+        def fill(values: np.ndarray) -> Blocked:
+            for factor in ladder:
+                values *= factor
+            buf = np.zeros(values.shape[:-1] + (int(split.offsets[-1]),), dtype=complex)
+            buf.view(float)[..., where] = values
+            return split._blocked(buf, Entries.none(buf.shape[:-1]))
+
+        return (fill, *(x[..., term, level] for x in coefficients))
+
+
+def _layout(space: FockSpace, rows) -> tuple[Layout, np.ndarray]:
+    """A layout and its coefficients (..., terms, cutoff) from block rows of (k, coefficients)
+    pairs, None for a zero block; a block (k, coefficients, True) is an imaginary term."""
+    terms = [(i, j, *blk) for i, row in enumerate(rows) for j, blk in enumerate(row) if blk]
+    return (Layout(len(rows), space, [term[:3] for term in terms],
+                   np.array([len(term) > 4 for term in terms])),
+            np.stack([term[3] for term in terms], axis=-2))
 
 
 def _column(t) -> np.ndarray:
@@ -146,7 +174,7 @@ _LADDERS = {n: (collective(n)[0].real, n - _ground_bits(n).sum(axis=1)) for n in
 
 def _pattern_rows(n: int, space: FockSpace) -> list:
     """Coupling operator as displayed: A_k = [[A_(k-1), a 1], [a+ 1, A_(k-1)]] from A_0 = 0."""
-    ones = np.ones((1, space.cutoff))
+    ones = np.ones(space.cutoff)
     rows = [[None]]
     for _ in range(n):
         eye = range(len(rows))
@@ -158,7 +186,7 @@ def _pattern_rows(n: int, space: FockSpace) -> list:
 
 def _square_rows(n: int, space: FockSpace) -> list:
     """A^2 as displayed: f(N) on the diagonal blocks, plus 2 a^2 and 2 a+^2 for two atoms."""
-    m = np.arange(space.cutoff, dtype=float)[None, :]
+    m = np.arange(space.cutoff, dtype=float)
     if n == 1:
         return [[(0, m + 1), None], [None, (0, m)]]
     two = np.full_like(m, 2.0)
@@ -173,7 +201,7 @@ def _square_rows(n: int, space: FockSpace) -> list:
 
 def _spin1_rows(space: FockSpace) -> list:
     """Spin-1 block B as displayed: sqrt(2) a above the diagonal, sqrt(2) a+ below."""
-    r2 = np.full((1, space.cutoff), np.sqrt(2.0))
+    r2 = np.full(space.cutoff, np.sqrt(2.0))
     return [[None, (1, r2), None], [(-1, r2), None, (1, r2)], [None, (-1, r2), None]]
 
 
@@ -194,68 +222,30 @@ def _spectral(t, g: float, branch: np.ndarray, at, scale, shift) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ClosedForm:
-    """1 + F(D) A^2 - i G(D) A for any times: all of the closed form that t g does not change.
+    """1 + F(D) A^2 - i G(D) A for any times: its layout and the rule for its coefficients.
 
-    ``keys`` are the (atomic row, atomic col, k) of its terms f(N) a^k in row-major order.
-    f at each row level is :func:`_spectral` at the level's excitation index, ``at`` adding
-    the size of ``branch`` on the positions of A: (delta - r) + r cos(tg sqrt(D)),
-    r = (A^2 entry)/D, on 1 and A^2, and i times -G(D) (A's entry) + 0 on A.
+    The terms of A are the imaginary ones.  A coefficient at each row level is
+    :func:`_spectral` at the level's excitation index, ``at`` adding the size of
+    ``branch`` on the terms of A: (delta - r) + r cos(tg sqrt(D)),
+    r = (A^2 entry)/D, on 1 and A^2, and -G(D) (A's entry) + 0 on A.
     """
 
-    n_blocks: int
-    space: FockSpace
+    layout: Layout
     branch: np.ndarray
-    keys: list[tuple[int, int, int]]
     at: np.ndarray
     scale: np.ndarray
     shift: np.ndarray
 
-    def table(self, t, g: float) -> SpectralTable:
-        """The closed form at the time(s) t."""
-        values = _spectral(t, g, self.branch, self.at, self.scale, self.shift).swapaxes(0, 1)
-        sine = self.at[:, 0] >= self.branch.size
-        return SpectralTable(self.n_blocks, self.space, tuple(
-            (*key, 1j * f if on_a else f) for key, on_a, f in zip(self.keys, sine, values)))
+    def entries(self, t, g: float) -> Entries:
+        """The closed form's entries at the time(s) t."""
+        return self.layout.entries(_spectral(t, g, self.branch, self.at, self.scale, self.shift))
 
-    def on(self, split: BlockSplit) -> "BlockedForm":
-        """The form placed on ``split``, which must hold each of its entries inside a block."""
-        rows, cols, spans, factors = _ladder(self.space.cutoff, self.keys)
-        flat, inside = split._place(rows, cols)
-        if not inside.all():
-            raise ValueError("a closed-form entry falls between two blocks of the split")
-        at, scale, shift = (np.concatenate([x[j, lo:hi] for j, (lo, hi) in enumerate(spans)])
-                            for x in (self.at, self.scale, self.shift))
-        # each entry's j-th ladder factor, 1 past its term's last
-        ladder = [np.concatenate([f[j] if j < len(f) else np.ones(hi - lo)
-                                  for f, (lo, hi) in zip(factors, spans)])
-                  for j in range(max(map(len, factors)))]
-        # an entry on 1 or A^2 goes into its real half, one on A into its imaginary half
-        return BlockedForm(split, self.branch, 2 * flat + (at >= self.branch.size), at, scale,
-                           shift, ladder)
-
-
-@dataclass(frozen=True, eq=False)
-class BlockedForm:
-    """A :class:`ClosedForm` on ``split``: for each of its entries, the entry's place in the
-    flat buffer seen as floats, its ``at``, scale and shift, and its ladder factors."""
-
-    split: BlockSplit
-    branch: np.ndarray
-    where: np.ndarray
-    at: np.ndarray
-    scale: np.ndarray
-    shift: np.ndarray
-    ladder: list[np.ndarray]
-
-    def fill(self, t, g: float) -> Blocked:
-        """The form at the time(s) t as blocks of the split, in float arithmetic: O(entries), and
-        bit for bit ``split.gather(ClosedForm.table(t, g).entries())`` but for a NaN's sign."""
-        values = _spectral(t, g, self.branch, self.at, self.scale, self.shift)
-        for factor in self.ladder:
-            values *= factor
-        buf = np.zeros((values.shape[0], int(self.split.offsets[-1])), dtype=complex)
-        buf.view(float)[:, self.where] = values
-        return self.split._blocked(buf, Entries.none(buf.shape[:1]))
+    def on(self, split: BlockSplit) -> Callable[..., Blocked]:
+        """The form's fill on ``split``: (t, g) -> the form at the time(s) t as blocks of the
+        split, its rule evaluated on the placed entries alone, the only ones it keeps."""
+        fill, at, scale, shift = self.layout.on(split, self.at, self.scale, self.shift)
+        branch = self.branch
+        return lambda t, g: fill(_spectral(t, g, branch, at, scale, shift))
 
 
 def _closed_form(n: int, space: FockSpace, offsets, a_rows, sq_rows) -> ClosedForm:
@@ -267,17 +257,15 @@ def _closed_form(n: int, space: FockSpace, offsets, a_rows, sq_rows) -> ClosedFo
     """
     c, offsets = space.cutoff, np.asarray(offsets)
     branch = _excitation_branch(n, np.arange(c + offsets.max(), dtype=float))
-    terms = sorted(((i, j, *blk, rows is a_rows) for rows in (sq_rows, a_rows)
-                    for i, row in enumerate(rows) for j, blk in enumerate(row) if blk),
-                   key=lambda term: term[:2])
-    sine = np.array([[term[4]] for term in terms])
-    level = offsets[[term[0] for term in terms]][:, None] + np.arange(c)  # the excitation index
-    entry = np.concatenate([term[3] for term in terms])
+    # A and A^2 share no block, as A changes the excited atoms by one and A^2 by zero or two
+    layout, entry = _layout(space, [[(*a, True) if a else s for a, s in zip(*pair)]
+                                    for pair in zip(a_rows, sq_rows)])
+    sine = layout.imag[:, None]
+    level = offsets[[i for i, *_ in layout.keys]][:, None] + np.arange(c)  # the excitation index
     d = branch[level]
     r = np.divide(entry, d, out=np.zeros_like(d), where=d > 0)
-    delta = np.array([[i == j and k == 0] for i, j, k, *_ in terms])
-    return ClosedForm(len(a_rows), space, branch, [term[:3] for term in terms],
-                      level + sine * branch.size, np.where(sine, -entry, r),
+    delta = np.array([[i == j and k == 0] for i, j, k in layout.keys])
+    return ClosedForm(layout, branch, level + sine * branch.size, np.where(sine, -entry, r),
                       np.where(sine, 0.0, delta - r))
 
 
@@ -293,28 +281,27 @@ def closed_form(n: int, space: FockSpace) -> ClosedForm:
     return _closed_form(n, space, _LADDERS[n][1], _pattern_rows(n, space), _square_rows(n, space))
 
 
-def closed_form_table(n: int, space: FockSpace, t, g: float) -> SpectralTable:
-    """Closed-form exp(-i t g A) for n = 1 or 2 atoms at the time(s) t; see :func:`closed_form`."""
-    return closed_form(n, space).table(t, g)
+def reduced_form(space: FockSpace) -> ClosedForm:
+    """blockdiag(1, exp(-i t g B)) on the reduced basis (singlet first), for any times.
 
-
-def spin_one_table(space: FockSpace, t, g: float) -> SpectralTable:
-    """Closed-form exp(-i t g B) for the spin-1 block of the reduction, at the time(s) t.
-
-    The two-atom form on the rows of B: D = 2(2N+3), 2(2N+1) and 2(2N-1).
+    B is the spin-1 block, D = 2(2N+3), 2(2N+1) and 2(2N-1) on its rows.  The
+    singlet's A^2 is 0, so its 1 is (1 - 0) + 0 cos(tg sqrt(D)), exactly 1.
     """
-    form = _closed_form(2, space, (2, 1, 0), _spin1_rows(space), _spin1_square_rows(space))
-    return form.table(t, g)
+    def lead(rows, singlet):
+        return [[singlet, None, None, None]] + [[None, *row] for row in rows]
+
+    return _closed_form(2, space, (1, 2, 1, 0), lead(_spin1_rows(space), None),
+                        lead(_spin1_square_rows(space), (0, np.zeros(space.cutoff))))
 
 
 def evolve_one_atom(space: FockSpace, t: float, g: float) -> CompositeOperator:
-    """Closed-form exp(-i t g A) for one atom; see :func:`closed_form_table`."""
-    return closed_form_table(1, space, t, g).to_dense()
+    """Closed-form exp(-i t g A) for one atom; see :func:`closed_form`."""
+    return CompositeOperator.from_entries(2, space, closed_form(1, space).entries(t, g).at(0))
 
 
 def evolve_two_atoms(space: FockSpace, t: float, g: float) -> CompositeOperator:
-    """Closed-form exp(-i t g A) for two atoms; see :func:`closed_form_table`."""
-    return closed_form_table(2, space, t, g).to_dense()
+    """Closed-form exp(-i t g A) for two atoms; see :func:`closed_form`."""
+    return CompositeOperator.from_entries(4, space, closed_form(2, space).entries(t, g).at(0))
 
 
 class GaussSingularityError(ValueError):
@@ -333,10 +320,9 @@ class GaussSingularityError(ValueError):
         )
 
 
-def gauss_tables(
-    space: FockSpace, t: float, g: float
-) -> tuple[SpectralTable, SpectralTable, SpectralTable]:
-    """The (lower, diagonal, upper) factors of :func:`gauss_decompose_one_atom` as tables.
+def gauss_tables(space: FockSpace, t: float, g: float) -> tuple[Layout, np.ndarray]:
+    """The (lower, diagonal, upper) factors of :func:`gauss_decompose_one_atom`: one layout and
+    their coefficients (3, 1, terms, cutoff), 0 on a term a factor lacks.
 
     Refuses with :class:`GaussSingularityError` as that function does.
     """
@@ -347,18 +333,17 @@ def gauss_tables(
         level = int(bad[0])
         raise GaussSingularityError(level, float(abs(cos_l[0, level])))
 
-    # -i tan(tg sqrt(m))/sqrt(m) on levels 0..cutoff-1; total because sincz(0) = cosz(0) = 1
-    tan = -1j * (sin_l[:, :c] / cos_l[:, :c])
+    # -tan(tg sqrt(m))/sqrt(m) on levels 0..cutoff-1, on an imaginary term; total because
+    # sincz(0) = cosz(0) = 1
+    tan = -(sin_l[:, :c] / cos_l[:, :c])
     # the same function of N+1, at the row level m
     tan_up = np.pad(tan[:, 1:], ((0, 0), (0, 1)))
-    one = (0, np.ones((1, c)))
-    return (
-        SpectralTable.from_rows(space, [[one, None], [(-1, tan), one]]),
-        SpectralTable.from_rows(
-            space, [[(0, cos_l[:, 1:]), None], [None, (0, 1.0 / cos_l[:, :c])]]
-        ),
-        SpectralTable.from_rows(space, [[one, (1, tan_up)], [None, one]]),
-    )
+    one, zero = np.ones((1, c)), np.zeros((1, c))
+    # each block in the lower, diagonal and upper factor
+    return _layout(space, [
+        [(0, np.stack([one, cos_l[:, 1:], one])), (1, np.stack([zero, zero, tan_up]), True)],
+        [(-1, np.stack([tan, zero, zero]), True), (0, np.stack([one, 1.0 / cos_l[:, :c], one]))],
+    ])
 
 
 def gauss_decompose_one_atom(
@@ -378,7 +363,9 @@ def gauss_decompose_one_atom(
     Refuses with :class:`GaussSingularityError` when |cos(tg sqrt(m))| falls
     below :data:`GAUSS_TAU_SING` for any level m in 0..cutoff-1.
     """
-    return tuple(table.to_dense() for table in gauss_tables(space, t, g))
+    layout, coefficients = gauss_tables(space, t, g)
+    return tuple(CompositeOperator.from_entries(2, space, layout.entries(factor))
+                 for factor in coefficients[:, 0])
 
 
 def free_phase(n: int, space: FockSpace, t, omega: float) -> np.ndarray:
@@ -396,7 +383,8 @@ def evolve_full(n: int, space: FockSpace, t: float, omega: float, g: float) -> C
     Available for n = 1 and n = 2; no closed interaction form exists for
     three atoms.
     """
-    interaction = closed_form_table(n, space, t, g).to_dense()
+    interaction = CompositeOperator.from_entries(2**n, space,
+                                                 closed_form(n, space).entries(t, g).at(0))
     phase = free_phase(n, space, t, omega)[0]
     return CompositeOperator(interaction.n_blocks, space, phase[:, None] * interaction.matrix)
 
@@ -484,14 +472,6 @@ def reduction_entries(space: FockSpace) -> tuple[Entries, Entries, np.ndarray]:
     return similarity, b, np.argmax(s_mat.real, axis=0)
 
 
-def reduced_table(space: FockSpace, t, g: float) -> SpectralTable:
-    """blockdiag(1, exp(-i t g B)) on the reduced basis (singlet first) at the time(s) t."""
-    spin1 = spin_one_table(space, t, g)
-    one = np.ones((np.size(t), space.cutoff))
-    shifted = tuple((row + 1, col + 1, k, coef) for row, col, k, coef in spin1.terms)
-    return SpectralTable(4, space, ((0, 0, 0, one), *shifted))
-
-
 def reconstruct_two_atoms(space: FockSpace, t: float, g: float) -> CompositeOperator:
     """Two-atom propagator rebuilt through the spin-1 reduction.
 
@@ -499,7 +479,7 @@ def reconstruct_two_atoms(space: FockSpace, t: float, g: float) -> CompositeOper
     :func:`evolve_two_atoms` on the trusted subspace.
     """
     similarity = CompositeOperator.from_entries(4, space, reduction_entries(space)[0])
-    inner = reduced_table(space, t, g).to_dense()
+    inner = CompositeOperator.from_entries(4, space, reduced_form(space).entries(t, g).at(0))
     return similarity.dagger() @ inner @ similarity
 
 

@@ -3,19 +3,21 @@
 Grids are fixed so output depends only on atoms, cutoff, guard and tol.
 Identities the construction makes exact carry tolerance 0; those checked
 through a product carry four ulps of the largest reference entry.
-Structured references are built as a :class:`SpectralTable` from the
-displayed block rows in :mod:`~tcprop.propagator`, from which the closed
-forms are built too, never from the kron sums they are checked against.
+Structured references are a :class:`~tcprop.propagator.Layout` and real
+coefficient rows from the displayed block rows in
+:mod:`~tcprop.propagator`, from which the closed forms are built too, never
+from the kron sums they are checked against.
 
 No check forms a dense (2**n cutoff)^2 matrix.  The tolerance-0 checks
 compare entry lists.  Every other check runs on the blocks the oracle
 finds in the generator's entries, at most 2**n levels each, held in one
-flat buffer per operator: closed forms are written into it from their
-placed entries, every other operator is scattered into it at once, every
-product is a stack of small ones and every comparison reduces the blocks
-through :func:`~tcprop.oracle.block_magnitudes`, to a bare value where no
-location is printed.  That function alone decides how an entry between
-blocks counts: in full.
+flat buffer per operator: every layout (closed forms, Gauss factors, A^2)
+is written into it from its placed entries, every other operator is
+scattered into it at once, every product is a stack of small ones and
+every comparison reduces the blocks through
+:func:`~tcprop.oracle.block_magnitudes`, to a bare value where no location
+is printed.  That function alone decides how an entry between blocks
+counts: in full.
 The oracle splits the coupling once, lays the Hamiltonian out on the same
 blocks, factors each generator once and exponentiates several scales in
 one batched product.  The closed form is laid out and placed on those
@@ -29,6 +31,7 @@ just made, never into a fill.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -42,15 +45,15 @@ from .oracle import (
     worst_entries,
 )
 from .propagator import (
-    BlockedForm,
-    SpectralTable,
+    Layout,
+    _layout,
     _pattern_rows,
     _spin1_rows,
     _square_rows,
     closed_form,
     free_phase,
     gauss_tables,
-    reduced_table,
+    reduced_form,
     reduction_entries,
 )
 from .spinchain import (
@@ -81,6 +84,7 @@ GAUSS = (0.3, 1.0)  # t, g of the one-atom triangular factorization
 # grid scales exponentiated, compared or squared together: bounds the oracle side and the
 # Gram product at O(2**n * cutoff * SCALES_PER_PASS) for any grid
 SCALES_PER_PASS = 4
+Fill = Callable[..., Blocked]  # a closed form on a split: (t, g) -> its blocks at the time(s) t
 
 
 @dataclass(frozen=True)
@@ -108,6 +112,18 @@ def _tmax(op: Blocked, trusted: bool = True) -> float:
     return float(block_magnitudes(op, trusted)[0].max())
 
 
+def _reference(space: FockSpace, rows) -> Entries:
+    """The entries of displayed block rows; their coefficient rows are not kept."""
+    layout, coefficients = _layout(space, rows)
+    return layout.entries(coefficients)
+
+
+def _placed(split: BlockSplit, layout: Layout, coefficients: np.ndarray) -> Blocked:
+    """The layout's terms at ``coefficients`` written into the blocks of ``split``."""
+    fill, values = layout.on(split, coefficients)
+    return fill(values)
+
+
 def _compare_into(own: Blocked, other: Blocked) -> list[ComparisonReport]:
     """:func:`~tcprop.oracle.worst_entries` of ``own - other``, written into ``own``.
 
@@ -133,19 +149,20 @@ def gauss_deviations(
     ``split`` (built here if not given); the second checks the shift
     identity f(N) a+ = a+ f(N+1) over every entry, guard levels included.
     """
-    tables = gauss_tables(space, t, g)
+    layout, coefficients = gauss_tables(space, t, g)
     if split is None:
         split = block_split(2, space, coupling_entries(1, space))
-    lower, diagonal, upper = (split.gather(table.entries()) for table in tables)
+    factors = _placed(split, layout, coefficients)
+    lower, diagonal, upper = factors[0], factors[1], factors[2]
     if closed is None:
-        closed = closed_form(1, space).on(split).fill(t, g)
+        closed = closed_form(1, space).on(split)(t, g)
     variant = _tmax(lower - upper.transpose(), trusted=False)
     return _compare_into(lower @ diagonal @ upper, closed)[0].max_abs_deviation, variant
 
 
-def _reduction_checks(space: FockSpace, a_op: Blocked, closed: BlockedForm) -> list[CheckResult]:
+def _reduction_checks(space: FockSpace, a_op: Blocked, fill: Fill) -> list[CheckResult]:
     """The spin-1 reduction on the split of ``a_op``, S undone by an index map; T kron 1 keeps
-    every block.  ``closed`` is the two-atom closed form placed on that split."""
+    every block.  ``fill`` fills the two-atom closed form on that split."""
     split = a_op.split
     similarity, b, order = reduction_entries(space)
     c = space.cutoff
@@ -158,14 +175,14 @@ def _reduction_checks(space: FockSpace, a_op: Blocked, closed: BlockedForm) -> l
     reduced = sim @ a_op @ sim.dagger()
     results.append(_result("reduction-blockdiag", _tmax(reduced - ref, False),
                            _four_ulps(_tmax(ref, False))))
-    b_ref = SpectralTable.from_rows(space, _spin1_rows(space)).entries().at(0)
+    b_ref = _reference(space, _spin1_rows(space))
     results.append(_result("spin1-pattern", entry_deviation(b, -b_ref), 0.0))
-    inner = reduced_table(space, *RECONSTRUCTION).entries()
+    inner = reduced_form(space).entries(*RECONSTRUCTION)
     inner = split.gather(Entries(back[inner.rows], back[inner.cols], inner.values))
     recon = sim.dagger() @ inner @ sim
-    recon_dev = _compare_into(recon, closed.fill(*RECONSTRUCTION))[0]
+    recon_dev = _compare_into(recon, fill(*RECONSTRUCTION))[0]
     results.append(_result("reduction-reconstruction", recon_dev.max_abs_deviation, 1e-10))
-    u_two = closed.fill(0.7, 1.3).entries().at(0)
+    u_two = fill(0.7, 1.3).entries().at(0)
 
     def block(i: int, j: int) -> Entries:
         """The (i, j) field block of the two-atom propagator, indexed by photon levels."""
@@ -189,7 +206,7 @@ def _reduction_checks(space: FockSpace, a_op: Blocked, closed: BlockedForm) -> l
 
 def _key_relations(n: int, space: FockSpace, a_op: Blocked, e: np.ndarray) -> list[CheckResult]:
     """A^2 against its displayed blocks, and for two atoms A^3 = D A; E is the excitation."""
-    sq_ref = a_op.split.gather(SpectralTable.from_rows(space, _square_rows(n, space)).entries())
+    sq_ref = _placed(a_op.split, *_layout(space, _square_rows(n, space)))
     a_sq = a_op @ a_op
     results = [_result("key-relation-squared", _tmax(a_sq - sq_ref), _four_ulps(_tmax(sq_ref)))]
     if n == 2:
@@ -205,7 +222,7 @@ def _passes(scales: tuple) -> list[slice]:
     return [slice(i, i + SCALES_PER_PASS) for i in range(0, len(scales), SCALES_PER_PASS)]
 
 
-def _closed_vs_oracle(closed: BlockedForm, oracle: BlockEigen, tol: float) -> CheckResult:
+def _closed_vs_oracle(fill: Fill, oracle: BlockEigen, tol: float) -> CheckResult:
     """The closed form against the oracle over ORACLE_GRID, each distinct t g once, in passes.
 
     Only one pass's exponentials and magnitudes are held at a time.  Each
@@ -213,7 +230,7 @@ def _closed_vs_oracle(closed: BlockedForm, oracle: BlockEigen, tol: float) -> Ch
     first at the worst t g.
     """
     scales = tuple(dict.fromkeys(ORACLE_TG))
-    u = closed.fill(scales, 1.0)
+    u = fill(scales, 1.0)
     reports = [report for part in _passes(scales)
                for report in _compare_into(oracle.expm(scales[part]), u[part])]
     # a NaN deviation is picked over every number, as worst_entries picks a NaN entry
@@ -225,10 +242,10 @@ def _closed_vs_oracle(closed: BlockedForm, oracle: BlockEigen, tol: float) -> Ch
     return _result("closed-vs-oracle", worst.max_abs_deviation, tol, note=note)
 
 
-def _unitarity(closed: BlockedForm) -> float:
+def _unitarity(fill: Fill) -> float:
     """max |U+ U - 1| over the distinct t g of UNITARITY_TG, the Gram products in passes."""
     scales = tuple(dict.fromkeys(UNITARITY_TG))
-    u = closed.fill(scales, 1.0)
+    u = fill(scales, 1.0)
     identity = Blocked.identity(u.split)
 
     def gram_deviation(part: slice) -> float:
@@ -254,7 +271,7 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
     results.append(_result("su2-relations", dev, 0.0))
 
     a = coupling_entries(n, space)
-    pattern = SpectralTable.from_rows(space, _pattern_rows(n, space)).entries().at(0)
+    pattern = _reference(space, _pattern_rows(n, space))
     results.append(_result("coupling-pattern", entry_deviation(a, -pattern), 0.0))
     results.append(_result("coupling-hermitian", entry_deviation(a, -a.dagger()), 0.0))
     # a diagonal operator multiplies as a vector: A E scales columns, E A rows
@@ -268,26 +285,25 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
 
     oracle = block_eigh(2**n, space, a)
     results += _key_relations(n, space, oracle.generator, e)
-    closed = closed_form(n, space).on(oracle.split)
-    results.append(_closed_vs_oracle(closed, oracle, tol))
+    fill = closed_form(n, space).on(oracle.split)
+    results.append(_closed_vs_oracle(fill, oracle, tol))
     # reported after schrodinger-residual-ratio, run before full-vs-oracle holds its operands
-    unitarity = _result("unitarity", _unitarity(closed), 1e-10)
+    unitarity = _result("unitarity", _unitarity(fill), 1e-10)
 
     # H is A plus a diagonal: its entries fit A's blocks, and it is factored on them
     h = hamiltonian_entries(n, space, 1.0, 1.0, 1.0)
     h_oracle = block_eigh(2**n, space, h, oracle.split)
-    full = closed.fill(FULL_TIMES, 1.0).scale_rows(free_phase(n, space, FULL_TIMES, 1.0))
+    full = fill(FULL_TIMES, 1.0).scale_rows(free_phase(n, space, FULL_TIMES, 1.0))
     full_dev = _compare_into(h_oracle.expm(FULL_TIMES[0])[0], full[0])[0].max_abs_deviation
     results.append(_result("full-vs-oracle", full_dev, tol))
 
     if n == 1:
-        product_dev, variant_dev = gauss_deviations(space, *GAUSS, oracle.split,
-                                                    closed.fill(*GAUSS))
+        product_dev, variant_dev = gauss_deviations(space, *GAUSS, oracle.split, fill(*GAUSS))
         results.append(_result("gauss-product", product_dev, tol))
         results.append(_result("gauss-variants", variant_dev, 1e-12))
 
     if n == 2:
-        results += _reduction_checks(space, oracle.generator, closed)
+        results += _reduction_checks(space, oracle.generator, fill)
 
     # central-difference residual of i dU/dt = H U at U(0.7), step 1e-4 over step 5e-5
     h_mid = h_oracle.generator @ full[0]
@@ -302,7 +318,7 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
 
     results.append(unitarity)
     t1, t2, g_law = GROUP_LAW
-    law = closed.fill((t1, t2, t1 + t2), g_law)
+    law = fill((t1, t2, t1 + t2), g_law)
     results.append(_result("group-law", _tmax(law[0] @ law[1] - law[2]), 1e-9))
 
     return results, notes

@@ -1,15 +1,17 @@
-"""The flat block layout: gather, table-to-blocks writes and block-direct reductions.
+"""The flat block layout: gather, layout-to-blocks writes and block-direct reductions.
 
 Each kernel is checked bit for bit against a copy, kept here, of the code
-it replaced: the per-block-size 4-D ``np.add.at`` gather, the entry-list
-``worst_entries``, the full-width relation-fit rows, the level-by-level
-coherent-state loop, the entry-list Hermiticity check of ``block_eigh`` and
-the maximum over ``worst_entries`` reports.  A closed form filled on a
-split is checked against its table gathered on that split.
+it replaced: the per-block-size 4-D ``np.add.at`` gather, the per-term
+entries of a table of f(N) a^k terms, the entry-list ``worst_entries``,
+the full-width relation-fit rows, the level-by-level coherent-state loop,
+the entry-list Hermiticity check of ``block_eigh`` and the maximum over
+``worst_entries`` reports.  Every layout filled on a split is checked
+against its per-term entries gathered on that split.
 """
 
 import math
 import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,18 +22,18 @@ from tcprop import (
     BlockSplit,
     Entries,
     FockSpace,
-    SpectralTable,
+    Layout,
     block_eigh,
     block_split,
     closed_form,
-    closed_form_table,
     coupling_entries,
     entry_deviation,
     gauss_tables,
     hamiltonian_entries,
-    reduced_table,
+    join_values,
+    propagator,
+    reduced_form,
     reduction_entries,
-    spin_one_table,
     trusted_mask,
     worst_entries,
 )
@@ -331,28 +333,101 @@ def _coupling_split(n: int, space: FockSpace = SPACE) -> BlockSplit:
     return block_split(2**n, space, coupling_entries(n, space))
 
 
+def _old_entries(layout: Layout, coefficients: np.ndarray) -> Entries:
+    """The terms' entries as the per-term table made them: each term over the row levels
+    [lo, hi) it spans, ``reduce(np.multiply, ladder, coef[..., lo:hi])`` with its ladder
+    factors in product order, an imaginary term's coefficients times 1j, the terms joined."""
+    c = layout.space.cutoff
+    spans = [(max(0, -k), c - max(0, k)) for *_, k in layout.keys]
+    m = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+    count = [hi - lo for lo, hi in spans]
+    rows = np.repeat([row * c for row, *_ in layout.keys], count) + m
+    cols = np.repeat([col * c + k for _, col, k in layout.keys], count) + m
+    roots = np.sqrt(np.arange(c + 1.0))
+    values = []
+    for term, ((*_, k), (lo, hi)) in enumerate(zip(layout.keys, spans)):
+        coef = coefficients[..., term, :]
+        coef = 1j * coef if layout.imag[term] else coef
+        ladder = [roots[lo + j : hi + j] for j in (range(1, k + 1) if k > 0 else range(0, k, -1))]
+        values.append(reduce(np.multiply, ladder, coef[..., lo:hi]))
+    return Entries(rows, cols, join_values(values))
+
+
+def _rows(form, t, g: float) -> np.ndarray:
+    """A closed form's coefficients (times, terms, cutoff) at the time(s) t, from its rule."""
+    return propagator._spectral(t, g, form.branch, form.at, form.scale, form.shift)
+
+
+def _spin_one(space: FockSpace):
+    """The spin-1 closed form from `_closed_form`: the last three blocks of the reduced form."""
+    return propagator._closed_form(2, space, (2, 1, 0), propagator._spin1_rows(space),
+                                   propagator._spin1_square_rows(space))
+
+
+def _reduced_splits(space: FockSpace) -> tuple[BlockSplit, BlockSplit]:
+    """The blocks of B on 3 atomic blocks, and of blockdiag(0, B) on 4."""
+    _, b, _ = reduction_entries(space)
+    c = space.cutoff
+    return (block_split(3, space, b),
+            block_split(4, space, Entries(b.rows + c, b.cols + c, b.values)))
+
+
+def _forms(n: int, space: FockSpace):
+    """(name, closed form, split) of every closed form `_closed_form` lays out, by atom count."""
+    if n == 1:
+        yield "one-atom", closed_form(1, space), _coupling_split(1, space)
+        return
+    spin1, reduced = _reduced_splits(space)
+    yield "two-atom", closed_form(2, space), _coupling_split(2, space)
+    yield "spin-1", _spin_one(space), spin1
+    yield "reduced", reduced_form(space), reduced
+
+
+def _tables(n: int, space: FockSpace):
+    """(name, layout, coefficients, split) of every other layout the code builds: the Gauss
+    factors and the displayed references of A, A^2 and B, by atom count (three atoms with two)."""
+    if n == 1:
+        layout, coefficients = gauss_tables(space, 0.3, 1.2)
+        for name, factor in zip(("lower", "diagonal", "upper"), coefficients):
+            yield f"gauss-{name}", layout, factor, _coupling_split(1, space)
+    for atoms in (1,) if n == 1 else (2, 3):
+        split = _coupling_split(atoms, space)
+        pattern = propagator._layout(space, propagator._pattern_rows(atoms, space))
+        yield f"pattern-{atoms}", *pattern, split
+        if atoms < 3:
+            square = propagator._layout(space, propagator._square_rows(atoms, space))
+            yield f"square-{atoms}", *square, split
+    if n == 2:
+        spin1 = propagator._layout(space, propagator._spin1_rows(space))
+        yield "spin1-pattern", *spin1, _reduced_splits(space)[0]
+
+
 def _builders():
-    similarity, b, order = reduction_entries(SPACE)
-    c = SPACE.cutoff
-    spin1 = block_split(3, SPACE, b)
-    reduced = block_split(4, SPACE, Entries(b.rows + c, b.cols + c, b.values))
-    singletons = BlockSplit(2, SPACE, (np.arange(2 * c)[:, None],))
-    yield "one-atom", closed_form_table(1, SPACE, TIMES, 1.1), _coupling_split(1)
-    yield "two-atom", closed_form_table(2, SPACE, TIMES, 0.7), _coupling_split(2)
-    yield "spin-1", spin_one_table(SPACE, TIMES, 0.9), spin1
-    yield "reduced", reduced_table(SPACE, TIMES, 0.9), reduced
-    for name, table in zip(("lower", "diagonal", "upper"), gauss_tables(SPACE, 0.3, 1.2)):
-        yield f"gauss-{name}", table, _coupling_split(1)
-    yield "entries-outside", closed_form_table(1, SPACE, TIMES, 1.1), singletons
+    for n, g in ((1, 1.1), (2, 0.7)):
+        for name, form, split in _forms(n, SPACE):
+            yield name, form.layout, _rows(form, TIMES, g), split
+    for n in (1, 2):
+        yield from _tables(n, SPACE)
+    form = closed_form(1, SPACE)
+    singletons = BlockSplit(2, SPACE, (np.arange(2 * SPACE.cutoff)[:, None],))
+    yield "entries-outside", form.layout, _rows(form, TIMES, 1.1), singletons
     # two terms on one block share every position: the second adds to the first
-    terms = closed_form_table(1, SPACE, TIMES, 1.1).terms
-    yield "shared-positions", SpectralTable(2, SPACE, terms + terms[:2]), _coupling_split(1)
+    layout, coefficients = form.layout, _rows(form, TIMES, 1.1)
+    shared = Layout(2, SPACE, layout.keys + layout.keys[:2],
+                    np.append(layout.imag, layout.imag[:2]))
+    yield ("shared-positions", shared, np.concatenate([coefficients, coefficients[:, :2]], axis=1),
+           _coupling_split(1))
 
 
-@pytest.mark.parametrize("name, table, split", list(_builders()),
+@pytest.mark.parametrize("name, layout, coefficients, split", list(_builders()),
                          ids=[name for name, *_ in _builders()])
-def test_table_written_into_blocks_equals_the_gathered_entries(name, table, split):
-    _assert_same_blocked(split.gather(table.entries()), *_old_gather(split, table.entries()))
+def test_table_written_into_blocks_equals_the_gathered_entries(name, layout, coefficients, split):
+    got, want = layout.entries(coefficients), _old_entries(layout, coefficients)
+    np.testing.assert_array_equal(got.rows, want.rows)
+    np.testing.assert_array_equal(got.cols, want.cols)
+    assert got.values.dtype == want.values.dtype  # a table with no imaginary term stays real
+    np.testing.assert_array_equal(got.values, want.values)
+    _assert_same_blocked(split.gather(got), *_old_gather(split, want))
 
 
 @pytest.mark.parametrize("n, cutoff", [(1, 24), (2, 30), (3, 24), (3, 41)])
@@ -375,21 +450,22 @@ def test_gauss_deviations_on_the_coupling_split_it_is_given():
     split = _coupling_split(1)
     assert gauss_deviations(SPACE, 0.3, 1.0, split) == gauss_deviations(SPACE, 0.3, 1.0)
     # the closed form filled on the split, as verify passes it, and left unwritten
-    closed = closed_form(1, SPACE).on(split).fill(0.3, 1.0)
+    closed = closed_form(1, SPACE).on(split)(0.3, 1.0)
     before = [x.copy() for x in closed.blocks]
     assert gauss_deviations(SPACE, 0.3, 1.0, split, closed) == gauss_deviations(SPACE, 0.3, 1.0)
     assert all(x.tobytes() == y.tobytes() for x, y in zip(closed.blocks, before))
 
 
 def test_gauss_variant_on_the_blocks_is_the_entry_list_deviation(monkeypatch):
-    lower, diagonal, upper = gauss_tables(SPACE, 0.3, 1.2)
-    row, col, k, coef = upper.terms[1]  # -i tan(tg sqrt(N+1))/sqrt(N+1) a
-    bumped = coef.copy()
-    bumped[0, -2] += 1e-3  # row level cutoff - 2, in the guard band
-    upper = SpectralTable(2, SPACE, (upper.terms[0], (row, col, k, bumped), upper.terms[2]))
-    monkeypatch.setattr(tcprop.verify, "gauss_tables", lambda *args: (lower, diagonal, upper))
+    layout, coefficients = gauss_tables(SPACE, 0.3, 1.2)
+    bumped = coefficients.copy()
+    # the upper factor's -i tan(tg sqrt(N+1))/sqrt(N+1) a at row level cutoff - 2, in the
+    # guard band
+    bumped[2, 0, layout.keys.index((0, 1, 1)), -2] += 1e-3
+    monkeypatch.setattr(tcprop.verify, "gauss_tables", lambda *args: (layout, bumped))
     _, variant = gauss_deviations(SPACE, 0.3, 1.2)
-    want = entry_deviation(lower.entries().at(0), -upper.entries().at(0).transpose())
+    lower, upper = (layout.entries(bumped[i, 0]) for i in (0, 2))
+    want = entry_deviation(lower, -upper.transpose())
     assert variant == want > 1e-4
 
 
@@ -444,22 +520,37 @@ def test_coherent_state_is_bitwise_the_level_by_level_loop(cutoff, kind):
 FILL_TG = (0.0, 1e-8, 1e-3, 0.1, 0.7, 2.5, 10.0, 20.0, 123.4, 1e3, 1e6, -3.3)
 
 
+def _assert_equal_blocks(got: Blocked, want: Blocked):
+    # == treats -0 as 0 and NaN as NaN: a fill is held to the per-term values, not their bytes
+    for x, y in zip(got.blocks, want.blocks, strict=True):
+        assert x.shape == y.shape
+        np.testing.assert_array_equal(x, y)
+    assert got.outside.values.shape == want.outside.values.shape
+    assert got.outside.rows.size == 0
+
+
 @pytest.mark.parametrize("cutoff", [4, 24, 120, 400])
 @pytest.mark.parametrize("n", [1, 2])
 def test_fill_equals_the_gathered_table(n, cutoff):
-    # == treats -0 as 0 and NaN as NaN: the fill is held to the table's values, not their bytes
+    # every layout the code builds for n atoms, filled on its split, against its per-term
+    # entries gathered there: the closed forms at every time of a grid, the others as built
     space = FockSpace(cutoff)
-    split = _coupling_split(n, space)
-    placed = closed_form(n, space).on(split)
-    for t, g in ((FILL_TG, 1.0), ((0.4, 0.9, 0.4 + 0.9), 1.3)):
-        got, want = placed.fill(t, g), split.gather(closed_form_table(n, space, t, g).entries())
-        for x, y in zip(got.blocks, want.blocks, strict=True):
-            assert x.shape == y.shape
-            np.testing.assert_array_equal(x, y)
-        assert got.outside.values.shape == want.outside.values.shape == (len(t), 0)
+    for name, form, split in _forms(n, space):
+        fill = form.on(split)
+        for t, g in ((FILL_TG, 1.0), ((0.4, 0.9, 0.4 + 0.9), 1.3)):
+            want = split.gather(_old_entries(form.layout, _rows(form, t, g)))
+            _assert_equal_blocks(fill(t, g), want)
+            assert want.outside.values.shape == (len(t), 0), name
+    for name, layout, coefficients, split in _tables(n, space):
+        fill, values = layout.on(split, coefficients)
+        _assert_equal_blocks(fill(values), split.gather(_old_entries(layout, coefficients)))
+    # a closed form, a Gauss factor and the reduced form refuse a split with an entry of theirs
+    # between two blocks
     singletons = BlockSplit(2**n, space, (np.arange(2**n * cutoff)[:, None],))
-    with pytest.raises(ValueError, match="between two blocks"):
-        closed_form(n, space).on(singletons)
+    gauss = gauss_tables(space, 0.3, 1.2)[0]
+    for form in (closed_form(n, space), gauss if n == 1 else reduced_form(space)):
+        with pytest.raises(ValueError, match="between two blocks"):
+            form.on(singletons)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

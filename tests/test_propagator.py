@@ -16,10 +16,9 @@ from tcprop import (
     Entries,
     FockSpace,
     GaussSingularityError,
-    SpectralTable,
     annihilator_entries,
     apply,
-    closed_form_table,
+    closed_form,
     compare,
     cosz,
     coupling_operator,
@@ -33,11 +32,10 @@ from tcprop import (
     gauss_tables,
     hamiltonian,
     reconstruct_two_atoms,
-    reduced_table,
+    reduced_form,
     reduction_entries,
     sincz,
     spectral_fn,
-    spin_one_table,
     trusted_mask,
 )
 from tcprop import propagator
@@ -67,6 +65,24 @@ def _reduction(space: FockSpace) -> tuple[CompositeOperator, CompositeOperator]:
 
 def _max_dev(x, y) -> float:
     return float(np.max(np.abs(np.asarray(x) - np.asarray(y))))
+
+
+def _dense(space: FockSpace, n_blocks: int, entries: Entries, i: int = 0) -> CompositeOperator:
+    """The entries at the i-th time as a dense operator."""
+    return CompositeOperator.from_entries(n_blocks, space, entries.at(i))
+
+
+def _spin_one(space: FockSpace, t, g: float) -> Entries:
+    """exp(-i t g B) at the time(s) t: the last three blocks of the reduced form."""
+    e, c = reduced_form(space).entries(t, g), space.cutoff
+    keep = (e.rows >= c) & (e.cols >= c)
+    return Entries(e.rows[keep] - c, e.cols[keep] - c, e.values[..., keep])
+
+
+def _rows_by_block(form, t, g: float) -> dict:
+    """The closed form's coefficient rows (times, cutoff), from its rule, by atomic block."""
+    rows = propagator._spectral(t, g, form.branch, form.at, form.scale, form.shift)
+    return {(i, j): rows[:, term] for term, (i, j, _) in enumerate(form.layout.keys)}
 
 
 def test_one_atom_identity_at_zero():
@@ -101,17 +117,18 @@ def test_two_atom_middle_blocks_and_spin1_middle_are_the_cosine_bitwise(cutoff):
     space = FockSpace(cutoff)
     tg = np.array(PIN_TG)[:, None]
     cos = cosz(tg * tg * (2 * (2 * np.arange(cutoff) + 1.0)))
-    two = {(i, j): coef for i, j, _, coef in closed_form_table(2, space, PIN_TG, 1.0).terms}
+    two = _rows_by_block(closed_form(2, space), PIN_TG, 1.0)
     for i, j in ((1, 1), (2, 2)):
         np.testing.assert_array_equal(two[i, j], (1 + cos) / 2)
     for i, j in ((1, 2), (2, 1)):
         np.testing.assert_array_equal(two[i, j], (cos - 1) / 2)
-    spin1 = {(i, j): coef for i, j, _, coef in spin_one_table(space, PIN_TG, 1.0).terms}
-    np.testing.assert_array_equal(spin1[1, 1], cos)
+    # the spin-1 middle is block (2, 2) of the reduced form
+    np.testing.assert_array_equal(_rows_by_block(reduced_form(space), PIN_TG, 1.0)[2, 2], cos)
 
 
 def _displayed_two_atom_rows(space: FockSpace, tg: np.ndarray, spin1: bool) -> list:
-    """The two-atom (or spin-1) closed form with the paper's coefficients written out."""
+    """The two-atom (or spin-1) closed form with the paper's coefficients written out; the
+    terms of A are imaginary, their rows -G(D) times A's entry."""
     m = np.arange(space.cutoff, dtype=float)
     u = (tg * tg)[:, None]
     d = np.maximum(4.0 * np.arange(-1, space.cutoff + 1) + 2, 0)
@@ -122,20 +139,20 @@ def _displayed_two_atom_rows(space: FockSpace, tg: np.ndarray, spin1: bool) -> l
     bot_two = (bot - 1) / (2 * m - 1)
     bot_diag = (m - 1 + m * bot) / (2 * m - 1)
     ladder = math.sqrt(2.0) if spin1 else 1.0
-    top_a, mid_a, bot_a = (-1j * (ladder * sin_d[:, s]) for s in (slice(2, None),
-                                                                 slice(1, -1), slice(None, -2)))
+    top_a, mid_a, bot_a = (-(ladder * sin_d[:, s]) for s in (slice(2, None),
+                                                            slice(1, -1), slice(None, -2)))
     if spin1:
         return [
-            [(0, top_diag), (1, top_a), (2, top_two)],
-            [(-1, mid_a), (0, mid), (1, mid_a)],
-            [(-2, bot_two), (-1, bot_a), (0, bot_diag)],
+            [(0, top_diag), (1, top_a, True), (2, top_two)],
+            [(-1, mid_a, True), (0, mid), (1, mid_a, True)],
+            [(-2, bot_two), (-1, bot_a, True), (0, bot_diag)],
         ]
     plus, minus = (0, (1 + mid) / 2), (0, (mid - 1) / 2)
     return [
-        [(0, top_diag), (1, top_a), (1, top_a), (2, top_two)],
-        [(-1, mid_a), plus, minus, (1, mid_a)],
-        [(-1, mid_a), minus, plus, (1, mid_a)],
-        [(-2, bot_two), (-1, bot_a), (-1, bot_a), (0, bot_diag)],
+        [(0, top_diag), (1, top_a, True), (1, top_a, True), (2, top_two)],
+        [(-1, mid_a, True), plus, minus, (1, mid_a, True)],
+        [(-1, mid_a, True), minus, plus, (1, mid_a, True)],
+        [(-2, bot_two), (-1, bot_a, True), (-1, bot_a, True), (0, bot_diag)],
     ]
 
 
@@ -144,9 +161,9 @@ def _displayed_two_atom_rows(space: FockSpace, tg: np.ndarray, spin1: bool) -> l
 def test_two_atom_and_spin1_tables_are_the_displayed_forms_to_four_ulps(cutoff, spin1):
     space = FockSpace(cutoff)
     tg = np.array(PIN_TG)
-    want = SpectralTable.from_rows(space, _displayed_two_atom_rows(space, tg, spin1)).entries()
-    got = (spin_one_table(space, tg, 1.0) if spin1 else closed_form_table(2, space, tg, 1.0))
-    got = got.entries()
+    layout, coefficients = propagator._layout(space, _displayed_two_atom_rows(space, tg, spin1))
+    want = layout.entries(coefficients)
+    got = _spin_one(space, tg, 1.0) if spin1 else closed_form(2, space).entries(tg, 1.0)
     np.testing.assert_array_equal(got.rows, want.rows)
     np.testing.assert_array_equal(got.cols, want.cols)
     largest = np.abs(want.values).max(axis=1, keepdims=True)
@@ -277,9 +294,10 @@ def test_closed_form_table_rows_are_the_single_time_forms(n):
     # verify reads a (t, g) grid from one table of t*g products at g = 1
     single = evolve_one_atom if n == 1 else evolve_two_atoms
     grid = [(0.1, 0.5), (0.7, 2.0), (10.0, 1.0)]
-    table = closed_form_table(n, SMALL, [t * g for t, g in grid], 1.0)
+    table = closed_form(n, SMALL).entries([t * g for t, g in grid], 1.0)
     for i, (t, g) in enumerate(grid):
-        np.testing.assert_array_equal(table.to_dense(i).matrix, single(SMALL, t, g).matrix)
+        np.testing.assert_array_equal(_dense(SMALL, 2**n, table, i).matrix,
+                                      single(SMALL, t, g).matrix)
 
 
 @pytest.mark.parametrize("kind", ["one", "two", "spin1"])
@@ -289,7 +307,7 @@ def test_unitarity_on_trusted(kind, t):
     builders = {
         "one": evolve_one_atom,
         "two": evolve_two_atoms,
-        "spin1": lambda space, t, g: spin_one_table(space, t, g).to_dense(),
+        "spin1": lambda space, t, g: _dense(space, 3, _spin_one(space, t, g)),
     }
     u = builders[kind](SMALL, t, g)
     keep = trusted_mask(u.n_blocks, SMALL)
@@ -395,13 +413,13 @@ def test_reduced_coupling_pattern():
 def test_spin_one_against_oracle():
     t, g = 0.9, 0.8
     _, reduced = _reduction(SPACE)
-    closed = spin_one_table(SPACE, t, g).to_dense()
+    closed = _dense(SPACE, 3, _spin_one(SPACE, t, g))
     ref = expm_hermitian(reduced, t * g)
     assert compare(closed, ref).max_abs_deviation <= 1e-10
 
 
 def test_spin_one_identity_at_zero():
-    u = spin_one_table(SPACE, 0.0, 1.0).to_dense()
+    u = _dense(SPACE, 3, _spin_one(SPACE, 0.0, 1.0))
     np.testing.assert_array_equal(u.matrix, np.eye(3 * SPACE.cutoff))
 
 
@@ -499,9 +517,10 @@ def test_batched_two_atom_bottom_branch_at_zero_photons(g):
 
 
 def test_batched_coefficients_match_single_time():
-    table = closed_form_table(2, SPACE, BATCH_TIMES, 1.6)
+    table = closed_form(2, SPACE).entries(BATCH_TIMES, 1.6)
     for i, t in enumerate(BATCH_TIMES):
-        assert _max_dev(table.to_dense(i).matrix, evolve_two_atoms(SPACE, t, 1.6).matrix) <= 1e-15
+        got = _dense(SPACE, 4, table, i).matrix
+        assert _max_dev(got, evolve_two_atoms(SPACE, t, 1.6).matrix) <= 1e-15
 
 
 def test_batched_states_reject_wrong_shape():
@@ -553,14 +572,14 @@ IDENTITY_ULPS = 4
 def test_identity_route_matches_the_dense_table_route(n, g):
     omega = 0.8
     eps = np.finfo(float).eps
-    table = closed_form_table(n, SMALL, BATCH_TIMES, g)
+    table = closed_form(n, SMALL).entries(BATCH_TIMES, g)
     phase = free_phase(n, SMALL, BATCH_TIMES, omega)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name, psi0 in _window_cases(n, SMALL):
             got = evolve_states(n, SMALL, BATCH_TIMES, omega, g, psi0, _support_window(n, psi0))
             for i, t in enumerate(BATCH_TIMES):
-                want = phase[i] * (table.to_dense(i).matrix @ psi0)
+                want = phase[i] * (_dense(SMALL, 2**n, table, i).matrix @ psi0)
                 bound = IDENTITY_ULPS * eps * (1 + abs(t * g))
                 assert _max_dev(got[i], want) <= bound, f"{name}, t = {t}"
 
@@ -609,17 +628,17 @@ def test_closed_forms_pass_no_negative_argument_to_cosz_or_sincz(monkeypatch):
     state[bottom] = 1.0
     with np.errstate(all="raise"):
         for n in (1, 2):
-            closed_form_table(n, SMALL, CLAMP_TIMES, 1.0).entries()
+            closed_form(n, SMALL).entries(CLAMP_TIMES, 1.0)
             ground = _fock(n, SMALL, 2**n - 1, 0)  # the all-g row at m = 0, where D = 0
             for window in ((0, 1), (0, 5)):
                 evolve_states(n, SMALL, CLAMP_TIMES, 0.8, 1.0, ground, window)
-        spin_one_table(SMALL, CLAMP_TIMES, 1.0).entries()
-        reduced_table(SMALL, CLAMP_TIMES, 1.0).entries()
+        _spin_one(SMALL, CLAMP_TIMES, 1.0)
+        reduced_form(SMALL).entries(CLAMP_TIMES, 1.0)
         for tg in (0.3, 12.0, 1e6):
-            for table in gauss_tables(SMALL, tg, 1.0):
-                table.entries()
+            layout, coefficients = gauss_tables(SMALL, tg, 1.0)
+            layout.entries(coefficients)
         evolve_states(2, SMALL, CLAMP_TIMES, 0.8, 1.0, state)
-        full = closed_form_table(2, SMALL, CLAMP_TIMES, 1.0).entries()
+        full = closed_form(2, SMALL).entries(CLAMP_TIMES, 1.0)
     # 13 builder calls (2 closed forms, 4 windowed evolutions, spin-1, reduced, 3 Gauss,
     # evolve, full), each one cosz and one sincz
     assert len(smallest) == 2 * 13 and min(smallest) >= 0.0
@@ -636,7 +655,7 @@ def test_largest_branch_is_the_largest_branch_the_closed_form_reads(monkeypatch,
     monkeypatch.setattr(propagator, "_branch",
                         lambda t, g, d: seen.append(float(np.max(d))) or branch(t, g, d))
     space = FockSpace(cutoff, 0)
-    closed_form_table(n, space, 0.3, 1.0)
+    closed_form(n, space).entries(0.3, 1.0)
     evolve_states(n, space, [0.3], 0.8, 1.0, np.ones(2**n * cutoff))  # every level
     if n == 1:
         gauss_tables(space, 0.3, 1.0)

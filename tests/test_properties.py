@@ -34,7 +34,7 @@ from tcprop import (
     FockSpace,
     GaussSingularityError,
     block_eigh,
-    closed_form_table,
+    closed_form,
     cosz,
     coupling_entries,
     gauss_tables,
@@ -67,7 +67,7 @@ def test_closed_form_agrees_with_the_oracle(n, cutoff, tg, share):
     oracle = block_eigh(2**n, space, coupling_entries(n, space))
     split = oracle.split
     t1, t2 = share * tg, (1 - share) * tg
-    u = split.gather(closed_form_table(n, space, [tg, t1, t2], 1.0).entries())
+    u = split.gather(closed_form(n, space).entries([tg, t1, t2], 1.0))
     bound = _bound(tg, n, space)
     assert _largest(u[0] - oracle.expm(tg)[0]) <= bound
     assert _largest(u.dagger() @ u - Blocked.identity(split)) <= _bound(0.0, n, space)
@@ -94,7 +94,8 @@ def test_gauss_factorization_near_a_zero_of_cos(cutoff, level, zero, offset, sid
         assert closest < GAUSS_TAU_SING and exc.value == closest
         return
     assert closest >= GAUSS_TAU_SING
-    largest = max(np.abs(t.entries().values).max() for t in gauss_tables(space, tg, 1.0))
+    layout, coefficients = gauss_tables(space, tg, 1.0)
+    largest = np.abs(layout.entries(coefficients).values).max()
     assert product_dev <= 8 * EPS * largest
     assert variant_dev == 0.0
 

@@ -10,14 +10,15 @@ from tcprop import (
     CompositeOperator,
     Entries,
     FockSpace,
-    SpectralTable,
+    Layout,
     annihilator_entries,
-    closed_form_table,
+    closed_form,
     compare,
     coupling_operator,
     excitation,
     expm_hermitian,
     oracle,
+    propagator,
     reduction_entries,
     relation_fits,
     verify,
@@ -76,21 +77,27 @@ def test_check_names_order_and_count(n, count):
 
 
 def _filled_from(table):
-    """A stand-in for verify.closed_form whose every fill is ``table(n, space, t, g)`` gathered
-    on the split, so a fault injected into the table reaches the checks, outside entries too."""
+    """A stand-in for verify.closed_form whose every fill is the entries ``table(n, space, t, g)``
+    gathered on the split, so a fault injected into them reaches the checks, outside entries
+    too."""
 
     def form(n, space):
-        return SimpleNamespace(on=lambda split: SimpleNamespace(
-            fill=lambda t, g: split.gather(table(n, space, t, g).entries())))
+        return SimpleNamespace(on=lambda split: lambda t, g: split.gather(table(n, space, t, g)))
 
     return form
 
 
+def _coefficients(n, space, t, g):
+    """The closed form's layout and its coefficients (times, terms, cutoff) at the time(s) t."""
+    form = closed_form(n, space)
+    return form.layout, propagator._spectral(t, g, form.branch, form.at, form.scale, form.shift)
+
+
 def _perturbed_table(n, space, t, g):
     """The closed form with its first term's coefficients shifted by 1e-6."""
-    table = closed_form_table(n, space, t, g)
-    (row, col, k, coef), *rest = table.terms
-    return SpectralTable(table.n_blocks, space, ((row, col, k, coef + 1e-6), *rest))
+    layout, coefficients = _coefficients(n, space, t, g)
+    coefficients[:, 0] += 1e-6
+    return layout.entries(coefficients)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -105,17 +112,15 @@ def test_perturbed_closed_form_fails_its_checks(monkeypatch, capsys, n):
 
 
 def _nan_at(scale: float):
-    """closed_form_table with a NaN coefficient on a trusted entry at every time equal to ``scale``.
+    """The closed form with a NaN coefficient on a trusted entry at every time equal to ``scale``.
 
     run_checks fills the oracle and unitarity grids at g = 1, so their times are the t g scales.
     """
 
     def table(n, space, t, g):
-        table = closed_form_table(n, space, t, g)
-        (row, col, k, coef), *rest = table.terms
-        coef = coef.copy()
-        coef[np.atleast_1d(t) == scale, 0] = np.nan
-        return SpectralTable(table.n_blocks, space, ((row, col, k, coef), *rest))
+        layout, coefficients = _coefficients(n, space, t, g)
+        coefficients[np.atleast_1d(t) == scale, 0, 0] = np.nan
+        return layout.entries(coefficients)
 
     return table
 
@@ -229,7 +234,8 @@ def _old_spin1_ref(space):
 
 
 def _table_ref(space, rows):
-    return SpectralTable.from_rows(space, rows).to_dense().matrix
+    layout, coefficients = propagator._layout(space, rows)
+    return CompositeOperator.from_entries(len(rows), space, layout.entries(coefficients)).matrix
 
 
 @pytest.mark.parametrize("cutoff", [2, 5, 24])
@@ -326,9 +332,11 @@ def test_wrong_swap_order_fails_the_reduction(monkeypatch, order):
 
 def _with_cross_sector_term(n, space, t, g):
     """The closed form plus 1e-6 a on the (0, 0) block: a term that changes the excitation."""
-    table = closed_form_table(n, space, t, g)
-    coef = np.full((np.size(t), space.cutoff), 1e-6)
-    return SpectralTable(table.n_blocks, space, (*table.terms, (0, 0, 1, coef)))
+    layout, coefficients = _coefficients(n, space, t, g)
+    keys, imag = [*layout.keys, (0, 0, 1)], np.append(layout.imag, False)
+    layout = Layout(layout.n_blocks, space, keys, imag)
+    term = np.full((np.size(t), 1, space.cutoff), 1e-6)
+    return layout.entries(np.concatenate([coefficients, term], axis=1))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -404,7 +412,9 @@ def test_closed_vs_oracle_equals_the_dense_comparison(n):
     # the blocked route reads the same entries and runs the same eigh per block
     a_op = coupling_operator(n, SPACE)
     worst = max(
-        compare(closed_form_table(n, SPACE, t * g, 1.0).to_dense(), expm_hermitian(a_op, t * g))
+        compare(CompositeOperator.from_entries(2**n, SPACE,
+                                               closed_form(n, SPACE).entries(t * g, 1.0).at(0)),
+                expm_hermitian(a_op, t * g))
         .max_abs_deviation
         for t in verify.ORACLE_T
         for g in verify.ORACLE_G
