@@ -7,12 +7,13 @@ G = sin(tg sqrt(D))/sqrt(D), from the entire functions cosz and sincz of
 (t g)^2 D, all evaluated by one kernel from one rule for D.  Every operator
 here is a :class:`Layout` of terms f(N) a^k plus real coefficient rows,
 which become entries or, placed on a block split, its blocks.  One builder
-lays each closed form out from the displayed rows of A and A^2 as a
-:class:`ClosedForm`, the layout and the rule for its coefficients at any
-times.  On a state, :func:`evolve_states` applies the identity at
-O(2^n x levels) work per time point.  The two-atom
-D = 2(2m - 1) of the bottom row is clamped to 0 at m = 0, where F(D) A^2 is
-taken as 0, so cosz and sincz never see a negative argument.
+lays each closed form out as a :class:`ClosedForm`, the layout and the rule
+for its coefficients at any times, from an integer ladder matrix U and an
+integer q alone: A = sqrt(q) (U kron a + U^T kron a+), and A^2 normal-ordered.
+On a state, :func:`evolve_states` applies the identity at O(2^n x levels)
+work per time point.  The two-atom D = 2(2m - 1) of the bottom row is
+clamped to 0 at m = 0, where F(D) A^2 is taken as 0, so cosz and sincz
+never see a negative argument.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .spinchain import (
     BlockSplit,
     CompositeOperator,
     Entries,
-    collective,
     excitation,
     join_entries,
     kron_entries,
@@ -168,47 +168,40 @@ def largest_branch(n: int, cutoff: int) -> int:
     return int(_excitation_branch(n, cutoff + n - 1))
 
 
-# S_+ of n atoms as a real matrix, and the number of excited atoms of each atomic row
-_LADDERS = {n: (collective(n)[0].real, n - _ground_bits(n).sum(axis=1)) for n in (1, 2)}
-
-
-def _pattern_rows(n: int, space: FockSpace) -> list:
-    """Coupling operator as displayed: A_k = [[A_(k-1), a 1], [a+ 1, A_(k-1)]] from A_0 = 0."""
-    ones = np.ones(space.cutoff)
-    rows = [[None]]
+def _up(n: int) -> np.ndarray:
+    """U_n of n atoms: U_k = [[U_(k-1), 1], [0, U_(k-1)]] from U_0 = 0, which is S_+."""
+    u = np.zeros((1, 1))
     for _ in range(n):
-        eye = range(len(rows))
-        up = [[(1, ones) if i == j else None for j in eye] for i in eye]
-        down = [[(-1, ones) if i == j else None for j in eye] for i in eye]
-        rows = [row + u for row, u in zip(rows, up)] + [d + row for d, row in zip(down, rows)]
-    return rows
+        u = np.block([[u, np.eye(len(u))], [np.zeros_like(u), u]])
+    return u
 
 
-def _square_rows(n: int, space: FockSpace) -> list:
-    """A^2 as displayed: f(N) on the diagonal blocks, plus 2 a^2 and 2 a+^2 for two atoms."""
-    m = np.arange(space.cutoff, dtype=float)
-    if n == 1:
-        return [[(0, m + 1), None], [None, (0, m)]]
-    two = np.full_like(m, 2.0)
-    mid = (0, 2 * m + 1)
-    return [
-        [(0, 2 * (m + 1)), None, None, (2, two)],
-        [None, mid, mid, None],
-        [None, mid, mid, None],
-        [(-2, two), None, None, (0, 2 * m)],
-    ]
+# U of A = sqrt(q) (U kron a + U^T kron a+): U_n of n atoms with q = 1, spin-1 V with q = 2
+_UP = {n: _up(n) for n in (1, 2, 3)}
+_SPIN1_UP = np.eye(3, k=1)
+_REDUCED_UP = np.pad(_SPIN1_UP, ((1, 0), (1, 0)))  # V after the singlet, on the reduced basis
+# the excited atoms of each atomic row of the n = 1 and 2 atoms that have a closed form
+_EXCITED = {n: n - _ground_bits(n).sum(axis=1) for n in (1, 2)}
 
 
-def _spin1_rows(space: FockSpace) -> list:
-    """Spin-1 block B as displayed: sqrt(2) a above the diagonal, sqrt(2) a+ below."""
-    r2 = np.full(space.cutoff, np.sqrt(2.0))
-    return [[None, (1, r2), None], [(-1, r2), None, (1, r2)], [None, (-1, r2), None]]
+def _rows(space: FockSpace, up: np.ndarray, q: int) -> tuple[list, list]:
+    """The block rows of A = sqrt(q) (U kron a + U^T kron a+) and of A^2 from U = ``up``.
 
-
-def _spin1_square_rows(space: FockSpace) -> list:
-    """B^2 as displayed: the outer rows of the two-atom A^2, its middle pair merged to 2(2N+1)."""
-    top, (_, (k, mid), _, _), _, bottom = _square_rows(2, space)
-    return [[top[0], None, top[3]], [None, (k, 2 * mid), None], [bottom[0], None, bottom[3]]]
+    U holds 0 and 1, and raises the excitation by one.  A has sqrt(q) a where U has
+    a 1 and sqrt(q) a+ at the mirrored block.  A^2 is in normal order (a a+ = N + 1),
+    q (U^2 kron a^2 + U^T^2 kron a+^2 + U U^T kron (N + 1) + U^T U kron N), so no
+    block holds two of its terms: each is q (c + s m) with integers c and s, exact,
+    never sqrt(q) squared.  A^2 keeps every diagonal block, a zero one included.
+    """
+    m, size = np.arange(space.cutoff, dtype=float), range(len(up))
+    up2, near, far = up @ up, up @ up.T, up.T @ up  # U^T^2 is (U^2)^T
+    const, slope = q * (up2 + up2.T + near), q * (near + far)
+    root, square = np.full_like(m, sqrt(q)), const[..., None] + slope[..., None] * m
+    a_rows = [[(1, root) if up[i, j] else (-1, root) if up[j, i] else None for j in size]
+              for i in size]
+    sq_rows = [[(2 if up2[i, j] else -2 if up2[j, i] else 0, square[i, j])
+                if i == j or const[i, j] or slope[i, j] else None for j in size] for i in size]
+    return a_rows, sq_rows
 
 
 def _spectral(t, g: float, branch: np.ndarray, at, scale, shift) -> np.ndarray:
@@ -248,8 +241,8 @@ class ClosedForm:
         return lambda t, g: fill(_spectral(t, g, branch, at, scale, shift))
 
 
-def _closed_form(n: int, space: FockSpace, offsets, a_rows, sq_rows) -> ClosedForm:
-    """1 + F(D) A^2 - i G(D) A from the displayed rows of A and A^2, D at k = m + offsets[row].
+def _closed_form(n: int, space: FockSpace, offsets, up: np.ndarray, q: int) -> ClosedForm:
+    """1 + F(D) A^2 - i G(D) A from the :func:`_rows` of (``up``, q), D at k = m + offsets[row].
 
     The positions of 1 and A^2 carry (delta - r) + r cos(tg sqrt(D)), exact
     where r = (A^2 entry)/D is 0, 1/2 or 1, and r = 0 where D = 0; the
@@ -259,7 +252,7 @@ def _closed_form(n: int, space: FockSpace, offsets, a_rows, sq_rows) -> ClosedFo
     branch = _excitation_branch(n, np.arange(c + offsets.max(), dtype=float))
     # A and A^2 share no block, as A changes the excited atoms by one and A^2 by zero or two
     layout, entry = _layout(space, [[(*a, True) if a else s for a, s in zip(*pair)]
-                                    for pair in zip(a_rows, sq_rows)])
+                                    for pair in zip(*_rows(space, up, q))])
     sine = layout.imag[:, None]
     level = offsets[[i for i, *_ in layout.keys]][:, None] + np.arange(c)  # the excitation index
     d = branch[level]
@@ -276,9 +269,9 @@ def closed_form(n: int, space: FockSpace) -> ClosedForm:
     2(2N+1) and 2(2N-1) on the two-atom rows (ee, eg, ge, gg).  The
     coefficients depend on t and g only through t*g.
     """
-    if n not in _LADDERS:
+    if n not in _EXCITED:
         raise ValueError(f"closed-form propagator exists for 1 or 2 atoms, got n={n!r}")
-    return _closed_form(n, space, _LADDERS[n][1], _pattern_rows(n, space), _square_rows(n, space))
+    return _closed_form(n, space, _EXCITED[n], _UP[n], 1)
 
 
 def reduced_form(space: FockSpace) -> ClosedForm:
@@ -287,11 +280,7 @@ def reduced_form(space: FockSpace) -> ClosedForm:
     B is the spin-1 block, D = 2(2N+3), 2(2N+1) and 2(2N-1) on its rows.  The
     singlet's A^2 is 0, so its 1 is (1 - 0) + 0 cos(tg sqrt(D)), exactly 1.
     """
-    def lead(rows, singlet):
-        return [[singlet, None, None, None]] + [[None, *row] for row in rows]
-
-    return _closed_form(2, space, (1, 2, 1, 0), lead(_spin1_rows(space), None),
-                        lead(_spin1_square_rows(space), (0, np.zeros(space.cutoff))))
+    return _closed_form(2, space, (1, 2, 1, 0), _REDUCED_UP, 2)
 
 
 def evolve_one_atom(space: FockSpace, t: float, g: float) -> CompositeOperator:
@@ -405,12 +394,12 @@ def evolve_states(
     F = (cos(tg sqrt(D)) - 1)/D (0 where D = 0, where A psi = 0), G = sin(tg sqrt(D))/sqrt(D),
     phase = exp(-i t omega E), each taken once per value of the excitation E = S_3 + N, of
     which D = E + 1/2 (one atom) or 2(2E + 1) (two) is a function.  A^2 psi is A applied
-    twice with no cut at the cutoff (a a+ = N + 1), as the closed-form table holds it.
+    twice with no cut at the cutoff (a a+ = N + 1), as the closed form's A^2 is derived.
     Only the levels of ``window`` = (lo, hi), by default all, are evaluated and read: A
     shifts N by at most n, so the state's support widened by n loses nothing.  Real float
     arithmetic gives each amplitude the same bits in any window that holds its level.
     """
-    if n not in _LADDERS:
+    if n not in _EXCITED:
         raise ValueError(f"closed-form propagator exists for 1 or 2 atoms, got n={n!r}")
     c = space.cutoff
     vec = np.asarray(state, dtype=complex)
@@ -423,7 +412,7 @@ def evolve_states(
     psi = np.zeros((2, 2**n, hi - lo + 4))
     psi[..., 2:-2] = np.stack((vec.real, vec.imag)).reshape(2, 2**n, c)[..., lo:hi]
     root = np.sqrt(np.maximum(np.arange(lo - 2, hi + 2), 0))
-    s_plus, excited = _LADDERS[n]
+    s_plus, excited = _UP[n], _EXCITED[n]
     a_psi = _couple(psi, root, s_plus)  # levels lo - 1 .. hi
     a2_psi = _couple(a_psi, root[1:-1], s_plus)
     # F, G and the phase per excitation index k = E + n/2 = m + (excited atoms), lo .. hi + n - 1
@@ -466,7 +455,7 @@ def reduction_entries(space: FockSpace) -> tuple[Entries, Entries, np.ndarray]:
     c = space.cutoff
     levels = np.arange(c)
     similarity = kron_entries(s_mat @ t_mat, Entries(levels, levels, np.ones(c, dtype=complex)), c)
-    j_plus = _SQRT2 * np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
+    j_plus = _SQRT2 * _SPIN1_UP.astype(complex)
     a = Entries(*annihilator_entries(space))
     b = join_entries(kron_entries(j_plus, a, c), kron_entries(j_plus.conj().T, a.dagger(), c))
     return similarity, b, np.argmax(s_mat.real, axis=0)

@@ -167,7 +167,7 @@ class CompositeOperator:
 class Entries(NamedTuple):
     """Entries of a composite operator: ``values[..., i]`` sits at (rows[i], cols[i]).
 
-    Leading axes of ``values`` index a batch, such as the times of a table;
+    Leading axes of ``values`` index a batch, such as the times of a closed form;
     an entry listed twice adds.
     """
 

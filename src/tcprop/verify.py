@@ -4,8 +4,9 @@ Grids are fixed so output depends only on atoms, cutoff, guard and tol.
 Identities the construction makes exact carry tolerance 0; those checked
 through a product carry four ulps of the largest reference entry.
 Structured references are a :class:`~tcprop.propagator.Layout` and real
-coefficient rows from the displayed block rows in
-:mod:`~tcprop.propagator`, from which the closed forms are built too, never
+coefficient rows derived from the ladder matrix U and integer q of
+:mod:`~tcprop.propagator`, A = sqrt(q) (U kron a + U^T kron a+) and its
+normal-ordered square, from which the closed forms are built too, never
 from the kron sums they are checked against.
 
 No check forms a dense (2**n cutoff)^2 matrix.  The tolerance-0 checks
@@ -45,11 +46,11 @@ from .oracle import (
     worst_entries,
 )
 from .propagator import (
+    _SPIN1_UP,
+    _UP,
     Layout,
     _layout,
-    _pattern_rows,
-    _spin1_rows,
-    _square_rows,
+    _rows,
     closed_form,
     free_phase,
     gauss_tables,
@@ -112,9 +113,9 @@ def _tmax(op: Blocked, trusted: bool = True) -> float:
     return float(block_magnitudes(op, trusted)[0].max())
 
 
-def _reference(space: FockSpace, rows) -> Entries:
-    """The entries of displayed block rows; their coefficient rows are not kept."""
-    layout, coefficients = _layout(space, rows)
+def _reference(space: FockSpace, up: np.ndarray, q: int) -> Entries:
+    """The entries of A = sqrt(q) (U kron a + U^T kron a+) from the rows the closed forms take."""
+    layout, coefficients = _layout(space, _rows(space, up, q)[0])
     return layout.entries(coefficients)
 
 
@@ -175,7 +176,7 @@ def _reduction_checks(space: FockSpace, a_op: Blocked, fill: Fill) -> list[Check
     reduced = sim @ a_op @ sim.dagger()
     results.append(_result("reduction-blockdiag", _tmax(reduced - ref, False),
                            _four_ulps(_tmax(ref, False))))
-    b_ref = _reference(space, _spin1_rows(space))
+    b_ref = _reference(space, _SPIN1_UP, 2)
     results.append(_result("spin1-pattern", entry_deviation(b, -b_ref), 0.0))
     inner = reduced_form(space).entries(*RECONSTRUCTION)
     inner = split.gather(Entries(back[inner.rows], back[inner.cols], inner.values))
@@ -205,8 +206,8 @@ def _reduction_checks(space: FockSpace, a_op: Blocked, fill: Fill) -> list[Check
 
 
 def _key_relations(n: int, space: FockSpace, a_op: Blocked, e: np.ndarray) -> list[CheckResult]:
-    """A^2 against its displayed blocks, and for two atoms A^3 = D A; E is the excitation."""
-    sq_ref = _placed(a_op.split, *_layout(space, _square_rows(n, space)))
+    """A^2 against its derived blocks, and for two atoms A^3 = D A; E is the excitation."""
+    sq_ref = _placed(a_op.split, *_layout(space, _rows(space, _UP[n], 1)[1]))
     a_sq = a_op @ a_op
     results = [_result("key-relation-squared", _tmax(a_sq - sq_ref), _four_ulps(_tmax(sq_ref)))]
     if n == 2:
@@ -271,7 +272,7 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
     results.append(_result("su2-relations", dev, 0.0))
 
     a = coupling_entries(n, space)
-    pattern = _reference(space, _pattern_rows(n, space))
+    pattern = _reference(space, _UP[n], 1)
     results.append(_result("coupling-pattern", entry_deviation(a, -pattern), 0.0))
     results.append(_result("coupling-hermitian", entry_deviation(a, -a.dagger()), 0.0))
     # a diagonal operator multiplies as a vector: A E scales columns, E A rows

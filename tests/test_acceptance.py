@@ -30,6 +30,7 @@ from tcprop import (
     trusted_mask,
 )
 from tcprop.cli import main as cli_main
+from tcprop.propagator import _SPIN1_UP, _UP, _layout, _rows
 
 SPACE = FockSpace(60, 8)
 T_GRID = (0.1, 0.7, 2.5, 10.0)
@@ -79,6 +80,38 @@ def test_criterion_2_two_atom_oracle_grid():
                    f"sum blocks {block_dev:.3e} (tol 1e-10), {elapsed:.2f}s (< 10s)")
 
 
+def _displayed_squares(cutoff: int) -> dict:
+    """A^2 of one and two atoms and the spin-1 B^2 as displayed, as block rows of (k, f(m))."""
+    m = np.arange(cutoff, dtype=float)
+    two = np.full_like(m, 2.0)
+    mid = (0, 2 * m + 1)
+    return {
+        "one-atom A^2": [[(0, m + 1), None], [None, (0, m)]],
+        "two-atom A^2": [[(0, 2 * (m + 1)), None, None, (2, two)], [None, mid, mid, None],
+                         [None, mid, mid, None], [(-2, two), None, None, (0, 2 * m)]],
+        "B^2": [[(0, 2 * (m + 1)), None, (2, two)], [None, (0, 2 * (2 * m + 1)), None],
+                [(-2, two), None, (0, 2 * m)]],
+    }
+
+
+def _square_mismatches(cutoffs) -> list[str]:
+    """The displayed squares whose keys or coefficient bytes differ from the rows the closed
+    forms derive from their ladder matrices, as "name at cutoff c"."""
+    bad = []
+    for cutoff in cutoffs:
+        space = FockSpace(cutoff)
+        derived = {"one-atom A^2": _rows(space, _UP[1], 1)[1],
+                   "two-atom A^2": _rows(space, _UP[2], 1)[1],
+                   "B^2": _rows(space, _SPIN1_UP, 2)[1]}
+        for name, rows in _displayed_squares(cutoff).items():
+            (want, want_coef), (got, got_coef) = _layout(space, rows), _layout(space, derived[name])
+            same = (want.keys == got.keys and want.imag.tolist() == got.imag.tolist()
+                    and want_coef.dtype == got_coef.dtype and want_coef.shape == got_coef.shape
+                    and want_coef.tobytes() == got_coef.tobytes())
+            bad += [] if same else [f"{name} at cutoff {cutoff}"]
+    return bad
+
+
 def test_criterion_3_operator_relations():
     keep1 = trusted_mask(2, SPACE)
     a1 = coupling_operator(1, SPACE)
@@ -98,9 +131,12 @@ def test_criterion_3_operator_relations():
     expected_cube = d_diag[:, None] * a2.matrix
     dev_cube = float(np.abs((cube - expected_cube)[np.ix_(keep2, keep2)]).max())
 
-    ok = dev_sq <= 1e-12 and dev_cube <= 1e-12
+    # the displayed A^2 and B^2 hold exact integers: 2 (2N + 1), not fl(sqrt 2)^2 (2N + 1)
+    bad = _square_mismatches((2, 4, 24, 120, 400))
+    ok = dev_sq <= 1e-12 and dev_cube <= 1e-12 and not bad
     _report(3, ok, f"coupling-operator square/cube relations, dev {dev_sq:.3e} / "
-                   f"{dev_cube:.3e} (tol 1e-12)")
+                   f"{dev_cube:.3e} (tol 1e-12), displayed A^2 and B^2 rows bitwise at "
+                   f"cutoffs 2-400: {', '.join(bad) or 'all equal'}")
 
 
 def test_criterion_4_triangular_factorization():

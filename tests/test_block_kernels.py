@@ -360,8 +360,7 @@ def _rows(form, t, g: float) -> np.ndarray:
 
 def _spin_one(space: FockSpace):
     """The spin-1 closed form from `_closed_form`: the last three blocks of the reduced form."""
-    return propagator._closed_form(2, space, (2, 1, 0), propagator._spin1_rows(space),
-                                   propagator._spin1_square_rows(space))
+    return propagator._closed_form(2, space, (2, 1, 0), propagator._SPIN1_UP, 2)
 
 
 def _reduced_splits(space: FockSpace) -> tuple[BlockSplit, BlockSplit]:
@@ -385,20 +384,20 @@ def _forms(n: int, space: FockSpace):
 
 def _tables(n: int, space: FockSpace):
     """(name, layout, coefficients, split) of every other layout the code builds: the Gauss
-    factors and the displayed references of A, A^2 and B, by atom count (three atoms with two)."""
+    factors and the references of A, A^2 and B from their ladder matrices, by atom count (three
+    atoms with two)."""
     if n == 1:
         layout, coefficients = gauss_tables(space, 0.3, 1.2)
         for name, factor in zip(("lower", "diagonal", "upper"), coefficients):
             yield f"gauss-{name}", layout, factor, _coupling_split(1, space)
     for atoms in (1,) if n == 1 else (2, 3):
         split = _coupling_split(atoms, space)
-        pattern = propagator._layout(space, propagator._pattern_rows(atoms, space))
-        yield f"pattern-{atoms}", *pattern, split
+        pattern, square = propagator._rows(space, propagator._UP[atoms], 1)
+        yield f"pattern-{atoms}", *propagator._layout(space, pattern), split
         if atoms < 3:
-            square = propagator._layout(space, propagator._square_rows(atoms, space))
-            yield f"square-{atoms}", *square, split
+            yield f"square-{atoms}", *propagator._layout(space, square), split
     if n == 2:
-        spin1 = propagator._layout(space, propagator._spin1_rows(space))
+        spin1 = propagator._layout(space, propagator._rows(space, propagator._SPIN1_UP, 2)[0])
         yield "spin1-pattern", *spin1, _reduced_splits(space)[0]
 
 

@@ -233,6 +233,17 @@ def _old_spin1_ref(space):
     return np.block([[z, r2 * a, z], [r2 * ad, z, r2 * a], [z, r2 * ad, z]])
 
 
+def _old_spin1_square_ref(space):
+    """B^2 from number, a @ a and a+ @ a+, every factor an exact integer times them."""
+    a = _ladder(space)
+    ad = a.conj().T
+    n_mat = np.diag(np.arange(space.cutoff, dtype=complex))
+    eye_f = np.eye(space.cutoff, dtype=complex)
+    z = np.zeros_like(a)
+    return np.block([[2 * (n_mat + eye_f), z, 2 * (a @ a)], [z, 2 * (2 * n_mat + eye_f), z],
+                     [2 * (ad @ ad), z, 2 * n_mat]])
+
+
 def _table_ref(space, rows):
     layout, coefficients = propagator._layout(space, rows)
     return CompositeOperator.from_entries(len(rows), space, layout.entries(coefficients)).matrix
@@ -242,26 +253,30 @@ def _table_ref(space, rows):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_table_references_equal_the_block_layouts_bitwise(n, cutoff):
     space = FockSpace(cutoff)
-    new = _table_ref(space, verify._pattern_rows(n, space))
-    np.testing.assert_array_equal(new, _old_pattern_ref(n, space))
+    pattern, square = verify._rows(space, verify._UP[n], 1)
+    np.testing.assert_array_equal(_table_ref(space, pattern), _old_pattern_ref(n, space))
     if n < 3:
-        new = _table_ref(space, verify._square_rows(n, space))
-        np.testing.assert_array_equal(new, _old_square_ref(n, space).matrix)
+        np.testing.assert_array_equal(_table_ref(space, square), _old_square_ref(n, space).matrix)
     if n == 2:
-        np.testing.assert_array_equal(_table_ref(space, verify._spin1_rows(space)),
-                                      _old_spin1_ref(space))
+        spin1, spin1_square = verify._rows(space, verify._SPIN1_UP, 2)
+        np.testing.assert_array_equal(_table_ref(space, spin1), _old_spin1_ref(space))
+        # 2 (2N + 1), not fl(sqrt 2)^2 (2N + 1), which is an ulp off
+        np.testing.assert_array_equal(_table_ref(space, spin1_square),
+                                      _old_spin1_square_ref(space))
 
 
-def _patch_rows(monkeypatch, name, edit):
-    """Replace verify.<name> by the same rows with ``edit`` applied to them."""
-    original = getattr(verify, name)
+def _patch_rows(monkeypatch, edit, q=1, which=0):
+    """Replace verify._rows by the same rows with ``edit`` applied to the rows of A
+    (``which`` 0) or A^2 (1) of the ladder matrices with that q."""
+    original = verify._rows
 
-    def patched(*args):
-        rows = original(*args)
-        edit(rows)
+    def patched(space, up, q_up):
+        rows = original(space, up, q_up)
+        if q_up == q:
+            edit(rows[which])
         return rows
 
-    monkeypatch.setattr(verify, name, patched)
+    monkeypatch.setattr(verify, "_rows", patched)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -271,7 +286,7 @@ def test_wrong_square_diagonal_fails_only_key_relation_squared(monkeypatch, n):
         k, coef = rows[n - 1][n - 1]
         rows[n - 1][n - 1] = (k, coef - 1)
 
-    _patch_rows(monkeypatch, "_square_rows", edit)
+    _patch_rows(monkeypatch, edit, which=1)
     failed = [name for name, res in _by_name(n).items() if not res.passed]
     assert failed == ["key-relation-squared"]
 
@@ -281,7 +296,7 @@ def test_dropping_the_outer_ladder_blocks_fails_coupling_pattern(monkeypatch):
         for i in range(4):
             rows[i][4 + i] = rows[4 + i][i] = None
 
-    _patch_rows(monkeypatch, "_pattern_rows", edit)
+    _patch_rows(monkeypatch, edit)
     failed = [name for name, res in _by_name(3).items() if not res.passed]
     assert failed == ["coupling-pattern"]
 
@@ -291,9 +306,19 @@ def test_wrong_spin1_factor_fails_spin1_pattern(monkeypatch):
         k, coef = rows[0][1]
         rows[0][1] = (k, coef * (1 + 1e-15))
 
-    _patch_rows(monkeypatch, "_spin1_rows", edit)
+    _patch_rows(monkeypatch, edit, q=2)
     failed = [name for name, res in _by_name(2).items() if not res.passed]
     assert failed == ["spin1-pattern"]
+
+
+def test_zeroed_ladder_matrix_entry_fails_the_independent_references(monkeypatch):
+    # U_2 without its (eg, gg) entry: the references and the closed form lose the same
+    # blocks, while the coupling and the oracle keep S_+- from the ground-bit table
+    up = propagator._UP[2].copy()
+    up[1, 3] = 0.0
+    monkeypatch.setitem(propagator._UP, 2, up)
+    failed = [name for name, res in _by_name(2).items() if not res.passed]
+    assert {"coupling-pattern", "key-relation-squared", "closed-vs-oracle"} <= set(failed)
 
 
 @pytest.mark.parametrize("cutoff", [24, 80])
