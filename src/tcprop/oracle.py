@@ -44,9 +44,11 @@ from .spinchain import (
     BlockSplit,
     CompositeOperator,
     Entries,
+    _merge,
     coupling_entries,
     excitation,
     join_values,
+    trusted_mask,
 )
 
 __all__ = [
@@ -69,11 +71,6 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-12
-
-
-def trusted_mask(n_blocks: int, space: FockSpace) -> np.ndarray:
-    """Boolean mask over composite indices with photon level in the trusted band."""
-    return np.tile(np.arange(space.cutoff) < space.trusted, n_blocks)
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
@@ -228,19 +225,14 @@ def block_magnitudes(op: Blocked, trusted: bool = True) -> tuple[np.ndarray, np.
     The key of entry (row, col) is row * dim + col.  Block entries come in
     the split's buffer order, then one per outside position, in key order.
     With ``trusted`` only block entries in trusted rows and columns are
-    listed; entries outside the blocks always count.  This function alone
-    decides how: those listed at one position are added first, in listing
-    order, as in :func:`~tcprop.spinchain.entry_deviation`.
+    listed; entries outside the blocks always count.  Those listed at one
+    position add first, in listing order, by :func:`~tcprop.spinchain._merge`.
     """
     split = op.split
     at, key = split.trusted if trusted else (slice(None), split.keys)
     values = join_values([np.abs(x).reshape(x.shape[:-3] + (-1,)) for x in op.blocks])[..., at]
-    rows, cols, out = op.outside
-    if rows.size:
-        dim = split.n_blocks * split.space.cutoff
-        out_key, inverse = np.unique(rows.astype(np.int64) * dim + cols, return_inverse=True)
-        total = np.zeros(out.shape[:-1] + out_key.shape, dtype=complex)
-        np.add.at(total, (..., inverse), out)
+    if op.outside.rows.size:
+        out_key, total = _merge(op.outside, split.n_blocks * split.space.cutoff)
         values, key = join_values([values, np.abs(total)]), np.concatenate([key, out_key])
     return values.reshape(-1, key.size), key
 

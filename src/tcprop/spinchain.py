@@ -78,6 +78,11 @@ def atomic_labels(n: int) -> tuple[str, ...]:
     return tuple("".join("eg"[bit] for bit in bits) for bits in _ground_bits(n).tolist())
 
 
+def trusted_mask(n_blocks: int, space: FockSpace) -> np.ndarray:
+    """Boolean mask over composite indices with photon level in the trusted band."""
+    return np.tile(np.arange(space.cutoff) < space.trusted, n_blocks)
+
+
 def excitation(n: int, space: FockSpace) -> np.ndarray:
     """Excitation S_3 + N of each composite basis index, in index order."""
     return (_s3_diagonal(n)[:, None] + np.arange(space.cutoff, dtype=float)[None, :]).ravel()
@@ -204,7 +209,11 @@ def join_values(values: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def join_entries(*parts: Entries) -> Entries:
-    """One entry list holding every part, values broadcast to a common batch shape."""
+    """One entry list holding every part, values broadcast to a common batch shape; the first
+    part itself, not a copy, when every part is empty and of its batch shape."""
+    first = parts[0]
+    if all(not part.rows.size and part.values.shape == first.values.shape for part in parts):
+        return first
     return Entries(
         np.concatenate([part.rows for part in parts]),
         np.concatenate([part.cols for part in parts]),
@@ -212,8 +221,18 @@ def join_entries(*parts: Entries) -> Entries:
     )
 
 
+def _merge(entries: Entries, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys row * dim + col, ascending, and the values listed at each key added
+    from 0 in listing order, batch axes kept: the one rule for entries at one position."""
+    rows, cols, values = entries
+    key, inverse = np.unique(rows.astype(np.int64) * dim + cols, return_inverse=True)
+    total = np.zeros(values.shape[:-1] + key.shape, dtype=complex)
+    np.add.at(total, (..., inverse), values)
+    return key, total
+
+
 def entry_deviation(*terms: Entries) -> float:
-    """max |sum of the terms| over the union of their positions; unbatched values.
+    """max |sum of the terms| over the union of their positions, summed by :func:`_merge`.
 
     Subtract by passing a negated list: a position both lists hold sums to
     0 + x + (-y), which is x - y exactly, as a dense difference gives it.
@@ -221,11 +240,7 @@ def entry_deviation(*terms: Entries) -> float:
     both = join_entries(*terms)
     if both.rows.size == 0:
         return 0.0
-    key = both.rows.astype(np.int64) * (int(both.cols.max()) + 1) + both.cols
-    _, inverse = np.unique(key, return_inverse=True)
-    values = np.asarray(both.values, dtype=complex)
-    total = np.bincount(inverse, values.real) + 1j * np.bincount(inverse, values.imag)
-    return float(np.abs(total).max())
+    return float(np.abs(_merge(both, int(both.cols.max()) + 1)[1]).max())
 
 
 def kron_entries(atomic: np.ndarray, field: Entries, cutoff: int) -> Entries:
@@ -288,9 +303,9 @@ class BlockSplit:
     def trusted(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat buffer positions, in buffer order, of the entries whose row and column are
         trusted levels, and their :attr:`keys`."""
-        dim = self.n_blocks * self.space.cutoff
-        levels = np.arange(dim) % self.space.cutoff < self.space.trusted
-        keep = levels[self.keys // dim] & levels[self.keys % dim]
+        levels = trusted_mask(self.n_blocks, self.space)
+        row, col = np.divmod(self.keys, self.n_blocks * self.space.cutoff)
+        keep = levels[row] & levels[col]
         return np.flatnonzero(keep), self.keys[keep]
 
     def _place(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -323,13 +338,6 @@ class BlockSplit:
         np.add.at(buf.reshape(-1), (lead + flat).ravel(), values[..., inside].ravel())
         out = ~inside
         return self._blocked(buf, Entries(rows[out], cols[out], values[..., out]))
-
-
-def _join_outside(a: Entries, b: Entries) -> Entries:
-    """``join_entries(a, b)``, without a copy when both are empty and of one batch shape."""
-    if not (a.rows.size or b.rows.size) and a.values.shape == b.values.shape:
-        return a
-    return join_entries(a, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,13 +381,13 @@ class Blocked:
         if other.split is not self.split:
             raise ValueError("operands live on different block splits")
         blocks = tuple(x @ y for x, y in zip(self.blocks, other.blocks))
-        return Blocked(self.split, blocks, _join_outside(self.outside, other.outside))
+        return Blocked(self.split, blocks, join_entries(self.outside, other.outside))
 
     def __sub__(self, other: "Blocked") -> "Blocked":
         if other.split is not self.split:
             raise ValueError("operands live on different block splits")
         blocks = tuple(x - y for x, y in zip(self.blocks, other.blocks))
-        return Blocked(self.split, blocks, _join_outside(self.outside, -other.outside))
+        return Blocked(self.split, blocks, join_entries(self.outside, -other.outside))
 
     def __isub__(self, other: "Blocked") -> "Blocked":
         """``self - other`` written into ``self``'s blocks, which its caller must own.
@@ -390,7 +398,7 @@ class Blocked:
             raise ValueError("operands live on different block splits")
         for x, y in zip(self.blocks, other.blocks):
             x -= y
-        return Blocked(self.split, self.blocks, _join_outside(self.outside, -other.outside))
+        return Blocked(self.split, self.blocks, join_entries(self.outside, -other.outside))
 
     def transpose(self) -> "Blocked":
         return Blocked(self.split, tuple(x.swapaxes(-1, -2) for x in self.blocks),
@@ -409,16 +417,13 @@ class Blocked:
                        Entries(out.rows, out.cols, vec[..., out.rows] * out.values))
 
     def entries(self) -> Entries:
-        """Every stored entry, block entries first; values keep the batch axes."""
-        parts = []
-        for idx, x in zip(self.split.groups, self.blocks):
-            shape = idx.shape + idx.shape[1:]
-            parts.append(Entries(
-                np.broadcast_to(idx[:, :, None], shape).ravel(),
-                np.broadcast_to(idx[:, None, :], shape).ravel(),
-                x.reshape(x.shape[:-3] + (-1,)),
-            ))
-        return join_entries(*parts, self.outside)
+        """Every stored entry: the block entries at :attr:`BlockSplit.keys`, in buffer order,
+        then ``outside`` in listing order; values keep the batch axes."""
+        out = self.outside
+        rows, cols = np.divmod(self.split.keys, self.split.n_blocks * self.split.space.cutoff)
+        values = [x.reshape(x.shape[:-3] + (-1,)) for x in self.blocks]
+        return Entries(np.concatenate([rows, out.rows]), np.concatenate([cols, out.cols]),
+                       join_values([*values, out.values]))
 
 
 def coupling_entries(n: int, space: FockSpace) -> Entries:

@@ -17,8 +17,10 @@ is written into it from its placed entries, every other operator is
 scattered into it at once, every product is a stack of small ones and
 every comparison reduces the blocks through
 :func:`~tcprop.oracle.block_magnitudes`, to a bare value where no location
-is printed.  That function alone decides how an entry between blocks
-counts: in full.
+is printed.  That function decides how an entry between blocks counts: in
+full.  Entries listed at one position there, or in the entry lists the
+tolerance-0 checks compare, add in listing order by one merge
+(:func:`~tcprop.spinchain._merge`).
 The oracle splits the coupling once, lays the Hamiltonian out on the same
 blocks, factors each generator once and exponentiates several scales in
 one batched product.  The closed form is laid out and placed on those

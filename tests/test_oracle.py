@@ -19,12 +19,14 @@ from tcprop import (
     FockSpace,
     annihilator_entries,
     block_eigh,
+    block_magnitudes,
     block_split,
     collective,
     compare,
     coupling_entries,
     coupling_operator,
     default_guard,
+    entry_deviation,
     excitation,
     expm_hermitian,
     fit_left_diagonal,
@@ -638,3 +640,26 @@ def test_worst_entries_adds_entries_listed_at_one_position():
     (twice,) = worst_entries((u - perturbed) - (perturbed - u))
     assert twice.max_abs_deviation == pytest.approx(2e-3)
     assert twice.location == (1, 0, 2, 5)
+
+
+@pytest.mark.parametrize("listed, total", [((1e16, 1.0, -1e16), 0.0), ((-1e16, 1e16, 1.0), 1.0)])
+def test_entries_listed_at_one_position_add_in_listing_order(listed, total):
+    # floating-point addition is not associative: each listing order has its own sum, and
+    # every route that adds entries at one position must give that order's sum
+    space = FockSpace(3, 1)
+    split = BlockSplit(2, space, (np.array([[2], [3]]), np.array([[0, 4], [1, 5]])))
+    values = np.array(listed)
+    inside = Entries(np.zeros(3, int), np.full(3, 4), values)  # (0, 4): in one block
+    between = Entries(np.ones(3, int), np.full(3, 2), values)  # (1, 2): between two blocks
+    assert entry_deviation(inside) == total
+    assert split.gather(inside).blocks[1][0, 0, 1] == total
+    op = split.gather(between)
+    assert op.outside.rows.size == 3
+    key = 1 * 6 + 2  # row * dim + col
+    for trusted in (True, False):
+        magnitudes, keys = block_magnitudes(op, trusted)
+        assert magnitudes[:, keys == key].tolist() == [[total]]
+    # batched values add per batch index
+    both = Entries(between.rows, between.cols, np.stack([values, values[::-1]]))
+    magnitudes, keys = block_magnitudes(split.gather(both))
+    assert magnitudes[:, keys == key].tolist() == [[total], [abs(sum(reversed(listed)))]]

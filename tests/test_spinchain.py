@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tcprop import (
+    Blocked,
     BlockSplit,
     CompositeOperator,
     Entries,
@@ -17,6 +18,7 @@ from tcprop import (
     entry_deviation,
     excitation,
     hamiltonian,
+    join_entries,
     kron_entries,
 )
 
@@ -222,3 +224,36 @@ def test_gather_keeps_entries_between_blocks():
     assert op.outside.values.tolist() == [3.0]
     both = op.entries()
     assert np.abs(both.values).max() == 4.0
+
+
+def test_join_of_empty_parts_of_one_batch_shape_is_the_first_part():
+    first = Entries.none((3,))
+    assert join_entries(first, Entries.none((3,)), -first) is first
+    # batch shapes differ: a new list, its values broadcast to the common shape
+    mixed = join_entries(Entries.none((3,)), Entries.none())
+    assert mixed.values.shape == (3, 0)
+    assert mixed.rows.size == mixed.cols.size == 0
+    one = Entries(np.array([1]), np.array([2]), np.ones((3, 1)))
+    joined = join_entries(Entries.none((3,)), one)
+    assert joined is not one
+    assert (joined.rows.tolist(), joined.cols.tolist()) == ([1], [2])
+    assert joined.values.tolist() == [[1.0]] * 3
+
+
+def test_blocked_entries_list_the_split_keys_then_the_outside_entries():
+    # the entry-list worst entries and the two-atom block identities read entries in this order
+    space = FockSpace(3, 1)
+    split = BlockSplit(2, space, (np.array([[2], [3]]), np.array([[0, 4], [1, 5]])))
+    rows, cols = np.array([1, 0, 4, 5, 1, 3]), np.array([2, 4, 0, 5, 2, 1])
+    op = split.gather(Entries(rows, cols, np.arange(12.0).reshape(2, 6)))
+    keys = [14, 21, 0, 4, 24, 28, 7, 11, 31, 35]  # row * 6 + col, in buffer order
+    assert split.keys.tolist() == keys
+    got = op.entries()
+    # (1, 2), listed twice, and (3, 1) fall between two blocks; they follow as listed
+    assert (got.rows * 6 + got.cols).tolist() == keys + [8, 8, 19]
+    assert got.values.tolist() == [[0, 0, 0, 1, 2, 0, 0, 0, 0, 3, 0, 4, 5],
+                                   [0, 0, 0, 7, 8, 0, 0, 0, 0, 9, 6, 10, 11]]
+    # blocks without a batch axis, outside values with one: the blocks broadcast
+    mixed = Blocked(split, tuple(x[0] for x in op.blocks), op.outside).entries()
+    assert mixed.values.tolist() == [[0, 0, 0, 1, 2, 0, 0, 0, 0, 3, 0, 4, 5],
+                                     [0, 0, 0, 1, 2, 0, 0, 0, 0, 3, 6, 10, 11]]

@@ -13,9 +13,9 @@ and the exit code (an argparse exit included).  The list holds:
   tolerance makes checks fail;
 * ``verify`` at 1-2 atoms and cutoffs 40, 80 and 120 with the default
   guard plus 1 and plus 2, the shapes the ``validation`` benchmark sends;
-* ``verify`` at 1-2 atoms and cutoff 2000, as the CI smoke step runs it,
-  and at the smallest cutoff each accepts (3 and 4; at 4 each two-atom
-  a^2 term holds two entries);
+* ``verify`` at 1-3 atoms and cutoff 2000, as the CI smoke step runs it,
+  and at 1-2 atoms at the smallest cutoff each accepts (3 and 4; at 4
+  each two-atom a^2 term holds two entries);
 * ``decompose`` at t0 = 0.3, 12 and pi/2 + 1e-7, the last 1e-7 from the
   level-1 singular point;
 * ``decompose`` at cutoffs 40, 80 and 120 with a coupling g and a t0 below
@@ -30,7 +30,7 @@ and the exit code (an argparse exit included).  The list holds:
   its CSV on stdout;
 * a few refusals.
 
-That is 101 commands.  One line per command says ``same`` or which streams
+That is 102 commands.  One line per command says ``same`` or which streams
 differ; the exit code is 1 if any command differs, else 0.  When both
 stdouts of a differing command are CSV tables of one shape, the line also
 gives the largest cell difference relative to max(1, |cell|) of the
@@ -73,7 +73,7 @@ def commands(config_dir: Path) -> list[list[str]]:
             out += [["verify", "--atoms", str(atoms), "--cutoff", str(cutoff),
                      "--guard", str(_default_guard(cutoff) + extra)] for extra in (1, 2)]
     out += [["verify", "--atoms", str(atoms), "--cutoff", str(cutoff)]
-            for atoms, cutoff in ((1, 2000), (2, 2000), (1, 3), (2, 4))]
+            for atoms, cutoff in ((1, 2000), (2, 2000), (3, 2000), (1, 3), (2, 4))]
     for cutoff in (60, 400):
         for t0 in (0.3, 12.0, math.pi / 2 + 1e-7):
             out.append(["decompose", "--cutoff", str(cutoff), "--t0", repr(t0)])
