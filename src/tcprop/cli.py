@@ -324,8 +324,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
                 chunk = [cfg.t0 + (cfg.t1 - cfg.t0) * i / cfg.steps for i in range(start, stop)]
                 # one pass per chunk over whole rows (the window alone would regroup the pairwise
                 # sums), in place, each sum over one row in the same order at every time
-                probs = np.abs(evolve_states(cfg.atoms, space, np.array(chunk), cfg.omega, cfg.g,
-                                             psi0, window).reshape(len(chunk), len(labels), -1))
+                probs = np.abs(evolve_states(cfg.atoms, space, np.array(chunk), cfg.g, psi0,
+                                             window).reshape(len(chunk), len(labels), -1))
                 probs *= probs
                 per_label = probs.sum(axis=2)
                 probs *= m_values

@@ -8,12 +8,13 @@ G = sin(tg sqrt(D))/sqrt(D), from the entire functions cosz and sincz of
 here is a :class:`Layout` of terms f(N) a^k plus real coefficient rows,
 which become entries or, placed on a block split, its blocks.  One builder
 lays each closed form out as a :class:`ClosedForm`, the layout and the rule
-for its coefficients at any times, from an integer ladder matrix U and an
-integer q alone: A = sqrt(q) (U kron a + U^T kron a+), and A^2 normal-ordered.
-On a state, :func:`evolve_states` applies the identity at O(2^n x levels)
-work per time point.  The two-atom D = 2(2m - 1) of the bottom row is
-clamped to 0 at m = 0, where F(D) A^2 is taken as 0, so cosz and sincz
-never see a negative argument.
+for its coefficients at any times, from one ladder of ``_LADDERS`` alone:
+integers U and q, A = sqrt(q) (U kron a + U^T kron a+), and the products of
+U that A^2, normal-ordered, reads.  On a state, :func:`evolve_states` applies
+the identity at O(2^n x levels) work per time point; only :func:`free_phase`
+forms the free phase, which commutes with A.  The two-atom D = 2(2m - 1) of
+the bottom row is clamped to 0 at m = 0, where F(D) A^2 is taken as 0, so
+cosz and sincz never see a negative argument.
 """
 
 from __future__ import annotations
@@ -170,22 +171,24 @@ def largest_branch(n: int, cutoff: int) -> int:
 
 def _up(n: int) -> np.ndarray:
     """U_n of n atoms: U_k = [[U_(k-1), 1], [0, U_(k-1)]] from U_0 = 0, which is S_+."""
-    u = np.zeros((1, 1))
+    u = np.zeros((1, 1), dtype=int)
     for _ in range(n):
-        u = np.block([[u, np.eye(len(u))], [np.zeros_like(u), u]])
+        u = np.block([[u, np.eye(len(u), dtype=int)], [np.zeros_like(u), u]])
     return u
 
 
-# U of A = sqrt(q) (U kron a + U^T kron a+): U_n of n atoms with q = 1, spin-1 V with q = 2
-_UP = {n: _up(n) for n in (1, 2, 3)}
-_SPIN1_UP = np.eye(3, k=1)
-_REDUCED_UP = np.pad(_SPIN1_UP, ((1, 0), (1, 0)))  # V after the singlet, on the reduced basis
+# each ladder (U, q, U^2, U U^T, U^T U): U and q of A = sqrt(q) (U kron a + U^T kron a+) and
+# the integer products A^2 reads, formed once; U_n of n atoms with q = 1, and with q = 2 the
+# spin-1 V and V after the singlet on the reduced basis
+_LADDERS = {key: (up, q, up @ up, up @ up.T, up.T @ up) for key, up, q in [
+    *((n, _up(n), 1) for n in (1, 2, 3)), ("spin1", np.eye(3, k=1, dtype=int), 2),
+    ("reduced", np.pad(np.eye(3, k=1, dtype=int), ((1, 0), (1, 0))), 2)]}
 # the excited atoms of each atomic row of the n = 1 and 2 atoms that have a closed form
 _EXCITED = {n: n - _ground_bits(n).sum(axis=1) for n in (1, 2)}
 
 
-def _rows(space: FockSpace, up: np.ndarray, q: int) -> tuple[list, list]:
-    """The block rows of A = sqrt(q) (U kron a + U^T kron a+) and of A^2 from U = ``up``.
+def _rows(space: FockSpace, which) -> tuple[list, list]:
+    """The block rows of A = sqrt(q) (U kron a + U^T kron a+) and A^2 of ladder ``which``.
 
     U holds 0 and 1, and raises the excitation by one.  A has sqrt(q) a where U has
     a 1 and sqrt(q) a+ at the mirrored block.  A^2 is in normal order (a a+ = N + 1),
@@ -193,8 +196,8 @@ def _rows(space: FockSpace, up: np.ndarray, q: int) -> tuple[list, list]:
     block holds two of its terms: each is q (c + s m) with integers c and s, exact,
     never sqrt(q) squared.  A^2 keeps every diagonal block, a zero one included.
     """
+    up, q, up2, near, far = _LADDERS[which]  # U^T^2 is (U^2)^T
     m, size = np.arange(space.cutoff, dtype=float), range(len(up))
-    up2, near, far = up @ up, up @ up.T, up.T @ up  # U^T^2 is (U^2)^T
     const, slope = q * (up2 + up2.T + near), q * (near + far)
     root, square = np.full_like(m, sqrt(q)), const[..., None] + slope[..., None] * m
     a_rows = [[(1, root) if up[i, j] else (-1, root) if up[j, i] else None for j in size]
@@ -241,8 +244,8 @@ class ClosedForm:
         return lambda t, g: fill(_spectral(t, g, branch, at, scale, shift))
 
 
-def _closed_form(n: int, space: FockSpace, offsets, up: np.ndarray, q: int) -> ClosedForm:
-    """1 + F(D) A^2 - i G(D) A from the :func:`_rows` of (``up``, q), D at k = m + offsets[row].
+def _closed_form(n: int, space: FockSpace, offsets, which) -> ClosedForm:
+    """1 + F(D) A^2 - i G(D) A from the :func:`_rows` of ladder ``which``, D at m + offsets[row].
 
     The positions of 1 and A^2 carry (delta - r) + r cos(tg sqrt(D)), exact
     where r = (A^2 entry)/D is 0, 1/2 or 1, and r = 0 where D = 0; the
@@ -252,7 +255,7 @@ def _closed_form(n: int, space: FockSpace, offsets, up: np.ndarray, q: int) -> C
     branch = _excitation_branch(n, np.arange(c + offsets.max(), dtype=float))
     # A and A^2 share no block, as A changes the excited atoms by one and A^2 by zero or two
     layout, entry = _layout(space, [[(*a, True) if a else s for a, s in zip(*pair)]
-                                    for pair in zip(*_rows(space, up, q))])
+                                    for pair in zip(*_rows(space, which))])
     sine = layout.imag[:, None]
     level = offsets[[i for i, *_ in layout.keys]][:, None] + np.arange(c)  # the excitation index
     d = branch[level]
@@ -271,7 +274,7 @@ def closed_form(n: int, space: FockSpace) -> ClosedForm:
     """
     if n not in _EXCITED:
         raise ValueError(f"closed-form propagator exists for 1 or 2 atoms, got n={n!r}")
-    return _closed_form(n, space, _EXCITED[n], _UP[n], 1)
+    return _closed_form(n, space, _EXCITED[n], n)
 
 
 def reduced_form(space: FockSpace) -> ClosedForm:
@@ -280,7 +283,7 @@ def reduced_form(space: FockSpace) -> ClosedForm:
     B is the spin-1 block, D = 2(2N+3), 2(2N+1) and 2(2N-1) on its rows.  The
     singlet's A^2 is 0, so its 1 is (1 - 0) + 0 cos(tg sqrt(D)), exactly 1.
     """
-    return _closed_form(2, space, (1, 2, 1, 0), _REDUCED_UP, 2)
+    return _closed_form(2, space, (1, 2, 1, 0), "reduced")
 
 
 def evolve_one_atom(space: FockSpace, t: float, g: float) -> CompositeOperator:
@@ -386,15 +389,16 @@ def _couple(x: np.ndarray, root: np.ndarray, s_plus: np.ndarray) -> np.ndarray:
 
 
 def evolve_states(
-    n: int, space: FockSpace, times, omega: float, g: float, state: np.ndarray, window=None
+    n: int, space: FockSpace, times, g: float, state: np.ndarray, window=None
 ) -> np.ndarray:
-    """U(t) state for every t in ``times``, matrix-free; shape (len(times), 2**n * cutoff).
+    """exp(-i t g A) state at every t in ``times``, matrix-free; shape (len(times), 2**n cutoff).
 
-    Applies the paper's identity U(t) psi = phase(E) [psi + F(D) A^2 psi - i G(D) A psi],
-    F = (cos(tg sqrt(D)) - 1)/D (0 where D = 0, where A psi = 0), G = sin(tg sqrt(D))/sqrt(D),
-    phase = exp(-i t omega E), each taken once per value of the excitation E = S_3 + N, of
-    which D = E + 1/2 (one atom) or 2(2E + 1) (two) is a function.  A^2 psi is A applied
-    twice with no cut at the cutoff (a a+ = N + 1), as the closed form's A^2 is derived.
+    Applies the paper's identity psi + F(D) A^2 psi - i G(D) A psi, F = (cos(tg sqrt(D)) - 1)/D
+    (0 where D = 0, where A psi = 0), G = sin(tg sqrt(D))/sqrt(D), each taken once per value of
+    the excitation E = S_3 + N, of which D = E + 1/2 (one atom) or 2(2E + 1) (two) is a
+    function.  E commutes with A: U(t) psi = :func:`free_phase` times this, a unimodular
+    factor per amplitude.  A^2 psi is A applied twice with no cut at the cutoff (a a+ = N + 1),
+    as the closed form's A^2 is derived.
     Only the levels of ``window`` = (lo, hi), by default all, are evaluated and read: A
     shifts N by at most n, so the state's support widened by n loses nothing.  Real float
     arithmetic gives each amplitude the same bits in any window that holds its level.
@@ -412,22 +416,18 @@ def evolve_states(
     psi = np.zeros((2, 2**n, hi - lo + 4))
     psi[..., 2:-2] = np.stack((vec.real, vec.imag)).reshape(2, 2**n, c)[..., lo:hi]
     root = np.sqrt(np.maximum(np.arange(lo - 2, hi + 2), 0))
-    s_plus, excited = _UP[n], _EXCITED[n]
+    s_plus, excited = _LADDERS[n][0], _EXCITED[n]
     a_psi = _couple(psi, root, s_plus)  # levels lo - 1 .. hi
     a2_psi = _couple(a_psi, root[1:-1], s_plus)
-    # F, G and the phase per excitation index k = E + n/2 = m + (excited atoms), lo .. hi + n - 1
-    k = np.arange(lo, hi + n, dtype=float)
-    d = _excitation_branch(n, k)
+    # F and G per excitation index k = E + n/2 = m + (excited atoms), lo .. hi + n - 1
+    d = _excitation_branch(n, np.arange(lo, hi + n, dtype=float))
     cos_d, sin_d = _branch(times, g, d)
     f = np.divide(cos_d - 1, d, out=np.zeros_like(cos_d), where=d > 0)
-    angle = _column(times) * omega * (k - n / 2)  # the phase is exp(-i angle)
     at_k = excited[:, None] + np.arange(hi - lo)  # (row, level) -> k - lo
     z = a2_psi * f[:, at_k][:, None]  # (time, re/im, row, level)
     z += psi[..., 2:-2]
     z += a_psi[::-1, :, 1:-1] * (np.array([1.0, -1.0])[:, None, None] * sin_d[:, at_k][:, None])
-    cos_p, sin_p = np.cos(angle)[:, at_k], np.sin(angle)[:, at_k]
-    np.add(cos_p * z[:, 0], sin_p * z[:, 1], out=out[..., lo:hi].real)
-    np.subtract(cos_p * z[:, 1], sin_p * z[:, 0], out=out[..., lo:hi].imag)
+    out[..., lo:hi].real, out[..., lo:hi].imag = z[:, 0], z[:, 1]
     return out.reshape(n_times, -1)
 
 
@@ -455,7 +455,7 @@ def reduction_entries(space: FockSpace) -> tuple[Entries, Entries, np.ndarray]:
     c = space.cutoff
     levels = np.arange(c)
     similarity = kron_entries(s_mat @ t_mat, Entries(levels, levels, np.ones(c, dtype=complex)), c)
-    j_plus = _SQRT2 * _SPIN1_UP.astype(complex)
+    j_plus = _SQRT2 * _LADDERS["spin1"][0].astype(complex)
     a = Entries(*annihilator_entries(space))
     b = join_entries(kron_entries(j_plus, a, c), kron_entries(j_plus.conj().T, a.dagger(), c))
     return similarity, b, np.argmax(s_mat.real, axis=0)

@@ -48,8 +48,6 @@ from .oracle import (
     worst_entries,
 )
 from .propagator import (
-    _SPIN1_UP,
-    _UP,
     Layout,
     _layout,
     _rows,
@@ -115,9 +113,10 @@ def _tmax(op: Blocked, trusted: bool = True) -> float:
     return float(block_magnitudes(op, trusted)[0].max())
 
 
-def _reference(space: FockSpace, up: np.ndarray, q: int) -> Entries:
-    """The entries of A = sqrt(q) (U kron a + U^T kron a+) from the rows the closed forms take."""
-    layout, coefficients = _layout(space, _rows(space, up, q)[0])
+def _reference(space: FockSpace, which) -> Entries:
+    """The entries of A = sqrt(q) (U kron a + U^T kron a+) of ladder ``which``, from the rows
+    the closed forms take."""
+    layout, coefficients = _layout(space, _rows(space, which)[0])
     return layout.entries(coefficients)
 
 
@@ -178,7 +177,7 @@ def _reduction_checks(space: FockSpace, a_op: Blocked, fill: Fill) -> list[Check
     reduced = sim @ a_op @ sim.dagger()
     results.append(_result("reduction-blockdiag", _tmax(reduced - ref, False),
                            _four_ulps(_tmax(ref, False))))
-    b_ref = _reference(space, _SPIN1_UP, 2)
+    b_ref = _reference(space, "spin1")
     results.append(_result("spin1-pattern", entry_deviation(b, -b_ref), 0.0))
     inner = reduced_form(space).entries(*RECONSTRUCTION)
     inner = split.gather(Entries(back[inner.rows], back[inner.cols], inner.values))
@@ -209,7 +208,7 @@ def _reduction_checks(space: FockSpace, a_op: Blocked, fill: Fill) -> list[Check
 
 def _key_relations(n: int, space: FockSpace, a_op: Blocked, e: np.ndarray) -> list[CheckResult]:
     """A^2 against its derived blocks, and for two atoms A^3 = D A; E is the excitation."""
-    sq_ref = _placed(a_op.split, *_layout(space, _rows(space, _UP[n], 1)[1]))
+    sq_ref = _placed(a_op.split, *_layout(space, _rows(space, n)[1]))
     a_sq = a_op @ a_op
     results = [_result("key-relation-squared", _tmax(a_sq - sq_ref), _four_ulps(_tmax(sq_ref)))]
     if n == 2:
@@ -274,7 +273,7 @@ def run_checks(n: int, space: FockSpace, tol: float) -> tuple[list[CheckResult],
     results.append(_result("su2-relations", dev, 0.0))
 
     a = coupling_entries(n, space)
-    pattern = _reference(space, _UP[n], 1)
+    pattern = _reference(space, n)
     results.append(_result("coupling-pattern", entry_deviation(a, -pattern), 0.0))
     results.append(_result("coupling-hermitian", entry_deviation(a, -a.dagger()), 0.0))
     # a diagonal operator multiplies as a vector: A E scales columns, E A rows

@@ -30,7 +30,7 @@ from tcprop import (
     trusted_mask,
 )
 from tcprop.cli import main as cli_main
-from tcprop.propagator import _SPIN1_UP, _UP, _layout, _rows
+from tcprop.propagator import _layout, _rows
 
 SPACE = FockSpace(60, 8)
 T_GRID = (0.1, 0.7, 2.5, 10.0)
@@ -100,9 +100,8 @@ def _square_mismatches(cutoffs) -> list[str]:
     bad = []
     for cutoff in cutoffs:
         space = FockSpace(cutoff)
-        derived = {"one-atom A^2": _rows(space, _UP[1], 1)[1],
-                   "two-atom A^2": _rows(space, _UP[2], 1)[1],
-                   "B^2": _rows(space, _SPIN1_UP, 2)[1]}
+        derived = {"one-atom A^2": _rows(space, 1)[1], "two-atom A^2": _rows(space, 2)[1],
+                   "B^2": _rows(space, "spin1")[1]}
         for name, rows in _displayed_squares(cutoff).items():
             (want, want_coef), (got, got_coef) = _layout(space, rows), _layout(space, derived[name])
             same = (want.keys == got.keys and want.imag.tolist() == got.imag.tolist()

@@ -360,7 +360,7 @@ def _rows(form, t, g: float) -> np.ndarray:
 
 def _spin_one(space: FockSpace):
     """The spin-1 closed form from `_closed_form`: the last three blocks of the reduced form."""
-    return propagator._closed_form(2, space, (2, 1, 0), propagator._SPIN1_UP, 2)
+    return propagator._closed_form(2, space, (2, 1, 0), "spin1")
 
 
 def _reduced_splits(space: FockSpace) -> tuple[BlockSplit, BlockSplit]:
@@ -392,12 +392,12 @@ def _tables(n: int, space: FockSpace):
             yield f"gauss-{name}", layout, factor, _coupling_split(1, space)
     for atoms in (1,) if n == 1 else (2, 3):
         split = _coupling_split(atoms, space)
-        pattern, square = propagator._rows(space, propagator._UP[atoms], 1)
+        pattern, square = propagator._rows(space, atoms)
         yield f"pattern-{atoms}", *propagator._layout(space, pattern), split
         if atoms < 3:
             yield f"square-{atoms}", *propagator._layout(space, square), split
     if n == 2:
-        spin1 = propagator._layout(space, propagator._rows(space, propagator._SPIN1_UP, 2)[0])
+        spin1 = propagator._layout(space, propagator._rows(space, "spin1")[0])
         yield "spin1-pattern", *spin1, _reduced_splits(space)[0]
 
 

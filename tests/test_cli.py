@@ -125,6 +125,24 @@ def _run(argv):
     return rc, out.getvalue()
 
 
+# the free phase exp(-i t omega (S_3 + N)) commutes with A and has modulus 1, so no column of
+# evolve, each a sum of |amplitude|^2, depends on omega: evolve does not form it at all
+@pytest.mark.parametrize("atoms, initial, to_file", [
+    (1, "e:fock(3)", False), (1, "g:coherent(1.5-0.5i)", False),
+    (2, "eg:fock(2)", False), (2, "ee:coherent(2)", False), (2, "ge:coherent(1+1i)", True)])
+def test_evolve_output_does_not_depend_on_omega(tmp_path, atoms, initial, to_file):
+    argv = ["evolve", "--atoms", str(atoms), "--cutoff", "60", "--steps", "40", "--t1", "7",
+            "--g", "1.3", "--initial", initial]
+    printed = []
+    for omega in ("0.3", "1e300"):
+        out = tmp_path / f"omega-{omega}.csv"
+        rc, stdout = _run([*argv, "--omega", omega, *(["--out", str(out)] if to_file else [])])
+        assert rc == 0
+        printed.append(out.read_bytes() if to_file else stdout.encode())
+    assert printed[0].count(b"\n") == 42
+    assert printed[0] == printed[1]
+
+
 # evolve propagates only the levels of the state's eps-support, widened by the atom count;
 # dropping the smaller amplitudes must leave every printed byte as the exact support gives it
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -253,12 +253,12 @@ def _table_ref(space, rows):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_table_references_equal_the_block_layouts_bitwise(n, cutoff):
     space = FockSpace(cutoff)
-    pattern, square = verify._rows(space, verify._UP[n], 1)
+    pattern, square = verify._rows(space, n)
     np.testing.assert_array_equal(_table_ref(space, pattern), _old_pattern_ref(n, space))
     if n < 3:
         np.testing.assert_array_equal(_table_ref(space, square), _old_square_ref(n, space).matrix)
     if n == 2:
-        spin1, spin1_square = verify._rows(space, verify._SPIN1_UP, 2)
+        spin1, spin1_square = verify._rows(space, "spin1")
         np.testing.assert_array_equal(_table_ref(space, spin1), _old_spin1_ref(space))
         # 2 (2N + 1), not fl(sqrt 2)^2 (2N + 1), which is an ulp off
         np.testing.assert_array_equal(_table_ref(space, spin1_square),
@@ -270,9 +270,9 @@ def _patch_rows(monkeypatch, edit, q=1, which=0):
     (``which`` 0) or A^2 (1) of the ladder matrices with that q."""
     original = verify._rows
 
-    def patched(space, up, q_up):
-        rows = original(space, up, q_up)
-        if q_up == q:
+    def patched(space, ladder):
+        rows = original(space, ladder)
+        if propagator._LADDERS[ladder][1] == q:
             edit(rows[which])
         return rows
 
@@ -314,9 +314,9 @@ def test_wrong_spin1_factor_fails_spin1_pattern(monkeypatch):
 def test_zeroed_ladder_matrix_entry_fails_the_independent_references(monkeypatch):
     # U_2 without its (eg, gg) entry: the references and the closed form lose the same
     # blocks, while the coupling and the oracle keep S_+- from the ground-bit table
-    up = propagator._UP[2].copy()
+    up = propagator._LADDERS[2][0].copy()
     up[1, 3] = 0.0
-    monkeypatch.setitem(propagator._UP, 2, up)
+    monkeypatch.setitem(propagator._LADDERS, 2, (up, 1, up @ up, up @ up.T, up.T @ up))
     failed = [name for name, res in _by_name(2).items() if not res.passed]
     assert {"coupling-pattern", "key-relation-squared", "closed-vs-oracle"} <= set(failed)
 
