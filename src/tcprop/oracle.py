@@ -107,20 +107,18 @@ def _blocks(label: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, ...]:
     )
 
 
-def _labels(entries: Entries, dim: int) -> np.ndarray:
-    """Component labels of the nonzero entries; refuses if an entry joins two labels."""
+def block_split(n_blocks: int, space: FockSpace, entries: Entries) -> BlockSplit:
+    """The connected blocks of an operator's nonzero entries, over every composite index.
+
+    The only route from entries to a split; refuses if an entry joins two blocks.
+    """
+    dim = n_blocks * space.cutoff
     nonzero = entries.values != 0
     rows, cols = entries.rows[nonzero], entries.cols[nonzero]
     label = _components(rows, cols, dim)
     if not np.array_equal(label[rows], label[cols]):
         raise ValueError("block split left an entry between two blocks")
-    return label
-
-
-def block_split(n_blocks: int, space: FockSpace, entries: Entries) -> BlockSplit:
-    """The connected blocks of an operator's nonzero entries, over every composite index."""
-    dim = n_blocks * space.cutoff
-    return BlockSplit(n_blocks, space, _blocks(_labels(entries, dim), np.arange(dim)))
+    return BlockSplit(n_blocks, space, _blocks(label, np.arange(dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,15 +297,16 @@ class Sector(NamedTuple):
     matrix: np.ndarray
 
 
-def _sectors(n: int, space: FockSpace, entries: Entries, label: np.ndarray) -> list[tuple]:
-    """Blocks of the coupling ``entries`` (component ``label``) on the trusted indices.
+def _sectors(n: int, split: BlockSplit, entries: Entries) -> list[tuple]:
+    """The coupling ``entries`` on its ``split`` cut to the trusted band: the trusted indices
+    grouped by the block of ``split`` they lie in.
 
-    One (excitations, indices, matrices) stack per block size s: (k,), (k, s), (k, s, s).
+    One (excitations, indices, matrices) stack per cut block size s: (k,), (k, s), (k, s, s).
     """
-    excitations = excitation(n, space)
-    split = BlockSplit(2**n, space, _blocks(label, np.flatnonzero(trusted_mask(2**n, space))))
+    excitations, keep = excitation(n, split.space), trusted_mask(split.n_blocks, split.space)
+    cut = BlockSplit(split.n_blocks, split.space, _blocks(split._layout[0], np.flatnonzero(keep)))
     return [(excitations[idx[:, 0]], idx, mats)
-            for idx, mats in zip(split.groups, split.gather(entries).blocks)]
+            for idx, mats in zip(cut.groups, cut.gather(entries).blocks)]
 
 
 def sector_decompose(n: int, space: FockSpace) -> list[Sector]:
@@ -319,7 +318,7 @@ def sector_decompose(n: int, space: FockSpace) -> list[Sector]:
     """
     entries = coupling_entries(n, space)
     sectors = [Sector(*sector) for excitations, idx, mats
-               in _sectors(n, space, entries, _labels(entries, 2**n * space.cutoff))
+               in _sectors(n, block_split(2**n, space, entries), entries)
                for sector in zip(excitations.tolist(), idx, mats)]
     return sorted(sectors, key=lambda sector: sector.excitation)
 
@@ -400,12 +399,10 @@ def relation_fits(
     entries = coupling_entries(n, space)
     if np.any(entries.values.imag):
         raise ValueError("relation search needs a real coupling")
-    dim = 2**n * space.cutoff
-    label = _labels(entries, dim)
-    split = BlockSplit(2**n, space, _blocks(label, np.arange(dim)))
+    split = block_split(2**n, space, entries)
     a_pow = dict(zip((1, 2, 3, 5), _trusted_powers(split, entries)))
     degrees = dict(sorted(
-        (e, d) for excitations, _, mats in _sectors(n, space, entries, label)
+        (e, d) for excitations, _, mats in _sectors(n, split, entries)
         for e, d in zip(excitations.tolist(), _min_poly_degrees(mats.real).tolist())
     ))
     reports = []

@@ -9,12 +9,14 @@ here is a :class:`Layout` of terms f(N) a^k plus real coefficient rows,
 which become entries or, placed on a block split, its blocks.  One builder
 lays each closed form out as a :class:`ClosedForm`, the layout and the rule
 for its coefficients at any times, from one ladder of ``_LADDERS`` alone:
-integers U and q, A = sqrt(q) (U kron a + U^T kron a+), and the products of
-U that A^2, normal-ordered, reads.  On a state, :func:`evolve_states` applies
-the identity at O(2^n x levels) work per time point; only :func:`free_phase`
-forms the free phase, which commutes with A.  The two-atom D = 2(2m - 1) of
-the bottom row is clamped to 0 at m = 0, where F(D) A^2 is taken as 0, so
-cosz and sincz never see a negative argument.
+integers U and q, A = sqrt(q) (U kron a + U^T kron a+), the products of U
+that A^2, normal-ordered, reads, and the part k - m of the excitation index
+k that each atomic row adds to the photon level m; D is a function of k.
+On a state, :func:`evolve_states` applies the identity at O(2^n x levels)
+work per time point; only :func:`free_phase` forms the free phase, which
+commutes with A.  The two-atom D = 2(2m - 1) of the bottom row is clamped
+to 0 at m = 0, where F(D) A^2 is taken as 0, so cosz and sincz never see a
+negative argument.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .spinchain import (
     BlockSplit,
     CompositeOperator,
     Entries,
-    excitation,
     join_entries,
     kron_entries,
     _ground_bits,
@@ -90,7 +91,6 @@ class Layout:
     real f(m) of each term at every row level m; leading axes index times.
     """
 
-    n_blocks: int
     space: FockSpace
     keys: list[tuple[int, int, int]]
     imag: np.ndarray
@@ -135,7 +135,7 @@ def _layout(space: FockSpace, rows) -> tuple[Layout, np.ndarray]:
     """A layout and its coefficients (..., terms, cutoff) from block rows of (k, coefficients)
     pairs, None for a zero block; a block (k, coefficients, True) is an imaginary term."""
     terms = [(i, j, *blk) for i, row in enumerate(rows) for j, blk in enumerate(row) if blk]
-    return (Layout(len(rows), space, [term[:3] for term in terms],
+    return (Layout(space, [term[:3] for term in terms],
                    np.array([len(term) > 4 for term in terms])),
             np.stack([term[3] for term in terms], axis=-2))
 
@@ -177,14 +177,14 @@ def _up(n: int) -> np.ndarray:
     return u
 
 
-# each ladder (U, q, U^2, U U^T, U^T U): U and q of A = sqrt(q) (U kron a + U^T kron a+) and
-# the integer products A^2 reads, formed once; U_n of n atoms with q = 1, and with q = 2 the
-# spin-1 V and V after the singlet on the reduced basis
-_LADDERS = {key: (up, q, up @ up, up @ up.T, up.T @ up) for key, up, q in [
-    *((n, _up(n), 1) for n in (1, 2, 3)), ("spin1", np.eye(3, k=1, dtype=int), 2),
-    ("reduced", np.pad(np.eye(3, k=1, dtype=int), ((1, 0), (1, 0))), 2)]}
-# the excited atoms of each atomic row of the n = 1 and 2 atoms that have a closed form
-_EXCITED = {n: n - _ground_bits(n).sum(axis=1) for n in (1, 2)}
+# each ladder (U, q, U^2, U U^T, U^T U, k - m): U and q of A = sqrt(q) (U kron a + U^T kron a+),
+# the integer products A^2 reads, formed once, and the excitation index k less the photon
+# level m on each atomic row, which U raises by one; U_n of n atoms with q = 1 and k - m its
+# excited atoms, and with q = 2 the spin-1 V and V after the singlet on the reduced basis
+_LADDERS = {key: (up, q, up @ up, up @ up.T, up.T @ up, np.array(e)) for key, up, q, e in [
+    *((n, _up(n), 1, n - _ground_bits(n).sum(axis=1)) for n in (1, 2, 3)),
+    ("spin1", np.eye(3, k=1, dtype=int), 2, (2, 1, 0)),
+    ("reduced", np.pad(np.eye(3, k=1, dtype=int), ((1, 0), (1, 0))), 2, (1, 2, 1, 0))]}
 
 
 def _rows(space: FockSpace, which) -> tuple[list, list]:
@@ -196,7 +196,7 @@ def _rows(space: FockSpace, which) -> tuple[list, list]:
     block holds two of its terms: each is q (c + s m) with integers c and s, exact,
     never sqrt(q) squared.  A^2 keeps every diagonal block, a zero one included.
     """
-    up, q, up2, near, far = _LADDERS[which]  # U^T^2 is (U^2)^T
+    up, q, up2, near, far, _ = _LADDERS[which]  # U^T^2 is (U^2)^T
     m, size = np.arange(space.cutoff, dtype=float), range(len(up))
     const, slope = q * (up2 + up2.T + near), q * (near + far)
     root, square = np.full_like(m, sqrt(q)), const[..., None] + slope[..., None] * m
@@ -244,20 +244,21 @@ class ClosedForm:
         return lambda t, g: fill(_spectral(t, g, branch, at, scale, shift))
 
 
-def _closed_form(n: int, space: FockSpace, offsets, which) -> ClosedForm:
-    """1 + F(D) A^2 - i G(D) A from the :func:`_rows` of ladder ``which``, D at m + offsets[row].
+def _closed_form(n: int, space: FockSpace, which) -> ClosedForm:
+    """1 + F(D) A^2 - i G(D) A from ladder ``which`` alone: its :func:`_rows`, and D by the
+    rule of ``n`` atoms at the excitation index k = m + (the record's k - m of the row).
 
     The positions of 1 and A^2 carry (delta - r) + r cos(tg sqrt(D)), exact
     where r = (A^2 entry)/D is 0, 1/2 or 1, and r = 0 where D = 0; the
     positions of A carry -i G(D) times A's entry.  A^2 has every diagonal block.
     """
-    c, offsets = space.cutoff, np.asarray(offsets)
-    branch = _excitation_branch(n, np.arange(c + offsets.max(), dtype=float))
+    c, excited = space.cutoff, _LADDERS[which][-1]
+    branch = _excitation_branch(n, np.arange(c + excited.max(), dtype=float))
     # A and A^2 share no block, as A changes the excited atoms by one and A^2 by zero or two
     layout, entry = _layout(space, [[(*a, True) if a else s for a, s in zip(*pair)]
                                     for pair in zip(*_rows(space, which))])
     sine = layout.imag[:, None]
-    level = offsets[[i for i, *_ in layout.keys]][:, None] + np.arange(c)  # the excitation index
+    level = excited[[i for i, *_ in layout.keys]][:, None] + np.arange(c)  # the excitation index
     d = branch[level]
     r = np.divide(entry, d, out=np.zeros_like(d), where=d > 0)
     delta = np.array([[i == j and k == 0] for i, j, k in layout.keys])
@@ -272,9 +273,9 @@ def closed_form(n: int, space: FockSpace) -> ClosedForm:
     2(2N+1) and 2(2N-1) on the two-atom rows (ee, eg, ge, gg).  The
     coefficients depend on t and g only through t*g.
     """
-    if n not in _EXCITED:
+    if n not in (1, 2):
         raise ValueError(f"closed-form propagator exists for 1 or 2 atoms, got n={n!r}")
-    return _closed_form(n, space, _EXCITED[n], n)
+    return _closed_form(n, space, n)
 
 
 def reduced_form(space: FockSpace) -> ClosedForm:
@@ -283,7 +284,7 @@ def reduced_form(space: FockSpace) -> ClosedForm:
     B is the spin-1 block, D = 2(2N+3), 2(2N+1) and 2(2N-1) on its rows.  The
     singlet's A^2 is 0, so its 1 is (1 - 0) + 0 cos(tg sqrt(D)), exactly 1.
     """
-    return _closed_form(2, space, (1, 2, 1, 0), "reduced")
+    return _closed_form(2, space, "reduced")
 
 
 def evolve_one_atom(space: FockSpace, t: float, g: float) -> CompositeOperator:
@@ -362,10 +363,9 @@ def gauss_decompose_one_atom(
 
 def free_phase(n: int, space: FockSpace, t, omega: float) -> np.ndarray:
     """exp(-i t omega (S_3 + N)) on the composite basis, one row per time."""
-    e = excitation(n, space) + n / 2
-    # exp once per excitation value -n/2, 1 - n/2, ..., then gathered
+    # exp once per excitation value k - n/2 = -n/2, 1 - n/2, ..., gathered at each index's k
     phase = np.exp(-1j * _column(t) * omega * (np.arange(space.cutoff + n) - n / 2))
-    return phase[:, e.astype(int)]
+    return phase[:, (_LADDERS[n][-1][:, None] + np.arange(space.cutoff)).ravel()]
 
 
 def evolve_full(n: int, space: FockSpace, t: float, omega: float, g: float) -> CompositeOperator:
@@ -403,7 +403,7 @@ def evolve_states(
     shifts N by at most n, so the state's support widened by n loses nothing.  Real float
     arithmetic gives each amplitude the same bits in any window that holds its level.
     """
-    if n not in _EXCITED:
+    if n not in (1, 2):
         raise ValueError(f"closed-form propagator exists for 1 or 2 atoms, got n={n!r}")
     c = space.cutoff
     vec = np.asarray(state, dtype=complex)
@@ -416,7 +416,7 @@ def evolve_states(
     psi = np.zeros((2, 2**n, hi - lo + 4))
     psi[..., 2:-2] = np.stack((vec.real, vec.imag)).reshape(2, 2**n, c)[..., lo:hi]
     root = np.sqrt(np.maximum(np.arange(lo - 2, hi + 2), 0))
-    s_plus, excited = _LADDERS[n][0], _EXCITED[n]
+    s_plus, *_, excited = _LADDERS[n]
     a_psi = _couple(psi, root, s_plus)  # levels lo - 1 .. hi
     a2_psi = _couple(a_psi, root[1:-1], s_plus)
     # F and G per excitation index k = E + n/2 = m + (excited atoms), lo .. hi + n - 1

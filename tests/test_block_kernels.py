@@ -44,7 +44,7 @@ from tcprop.cli import (
     InitialStateSpec,
     build_state,
 )
-from tcprop.oracle import _blocks, _labels, _trusted_powers
+from tcprop.oracle import _trusted_powers
 from tcprop.verify import _tmax, gauss_deviations, run_checks
 
 SPACE = FockSpace(20, 4)
@@ -360,7 +360,7 @@ def _rows(form, t, g: float) -> np.ndarray:
 
 def _spin_one(space: FockSpace):
     """The spin-1 closed form from `_closed_form`: the last three blocks of the reduced form."""
-    return propagator._closed_form(2, space, (2, 1, 0), "spin1")
+    return propagator._closed_form(2, space, "spin1")
 
 
 def _reduced_splits(space: FockSpace) -> tuple[BlockSplit, BlockSplit]:
@@ -412,7 +412,7 @@ def _builders():
     yield "entries-outside", form.layout, _rows(form, TIMES, 1.1), singletons
     # two terms on one block share every position: the second adds to the first
     layout, coefficients = form.layout, _rows(form, TIMES, 1.1)
-    shared = Layout(2, SPACE, layout.keys + layout.keys[:2],
+    shared = Layout(SPACE, layout.keys + layout.keys[:2],
                     np.append(layout.imag, layout.imag[:2]))
     yield ("shared-positions", shared, np.concatenate([coefficients, coefficients[:, :2]], axis=1),
            _coupling_split(1))
@@ -434,7 +434,7 @@ def test_trusted_powers_equal_the_full_width_rows(n, cutoff):
     space = FockSpace(cutoff)
     entries = coupling_entries(n, space)
     dim = 2**n * cutoff
-    split = BlockSplit(2**n, space, _blocks(_labels(entries, dim), np.arange(dim)))
+    split = block_split(2**n, space, entries)
     keep = trusted_mask(2**n, space)
     rows = np.zeros((4, dim, 2**n), dtype=complex)
     for idx, p1 in zip(split.groups, _old_gather(split, entries)[0]):

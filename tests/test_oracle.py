@@ -39,7 +39,7 @@ from tcprop import (
     trusted_mask,
     worst_entries,
 )
-from tcprop.oracle import _blocks, _labels, _sectors, _trusted_powers
+from tcprop.oracle import _blocks, _sectors, _trusted_powers
 
 SPACE = FockSpace(24, 4)
 
@@ -384,8 +384,7 @@ def test_relation_fits_run_one_eigvalsh_per_block_size(monkeypatch):
 def test_relation_route_runs_in_float64(monkeypatch, n):
     space = FockSpace(24)
     entries = coupling_entries(n, space)
-    dim = 2**n * space.cutoff
-    split = BlockSplit(2**n, space, _blocks(_labels(entries, dim), np.arange(dim)))
+    split = block_split(2**n, space, entries)
     assert _trusted_powers(split, entries).dtype == np.float64
     dtypes = []
     eigvalsh = np.linalg.eigvalsh
@@ -573,7 +572,7 @@ def test_split_groups_ascend_in_block_size(n):
     split = block_split(2**n, space, entries)
     assert len(split.groups) == n + 1  # size 2**n, and n smaller sizes at the edges
     _assert_groups_ascend(split.groups, np.arange(dim))
-    sectors = _sectors(n, space, entries, _labels(entries, dim))
+    sectors = _sectors(n, split, entries)
     _assert_groups_ascend([idx for _, idx, _ in sectors],
                           np.flatnonzero(trusted_mask(2**n, space)))
 

@@ -26,6 +26,7 @@ from tcprop import (
     evolve_one_atom,
     evolve_states,
     evolve_two_atoms,
+    excitation,
     expm_hermitian,
     free_phase,
     gauss_decompose_one_atom,
@@ -408,6 +409,18 @@ def test_reduced_coupling_pattern():
         ]
     )
     assert _max_dev(reduced.matrix, expected) <= 1e-15
+
+
+def test_ladder_rows_carry_their_excitation_index():
+    # the k - m of each atomic row, last in every ladder record: U raises it by one
+    for which, (up, *_, excited) in propagator._LADDERS.items():
+        rows, cols = np.nonzero(up)
+        np.testing.assert_array_equal(excited[rows], excited[cols] + 1, err_msg=str(which))
+    for n in (1, 2, 3):
+        k = (propagator._LADDERS[n][-1][:, None] + np.arange(SMALL.cutoff)).ravel()
+        np.testing.assert_array_equal(k, excitation(n, SMALL) + n / 2)
+    # the singlet, first on the reduced basis, sits at k - m = 1 as |eg> and |ge> do
+    assert propagator._LADDERS["reduced"][-1][0] == 1
 
 
 def test_spin_one_against_oracle():

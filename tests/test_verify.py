@@ -316,7 +316,8 @@ def test_zeroed_ladder_matrix_entry_fails_the_independent_references(monkeypatch
     # blocks, while the coupling and the oracle keep S_+- from the ground-bit table
     up = propagator._LADDERS[2][0].copy()
     up[1, 3] = 0.0
-    monkeypatch.setitem(propagator._LADDERS, 2, (up, 1, up @ up, up @ up.T, up.T @ up))
+    excited = propagator._LADDERS[2][-1]
+    monkeypatch.setitem(propagator._LADDERS, 2, (up, 1, up @ up, up @ up.T, up.T @ up, excited))
     failed = [name for name, res in _by_name(2).items() if not res.passed]
     assert {"coupling-pattern", "key-relation-squared", "closed-vs-oracle"} <= set(failed)
 
@@ -359,7 +360,7 @@ def _with_cross_sector_term(n, space, t, g):
     """The closed form plus 1e-6 a on the (0, 0) block: a term that changes the excitation."""
     layout, coefficients = _coefficients(n, space, t, g)
     keys, imag = [*layout.keys, (0, 0, 1)], np.append(layout.imag, False)
-    layout = Layout(layout.n_blocks, space, keys, imag)
+    layout = Layout(space, keys, imag)
     term = np.full((np.size(t), 1, space.cutoff), 1e-6)
     return layout.entries(np.concatenate([coefficients, term], axis=1))
 

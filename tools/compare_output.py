@@ -6,7 +6,10 @@ The parent commit is exported with ``git archive`` into a temporary
 directory, as ``bench_snapshot.py`` does.  Each tree runs one fixed command
 list in a fresh Python process that imports ``tcprop`` from that tree's
 ``src/`` and calls ``tcprop.cli.main`` in process, capturing stdout, stderr
-and the exit code (an argparse exit included).  The list holds:
+and the exit code (an argparse exit included).  Both processes run in the
+temporary directory, which holds the config files by their relative names,
+so two runs of the tool on the same trees print the same bytes.  The list
+holds:
 
 * ``verify`` at 1-3 atoms and cutoffs 24, 120 and 400, each at the default
   guard, a wider one and the narrowest accepted, plus one run whose
@@ -60,7 +63,8 @@ def _default_guard(cutoff: int) -> int:
 
 
 def commands(config_dir: Path) -> list[list[str]]:
-    """The fixed command list; config files of the evolve cases are written to ``config_dir``."""
+    """The fixed command list; config files of the evolve cases are written to ``config_dir``,
+    which the commands name relative to it."""
     out = []
     for atoms in (1, 2, 3):
         for cutoff in (24, 120, 400):
@@ -98,9 +102,8 @@ def commands(config_dir: Path) -> list[list[str]]:
     for name, case in sorted(json.loads(CASES.read_text(encoding="utf-8")).items()):
         argv = ["evolve", *case["argv"]]
         if "config" in case:
-            path = config_dir / f"{name}.cfg"
-            path.write_text(case["config"], encoding="utf-8")
-            argv += ["--config", str(path)]
+            (config_dir / f"{name}.cfg").write_text(case["config"], encoding="utf-8")
+            argv += ["--config", f"{name}.cfg"]
         out.append(argv)
     out += [
         ["verify", "--atoms", "2", "--cutoff", "3"],
@@ -129,9 +132,9 @@ json.dump(out, sys.stdout)
 '''
 
 
-def run(src: Path, argvs: list[list[str]]) -> list[dict]:
+def run(src: Path, argvs: list[list[str]], cwd: Path) -> list[dict]:
     proc = subprocess.run([sys.executable, "-c", CHILD, str(src)], input=json.dumps(argvs),
-                          text=True, capture_output=True, check=True)
+                          cwd=cwd, text=True, capture_output=True, check=True)
     return json.loads(proc.stdout)
 
 
@@ -181,8 +184,8 @@ def main() -> int:
         (tmp / "parent").mkdir()
         subprocess.run(["tar", "-x", "-C", tmp / "parent"], input=archive, check=True)
         argvs = commands(tmp)
-        parent = run(tmp / "parent" / "src", argvs)
-        change = run(ROOT / "src", argvs)
+        parent = run(tmp / "parent" / "src", argvs, tmp)
+        change = run(ROOT / "src", argvs, tmp)
 
     differ = 0
     for argv, old, new in zip(argvs, parent, change):
