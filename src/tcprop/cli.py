@@ -305,8 +305,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     # amplitudes are small too, so no printed sum moves by an ulp (tests/test_cli.py checks)
     magnitude = np.abs(psi0)
     levels = np.flatnonzero(magnitude > EVOLVE_EPS * magnitude.max()) % cfg.cutoff
-    window = (max(0, int(levels.min()) - cfg.atoms),
-              min(cfg.cutoff, int(levels.max()) + 1 + cfg.atoms))
+    lo, hi = window = (max(0, int(levels.min()) - cfg.atoms),
+                       min(cfg.cutoff, int(levels.max()) + 1 + cfg.atoms))
     labels = atomic_labels(cfg.atoms)
     m_values = np.arange(cfg.cutoff, dtype=float)
 
@@ -322,10 +322,16 @@ def cmd_evolve(cfg: RunConfig) -> int:
             for start in range(0, cfg.steps + 1, EVOLVE_CHUNK):
                 stop = min(start + EVOLVE_CHUNK, cfg.steps + 1)
                 chunk = [cfg.t0 + (cfg.t1 - cfg.t0) * i / cfg.steps for i in range(start, stop)]
-                # one pass per chunk over whole rows (the window alone would regroup the pairwise
-                # sums), in place, each sum over one row in the same order at every time
-                probs = np.abs(evolve_states(cfg.atoms, space, np.array(chunk), cfg.g, psi0,
-                                             window).reshape(len(chunk), len(labels), -1))
+                # |amplitude| on the window, the exact zero off it; then one pass per chunk over
+                # whole rows (the window alone would regroup the pairwise sums), in place, each
+                # sum over one row in the same order at every time.  probs comes after the
+                # amplitudes on the heap: freed at its top, they would be handed back to the
+                # system and faulted in again every chunk (1.5x the time at cutoff 400)
+                states = evolve_states(cfg.atoms, space, np.array(chunk), cfg.g, psi0,
+                                       window).reshape(len(chunk), len(labels), -1)
+                probs = np.zeros(states.shape)
+                np.abs(states[..., lo:hi], out=probs[..., lo:hi])
+                del states
                 probs *= probs
                 per_label = probs.sum(axis=2)
                 probs *= m_values
@@ -411,23 +417,25 @@ class _CommandParser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser; built once per process, as parse_args leaves it unchanged."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and each command's own parser, which it hands that command's
+    arguments to; built once per process, as parse_args leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="tcprop",
         description="Closed-form atom-cavity propagators on a truncated Fock space",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    parsers = {}
     for command, summary in _SUMMARIES.items():
         # no prefix matching: verify --g would otherwise set --guard
-        cmd_parser = sub.add_parser(command, help=summary, allow_abbrev=False)
+        cmd_parser = parsers[command] = sub.add_parser(command, help=summary, allow_abbrev=False)
         cmd_parser.add_argument("--config", metavar="PATH", help="key=value config file")
         for name, (kind, _, commands, text) in _OPTIONS.items():
             if command in commands:
                 flag = "--" + name.replace("_", "-")
                 metavar = "PATH" if name == "out" else None
                 cmd_parser.add_argument(flag, type=kind, metavar=metavar, help=text)
-    return parser
+    return parser, parsers
 
 
 _COMMANDS = {
@@ -439,7 +447,14 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, parsers = _build_parser()
+    # the parser would hand a named command's arguments to that command's parser, as here;
+    # it reads the rest: no arguments, --help and an unknown command
+    if argv and argv[0] in parsers:
+        args = parsers[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:
+        args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
         return _COMMANDS[args.command](cfg)

@@ -399,9 +399,10 @@ def evolve_states(
     function.  E commutes with A: U(t) psi = :func:`free_phase` times this, a unimodular
     factor per amplitude.  A^2 psi is A applied twice with no cut at the cutoff (a a+ = N + 1),
     as the closed form's A^2 is derived.
-    Only the levels of ``window`` = (lo, hi), by default all, are evaluated and read: A
-    shifts N by at most n, so the state's support widened by n loses nothing.  Real float
-    arithmetic gives each amplitude the same bits in any window that holds its level.
+    Only the levels of ``window`` = (lo, hi), 0 <= lo < hi <= cutoff, by default all, are
+    evaluated and read: A shifts N by at most n, so the state's support widened by n loses
+    nothing.  Real float arithmetic gives each amplitude the same bits in any window that
+    holds its level.
     """
     if n not in (1, 2):
         raise ValueError(f"closed-form propagator exists for 1 or 2 atoms, got n={n!r}")
@@ -410,25 +411,33 @@ def evolve_states(
     if vec.shape != (2**n * c,):
         raise ValueError(f"state has shape {vec.shape}, operator expects ({2**n * c},)")
     lo, hi = window or (0, c)
+    if not 0 <= lo < hi <= c:
+        raise ValueError(f"window ({lo}, {hi}) is not a level range 0 <= lo < hi <= {c}")
     n_times = _column(times).shape[0]
     out = np.zeros((n_times, 2**n, c), dtype=complex)
-    # the state on levels lo - 2 .. hi + 1 as (re/im, row, level) floats, zero off the window
+    # the window on levels lo - 2 .. hi + 1 as (re/im, row, level) floats, zero off the window
     psi = np.zeros((2, 2**n, hi - lo + 4))
-    psi[..., 2:-2] = np.stack((vec.real, vec.imag)).reshape(2, 2**n, c)[..., lo:hi]
+    part = vec.reshape(2**n, c)[:, lo:hi]
+    psi[0, :, 2:-2], psi[1, :, 2:-2] = part.real, part.imag
     root = np.sqrt(np.maximum(np.arange(lo - 2, hi + 2), 0))
     s_plus, *_, excited = _LADDERS[n]
     a_psi = _couple(psi, root, s_plus)  # levels lo - 1 .. hi
     a2_psi = _couple(a_psi, root[1:-1], s_plus)
-    # F and G per excitation index k = E + n/2 = m + (excited atoms), lo .. hi + n - 1
+    # -i A psi on the window as (re/im, row, level): (Im, -Re) of A psi, a view
+    minus_i_a_psi = a_psi[::-1, :, 1:-1]
+    minus_i_a_psi[1] *= -1
+    # F and G per excitation index k = E + n/2 = m + (excited atoms), lo .. hi + n - 1;
+    # F = (cos - 1)/D is 0 where D = 0, as cos(0) = 1 there, so D may be any nonzero there
     d = _excitation_branch(n, np.arange(lo, hi + n, dtype=float))
     cos_d, sin_d = _branch(times, g, d)
-    f = np.divide(cos_d - 1, d, out=np.zeros_like(cos_d), where=d > 0)
+    cos_d -= 1
+    cos_d /= np.where(d > 0, d, 1.0)
     at_k = excited[:, None] + np.arange(hi - lo)  # (row, level) -> k - lo
-    z = a2_psi * f[:, at_k][:, None]  # (time, re/im, row, level)
+    z = a2_psi * cos_d[:, None, at_k]  # (time, re/im, row, level)
     z += psi[..., 2:-2]
-    z += a_psi[::-1, :, 1:-1] * (np.array([1.0, -1.0])[:, None, None] * sin_d[:, at_k][:, None])
+    z += minus_i_a_psi * sin_d[:, None, at_k]
     out[..., lo:hi].real, out[..., lo:hi].imag = z[:, 0], z[:, 1]
-    return out.reshape(n_times, -1)
+    return out.reshape(n_times, 2**n * c)
 
 
 def reduction_entries(space: FockSpace) -> tuple[Entries, Entries, np.ndarray]:

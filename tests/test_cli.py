@@ -23,6 +23,7 @@ import tcprop
 from tcprop import cli
 from tcprop.cli import InitialStateSpec, build_state, main, parse_initial
 from tcprop import FockSpace, atomic_labels
+from tcprop.propagator import evolve_states
 from tcprop.verify import gauss_deviations
 
 FAST = ["--cutoff", "24", "--guard", "4"]
@@ -423,8 +424,8 @@ def test_verify_refuses_a_cutoff_near_a_million_up_front(capsys, monkeypatch):
 ])
 def test_verify_budget_follows_the_two_phase_figures(atoms, cutoff, accepted):
     # configuration only: nothing is built at these cutoffs
-    args = cli._build_parser().parse_args(["verify", "--atoms", str(atoms),
-                                           "--cutoff", str(cutoff)])
+    args = cli._build_parser()[0].parse_args(["verify", "--atoms", str(atoms),
+                                              "--cutoff", str(cutoff)])
     if accepted:
         assert cli.build_config(args).cutoff == cutoff
     else:
@@ -608,6 +609,53 @@ def test_missing_subcommand_exits_via_argparse():
         main([])
 
 
+VALID_CALLS = [
+    ["verify", "--atoms", "1", "--cutoff", "8"],
+    ["evolve", "--atoms", "2", "--cutoff", "12", "--steps", "3", "--initial", "eg:fock(1)"],
+    ["decompose", "--cutoff", "8", "--t0", "0.3"],
+    ["relation-search", "--atoms", "2", "--cutoff", "12"],
+]
+# the valid calls, argv a command's parser answers with its help or refuses, and argv only the
+# full parser reads
+DISPATCH_CASES = [
+    *VALID_CALLS,
+    *([command, "-h"] for command in cli._SUMMARIES),
+    ["verify", "--out", "x.csv"],
+    ["evolve", "--atoms"],
+    ["verify", "--cutoff", "ten"],
+    ["evolve", "--"],
+    [],
+    ["--help"],
+    ["nosuch"],
+]
+
+
+def _outcome(argv, capsys):
+    """main(argv) as (exit code, stdout, stderr), an argparse exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CASES, ids=lambda argv: " ".join(argv) or "none")
+def test_main_answers_as_the_full_parser(monkeypatch, capsys, argv):
+    # main hands a named command's arguments to that command's parser; with no command parser
+    # to hand them to, the full parser reads every argv and delegates to the same parsers
+    seen = []
+    build_config = cli.build_config
+    monkeypatch.setattr(cli, "build_config", lambda args: seen.append(args) or build_config(args))
+    direct = _outcome(argv, capsys)
+    parser, _ = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+    assert _outcome(argv, capsys) == direct
+    if argv in VALID_CALLS:
+        assert direct[0] == 0 and len(seen) == 2
+    assert len(seen) in (0, 2)
+    assert seen[:1] == seen[1:]
+
+
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError])
 def test_internal_errors_are_not_reported_as_configuration(monkeypatch, error):
     # only ConfigError means bad input; anything else is a fault and must
@@ -756,6 +804,38 @@ def test_evolve_times_are_the_grid_across_chunk_boundaries(capsys, steps):
     assert main([*EVOLVE_RUN, "--t1", "0.7", "--steps", str(steps)]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [float(row.split(",")[0]) for row in rows] == [0.7 * i / steps for i in range(steps + 1)]
+
+
+@pytest.mark.parametrize("atoms, initial", [(1, "e:fock(3)"), (1, "g:coherent(2.5-1i)"),
+                                             (2, "gg:fock(0)"), (2, "ge:coherent(3+0.5i)")])
+def test_evolve_magnitudes_on_the_window_are_those_of_whole_rows(monkeypatch, atoms, initial):
+    # evolve takes |amplitude| on the window alone: with the exact zeros off it, that is np.abs
+    # over whole rows byte for byte, and the CSV is the whole-row reduction of the same states
+    chunks = []
+
+    def spy(n, space, times, g, state, window):
+        states = evolve_states(n, space, times, g, state, window)
+        chunks.append((times, window, states.copy()))
+        return states
+
+    monkeypatch.setattr(cli, "evolve_states", spy)
+    rc, out = _run(["evolve", "--atoms", str(atoms), "--cutoff", "80", "--steps", "100",
+                    "--t1", "9", "--g", "1.3", "--initial", initial])
+    assert rc == 0 and len(chunks) == 2
+    rows = []
+    for times, (lo, hi), states in chunks:
+        probs = np.abs(states.reshape(len(times), 2**atoms, 80))
+        windowed = np.zeros(probs.shape)
+        np.abs(states.reshape(probs.shape)[..., lo:hi], out=windowed[..., lo:hi])
+        assert windowed.tobytes() == probs.tobytes()
+        probs *= probs
+        per_label = probs.sum(axis=2)
+        probs *= np.arange(80.0)
+        mean_photon = probs.reshape(len(times), -1).sum(axis=1)
+        norm = np.sqrt(per_label.sum(axis=1))
+        rows += [",".join(format(x, ".17g") for x in (t, *p, mean, nrm)) for t, p, mean, nrm in
+                 zip(times.tolist(), per_label.tolist(), mean_photon.tolist(), norm.tolist())]
+    assert out.splitlines()[1:] == rows
 
 
 def test_evolve_memory_does_not_grow_with_the_step_count():

@@ -669,3 +669,67 @@ def test_largest_branch_is_the_largest_branch_the_closed_form_reads(monkeypatch,
     if n == 1:
         gauss_tables(space, 0.3, 1.0)
     assert seen and max(seen) == propagator.largest_branch(n, cutoff)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("window", [(5, 3), (4, 4), (0, SMALL.cutoff + 3), (-2, 5)])
+def test_evolve_states_refuses_a_window_outside_the_levels(n, window):
+    state = _fock(n, SMALL, 0, 4)
+    with pytest.raises(ValueError, match=rf"window \({window[0]}, {window[1]}\)"):
+        evolve_states(n, SMALL, BATCH_TIMES, 1.0, state, window)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("window", [None, (3, 9)])
+def test_evolve_states_at_no_times_is_empty(n, window):
+    got = evolve_states(n, SMALL, [], 1.0, _fock(n, SMALL, 0, 4), window)
+    assert got.shape == (0, 2**n * SMALL.cutoff) and got.dtype == complex
+
+
+def _untrimmed_evolve_states(n, space, times, g, state, window=None):
+    """evolve_states before its trims: the whole state stacked, F by a masked divide, the
+    sign applied to G at every time, and the amplitudes formed in new arrays."""
+    c = space.cutoff
+    vec = np.asarray(state, dtype=complex)
+    lo, hi = window or (0, c)
+    n_times = propagator._column(times).shape[0]
+    out = np.zeros((n_times, 2**n, c), dtype=complex)
+    psi = np.zeros((2, 2**n, hi - lo + 4))
+    psi[..., 2:-2] = np.stack((vec.real, vec.imag)).reshape(2, 2**n, c)[..., lo:hi]
+    root = np.sqrt(np.maximum(np.arange(lo - 2, hi + 2), 0))
+    s_plus, *_, excited = propagator._LADDERS[n]
+    a_psi = propagator._couple(psi, root, s_plus)
+    a2_psi = propagator._couple(a_psi, root[1:-1], s_plus)
+    d = propagator._excitation_branch(n, np.arange(lo, hi + n, dtype=float))
+    cos_d, sin_d = propagator._branch(times, g, d)
+    f = np.divide(cos_d - 1, d, out=np.zeros_like(cos_d), where=d > 0)
+    at_k = excited[:, None] + np.arange(hi - lo)
+    z = a2_psi * f[:, at_k][:, None]
+    z += psi[..., 2:-2]
+    z += a_psi[::-1, :, 1:-1] * (np.array([1.0, -1.0])[:, None, None] * sin_d[:, at_k][:, None])
+    out[..., lo:hi].real, out[..., lo:hi].imag = z[:, 0], z[:, 1]
+    return out.reshape(n_times, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_evolve_states_keeps_the_bits_of_the_untrimmed_kernel(n):
+    # times with 0 and |t g| up to 1e6, both signs of g, random states on random windows
+    # (their zero and edge levels included), and the bottom rows at m = 0, where D = 0
+    rng = np.random.default_rng(40 + n)
+    c = SMALL.cutoff
+    times = np.concatenate((CLAMP_TIMES, -CLAMP_TIMES[1:], rng.uniform(-20, 20, 5)))
+    cases = [(_fock(n, SMALL, 2**n - 1, 0), (0, 1 + n)), (_fock(n, SMALL, 0, 0), (0, 1 + n))]
+    for _ in range(12):
+        lo = int(rng.integers(0, c))
+        hi = int(rng.integers(lo + 1, c + 1))
+        psi = np.zeros((2**n, c), dtype=complex)
+        psi[:, lo:hi] = rng.normal(size=(2**n, hi - lo)) + 1j * rng.normal(size=(2**n, hi - lo))
+        psi[rng.random(psi.shape) < 0.2] = 0
+        cases.append((psi.ravel(), (lo, hi)))
+    cases.append((_spread_state(2**n, SMALL, seed=n), None))
+    with np.errstate(all="raise"):
+        for g in (1.0, -0.7):
+            for psi, window in cases:
+                got = evolve_states(n, SMALL, times, g, psi, window)
+                want = _untrimmed_evolve_states(n, SMALL, times, g, psi, window)
+                assert got.tobytes() == want.tobytes(), (g, window)
