@@ -9,7 +9,10 @@ the point; do not "simplify" one through the other.
 The oracle reads nothing but the generator's nonzero entries.  Their
 pattern splits the indices into connected blocks (:func:`block_split`), one
 ``eigh`` per block size factors the generator (:func:`block_eigh`), and the
-phases for a whole grid of scales go through one batched product.  The
+phases for a whole grid of scales go through one batched product,
+:func:`~tcprop.spinchain.block_product`: broadcast products on the one-atom
+blocks of size 1 and 2, where numpy's ``@`` pays a loop over the stack,
+``@`` on wider ones.  The
 coupling and the Hamiltonian conserve excitation even under truncation, so
 the blocks are the excitation sectors, at most 2**n levels each; the split
 finds them from the entries, never from the excitation operator or a
@@ -45,6 +48,7 @@ from .spinchain import (
     CompositeOperator,
     Entries,
     _merge,
+    block_product,
     coupling_entries,
     excitation,
     join_values,
@@ -137,7 +141,8 @@ class BlockEigen:
         """exp(-i scale M) for every scale, stacked along a leading axis."""
         scales = np.atleast_1d(np.asarray(scales, dtype=float))[:, None, None]
         blocks = tuple(
-            (vecs * np.exp(-1j * scales * evals)[:, :, None, :]) @ vecs.conj().swapaxes(1, 2)
+            block_product(vecs * np.exp(-1j * scales * evals)[:, :, None, :],
+                          vecs.conj().swapaxes(1, 2))
             for evals, vecs in zip(self.evals, self.vecs)
         )
         return Blocked(self.split, blocks, Entries.none(scales.shape[:1]))

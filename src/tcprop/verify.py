@@ -14,8 +14,11 @@ compare entry lists.  Every other check runs on the blocks the oracle
 finds in the generator's entries, at most 2**n levels each, held in one
 flat buffer per operator: every layout (closed forms, Gauss factors, A^2)
 is written into it from its placed entries, every other operator is
-scattered into it at once, every product is a stack of small ones and
-every comparison reduces the blocks through
+scattered into it at once, every product is a stack of small ones
+(:func:`~tcprop.spinchain.block_product`: broadcast products on blocks of
+size 1 and 2, which is every one-atom block, because numpy's ``@`` loops
+over a stack matrix by matrix; ``@`` on wider ones) and every comparison
+reduces the blocks through
 :func:`~tcprop.oracle.block_magnitudes`, to a bare value where no location
 is printed.  That function decides how an entry between blocks counts: in
 full.  Entries listed at one position there, or in the entry lists the
@@ -28,7 +31,9 @@ blocks once; each check fills it at the times of its own grid where it
 uses them, each distinct t g once.  The oracle grid and the unitarity Gram
 product run over their fill in passes of at most :data:`SCALES_PER_PASS`
 scales.  A comparison writes its difference into the operand the check
-just made, never into a fill.
+just made, never into a fill.  The two-atom block identities read each
+field block of their fill at its buffer positions, found once per request
+from the split's keys.
 """
 
 from __future__ import annotations
@@ -162,6 +167,17 @@ def gauss_deviations(
     return _compare_into(lower @ diagonal @ upper, closed)[0].max_abs_deviation, variant
 
 
+def _field_blocks(split: BlockSplit) -> dict[tuple[int, int], np.ndarray]:
+    """Flat buffer positions of the entries of each atomic (i, j) field block of ``split``,
+    in (photon row, photon col) order, from one sort of :attr:`BlockSplit.keys`."""
+    c, n_blocks = split.space.cutoff, split.n_blocks
+    (i, m), (j, k) = (np.divmod(x, c) for x in np.divmod(split.keys, n_blocks * c))
+    order = np.lexsort((k, m, j, i))
+    bounds = np.searchsorted((i * n_blocks + j)[order], np.arange(n_blocks**2 + 1))
+    return {divmod(pair, n_blocks): order[lo:hi]
+            for pair, (lo, hi) in enumerate(zip(bounds, bounds[1:]))}
+
+
 def _reduction_checks(space: FockSpace, a_op: Blocked, fill: Fill) -> list[CheckResult]:
     """The spin-1 reduction on the split of ``a_op``, S undone by an index map; T kron 1 keeps
     every block.  ``fill`` fills the two-atom closed form on that split."""
@@ -184,24 +200,25 @@ def _reduction_checks(space: FockSpace, a_op: Blocked, fill: Fill) -> list[Check
     recon = sim.dagger() @ inner @ sim
     recon_dev = _compare_into(recon, fill(*RECONSTRUCTION))[0]
     results.append(_result("reduction-reconstruction", recon_dev.max_abs_deviation, 1e-10))
-    u_two = fill(0.7, 1.3).entries().at(0)
+    # each (i, j) field block of the two-atom propagator read at its buffer positions; a fill
+    # holds no entry outside its blocks (Layout.on refuses one) and lists each position once,
+    # so x - y is the listing-order sum 0 + x + (-y) of _merge, bit for bit
+    u_two = np.concatenate([x.ravel() for x in fill(0.7, 1.3)[0].blocks])
+    field = _field_blocks(split)
 
-    def block(i: int, j: int) -> Entries:
-        """The (i, j) field block of the two-atom propagator, indexed by photon levels."""
-        keep = (u_two.rows // c == i) & (u_two.cols // c == j)
-        return Entries(u_two.rows[keep] % c, u_two.cols[keep] % c, u_two.values[keep])
+    def diff(x: tuple[int, int], y: tuple[int, int]) -> np.ndarray:
+        return u_two[field[x]] - u_two[field[y]]
 
-    levels = np.arange(c)
-    eye = Entries(levels, levels, np.ones(c))
-    ident = max(
-        entry_deviation(block(1, 1), -block(2, 2)),
-        entry_deviation(block(1, 2), -block(2, 1)),
-        entry_deviation(block(0, 1), -block(0, 2)),
-        entry_deviation(block(1, 0), -block(2, 0)),
-        entry_deviation(block(1, 3), -block(2, 3)),
-        entry_deviation(block(3, 1), -block(3, 2)),
-        entry_deviation(block(1, 1), -block(1, 2), -eye),
-    )
+    # np.max, unlike Python's max, keeps a NaN of any identity
+    ident = np.max([np.abs(d).max() for d in (
+        diff((1, 1), (2, 2)),
+        diff((1, 2), (2, 1)),
+        diff((0, 1), (0, 2)),
+        diff((1, 0), (2, 0)),
+        diff((1, 3), (2, 3)),
+        diff((3, 1), (3, 2)),
+        diff((1, 1), (1, 2)) - 1,
+    )])
     results.append(_result("two-atom-block-identities", ident, 1e-12))
     return results
 

@@ -4,9 +4,11 @@ Each kernel is checked bit for bit against a copy, kept here, of the code
 it replaced: the per-block-size 4-D ``np.add.at`` gather, the per-term
 entries of a table of f(N) a^k terms, the entry-list ``worst_entries``,
 the full-width relation-fit rows, the level-by-level coherent-state loop,
-the entry-list Hermiticity check of ``block_eigh`` and the maximum over
-``worst_entries`` reports.  Every layout filled on a split is checked
-against its per-term entries gathered on that split.
+the entry-list Hermiticity check of ``block_eigh``, the maximum over
+``worst_entries`` reports and the entry-list merges of the two-atom block
+identities.  Every layout filled on a split is checked against its per-term
+entries gathered on that split.  The product of 1 x 1 and 2 x 2 blocks,
+which rounds differently from ``@``, is held to it within a few ulps.
 """
 
 import math
@@ -24,6 +26,7 @@ from tcprop import (
     FockSpace,
     Layout,
     block_eigh,
+    block_product,
     block_split,
     closed_form,
     coupling_entries,
@@ -45,10 +48,11 @@ from tcprop.cli import (
     build_state,
 )
 from tcprop.oracle import _trusted_powers
-from tcprop.verify import _tmax, gauss_deviations, run_checks
+from tcprop.verify import _field_blocks, _reduction_checks, _tmax, gauss_deviations, run_checks
 
 SPACE = FockSpace(20, 4)
 TIMES = [0.3, 1.7, 9.0]
+EPS = np.finfo(float).eps
 
 
 def _old_gather(split: BlockSplit, entries: Entries):
@@ -666,3 +670,157 @@ def test_coherent_state_past_the_normal_floats_builds_or_names_the_underflow(mea
     # past the normal floats every state is refused, whether or not the old loop lost weight
     with pytest.raises(ConfigError, match="underflows past"):
         build_state(spec, space)
+
+
+def _stack(rng, shape, spread: float = 0.0) -> np.ndarray:
+    """Random complex (..., k, s, s) blocks, each scaled by 10**u with u uniform in +-spread."""
+    scale = 10.0 ** rng.uniform(-spread, spread, size=shape[:-2] + (1, 1))
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale
+
+
+def _product_operands(rng, s: int, batch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(x, y) stacks of 9 blocks of size s as the code multiplies them: both batched, one
+    unbatched on either side (as ``expm`` and the Schrodinger residual), daggered or transposed."""
+    x, y = _stack(rng, batch + (9, s, s), 6.0), _stack(rng, batch + (9, s, s), 6.0)
+    lone = _stack(rng, (9, s, s), 6.0)
+    return [(x, y), (x, lone), (lone, y), (x.conj().swapaxes(-1, -2), y),
+            (x, y.swapaxes(-1, -2)), (lone.conj().swapaxes(-1, -2), x)]
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+def test_block_product_is_the_matrix_product(batch, s):
+    rng = np.random.default_rng(100 * s + len(batch))
+    for x, y in _product_operands(rng, s, batch):
+        got, want = block_product(x, y), x @ y
+        assert got.shape == want.shape and got.dtype == want.dtype
+        if s > 2:  # wider blocks keep @
+            assert got.tobytes() == want.tobytes()
+            continue
+        # a few ulps of max|x| max|y| of each block
+        bound = 4 * EPS * np.abs(x).max(axis=(-1, -2)) * np.abs(y).max(axis=(-1, -2))
+        assert (np.abs(got - want).max(axis=(-1, -2)) <= bound).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(-np.inf, 1.0), complex(1.0, np.nan)])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_block_product_puts_a_non_finite_entry_where_matmul_does(s, bad):
+    rng = np.random.default_rng(7 * s)
+    x, y = _stack(rng, (3, 5, s, s)), _stack(rng, (5, s, s))
+    x[1, 2, 0, s - 1] = bad
+    y[2, s - 1, 0] = 0.0  # meets the bad entry: inf times 0 is NaN
+    y[4, 0, s - 1] = bad
+    with np.errstate(invalid="ignore"):
+        got, want = block_product(x, y), x @ y
+    assert not np.isfinite(want).all()
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+    if np.isnan(bad):
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_block_product_of_a_block_does_not_depend_on_its_stack(s):
+    # a scale's blocks come out the same whether its pass holds 1, 4 or 12 scales
+    rng = np.random.default_rng(31 + s)
+    x = _stack(rng, (12, 40, s, s), 3.0)
+    for batched in (False, True):  # an unbatched operand as in expm, a daggered batched one
+        y = x.conj().swapaxes(-1, -2) if batched else _stack(rng, (40, s, s))
+        at = (lambda i: y[i]) if batched else (lambda i: y)
+        whole = block_product(x, y)
+        parts = [block_product(x[i : i + 4], at(slice(i, i + 4))) for i in range(0, 12, 4)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        for i, j in np.ndindex(12, 40):
+            assert block_product(x[i, j], at(i)[j]).tobytes() == whole[i, j].tobytes()
+
+
+IDENTITY_BLOCKS = [((1, 1), (2, 2)), ((1, 2), (2, 1)), ((0, 1), (0, 2)), ((1, 0), (2, 0)),
+                   ((1, 3), (2, 3)), ((3, 1), (3, 2)), ((1, 1), (1, 2))]
+
+
+def _old_field_block(u_two: Entries, c: int, i: int, j: int) -> Entries:
+    """The (i, j) field block of an entry list, indexed by photon levels, by boolean masks."""
+    keep = (u_two.rows // c == i) & (u_two.cols // c == j)
+    return Entries(u_two.rows[keep] % c, u_two.cols[keep] % c, u_two.values[keep])
+
+
+def _old_block_identities(u: Blocked) -> float:
+    """two-atom-block-identities as the entry-list route found it: field blocks cut from
+    ``u.entries()`` by masks and subtracted by the merges of ``entry_deviation``, the identity
+    of (1, 1) and (1, 2) less the eye."""
+    c = u.split.space.cutoff
+    u_two = u.entries().at(0)
+    levels = np.arange(c)
+    eye = Entries(levels, levels, np.ones(c))
+    blocks = [(_old_field_block(u_two, c, *x), _old_field_block(u_two, c, *y))
+              for x, y in IDENTITY_BLOCKS]
+    return max(*(entry_deviation(x, -y) for x, y in blocks[:-1]),
+               entry_deviation(*blocks[-1][:1], -blocks[-1][1], -eye))
+
+
+def _block_identities(space: FockSpace, edit=None):
+    """The check ``_reduction_checks`` reports and the entry-list deviation of the same fill,
+    its (0.7, 1.3) fill passed through ``edit`` first."""
+    split = _coupling_split(2, space)
+    fill = closed_form(2, space).on(split)
+
+    def edited(t, g):
+        u = fill(t, g)
+        if edit is not None and (t, g) == (0.7, 1.3):
+            edit(u)
+        return u
+
+    results = _reduction_checks(space, split.gather(coupling_entries(2, space)), edited)
+    check = {res.name: res for res in results}["two-atom-block-identities"]
+    return check, _old_block_identities(edited(0.7, 1.3))
+
+
+def _edit_entry(u: Blocked, at: int, edit) -> None:
+    """Replace the entry at flat buffer position ``at`` of batch index 0 of ``u`` by ``edit``
+    of it, in place."""
+    offsets = u.split.offsets
+    group = int(np.searchsorted(offsets, at, side="right")) - 1
+    block = u.blocks[group][0]
+    where = np.unravel_index(at - offsets[group], block.shape)
+    block[where] = edit(block[where])
+
+
+BLOCK_IDENTITY_SPACES = [(4, None), (5, None), (24, None), (120, None), (24, 12), (120, 60)]
+
+
+@pytest.mark.parametrize("cutoff, guard", BLOCK_IDENTITY_SPACES)
+def test_block_identities_in_place_equal_the_entry_list_route(cutoff, guard):
+    space = FockSpace(cutoff, guard)
+    check, want = _block_identities(space)
+    assert repr(check.deviation) == repr(want) and check.passed
+    # both blocks of each identity hold the same photon positions, in the same order
+    split = _coupling_split(2, space)
+    u_two = closed_form(2, space).on(split)(0.7, 1.3).entries().at(0)
+    field = _field_blocks(split)
+    photons = {pair: tuple(x % cutoff for x in np.divmod(split.keys[at], 4 * cutoff))
+               for pair, at in field.items()}
+    for x, y in IDENTITY_BLOCKS:
+        np.testing.assert_array_equal(photons[x], photons[y])
+        old_x, old_y = (_old_field_block(u_two, cutoff, *pair) for pair in (x, y))
+        assert sorted(zip(old_x.rows, old_x.cols)) == sorted(zip(old_y.rows, old_y.cols))
+        assert sorted(zip(old_x.rows, old_x.cols)) == sorted(zip(*photons[x]))
+
+
+@pytest.mark.parametrize("cutoff, guard", BLOCK_IDENTITY_SPACES)
+def test_block_identities_see_a_perturbed_or_nan_entry(cutoff, guard):
+    # one entry of any field block an identity reads, shifted by delta, moves the check by
+    # delta, as it moves the entry-list route; set to NaN, it fails the check.  The entry-list
+    # route took Python's max over the identities, which drops a NaN after the first
+    space = FockSpace(cutoff, guard)
+    split = _coupling_split(2, space)
+    field = _field_blocks(split)
+    delta = 2.0**-20
+    for i, j in dict.fromkeys(pair for pairs in IDENTITY_BLOCKS for pair in pairs):
+        at = int(field[i, j][field[i, j].size // 2])
+        row, col = divmod(int(split.keys[at]), 4 * cutoff)
+        assert (row // cutoff, col // cutoff) == (i, j)
+        check, want = _block_identities(space, lambda u: _edit_entry(u, at, lambda x: x + delta))
+        assert repr(check.deviation) == repr(want)
+        assert check.deviation == delta, (i, j)
+        check, want = _block_identities(space, lambda u: _edit_entry(u, at, lambda x: np.nan))
+        assert math.isnan(check.deviation) and not check.passed, (i, j)
+        assert math.isnan(want) == ((i, j) in IDENTITY_BLOCKS[0])
